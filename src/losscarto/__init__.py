@@ -10,29 +10,22 @@ scalar multiple) and the architecture from oracle access to the loss.
 
 from .attack import (
     AttackConfig,
-    DifferenceDirection,
     ExtractedDirection,
-    FloatPoly,
     KinkPoint,
     LossOracle,
     ReconstructionReport,
-    RegionFit,
     aligned_input_direction,
     detect_kinks_on_line,
-    extract_input_direction,
     fit_hyperplane,
-    fit_region_polynomial,
     harvest_sheet_points,
     one_d_warmup_oracle,
     recover_architecture,
     refine_kink,
-    region_difference_direction,
     run_attack,
 )
 from .errors import (
     AdjacencyError,
     BoundaryError,
-    ContaminationError,
     DegeneracyError,
     DegreeError,
     EnumerationBudgetError,
@@ -44,7 +37,6 @@ from .errors import (
     SamplingError,
     ShapeError,
     SpuriousKinkError,
-    UnsupportedDivisorError,
     ZeroVirtualPolynomialError,
 )
 from .instances import (
@@ -63,20 +55,12 @@ from .network import (
     TrainingSample,
     as_fraction,
     check_samples,
-    enumerate_activation_sets,
     forward,
     loss,
     make_loss_fn,
-    realized_activation_set,
     strict_activation_set,
 )
-from .polyalg import (
-    LinearSupport,
-    Poly,
-    layerwise_degree,
-    linear_support,
-    pseudo_divides,
-)
+from .polyalg import Poly, layerwise_degree
 from .surface import (
     Region,
     Sheet,
@@ -88,14 +72,10 @@ from .surface import (
     wall_between,
 )
 from .virtual import (
-    ActiveSubnetwork,
-    BottleneckReport,
     Factorization,
     VirtualPoly,
-    bottleneck_layers,
     enumerate_virtual_polynomials,
     factorize,
-    p_active_network,
     virtual_polynomial,
 )
 
@@ -103,25 +83,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivationSet",
-    "ActiveSubnetwork",
     "AdjacencyError",
     "AttackConfig",
-    "BottleneckReport",
     "BoundaryError",
-    "ContaminationError",
     "DegeneracyError",
     "DegreeError",
-    "DifferenceDirection",
     "EnumerationBudgetError",
     "ExtractedDirection",
     "Factorization",
-    "FloatPoly",
     "ForwardTrace",
     "HarvestError",
     "Instance",
     "InstanceError",
     "KinkPoint",
-    "LinearSupport",
     "LossOracle",
     "LosscartoError",
     "NetworkShape",
@@ -130,45 +104,34 @@ __all__ = [
     "ReconstructionReport",
     "RecoveryError",
     "Region",
-    "RegionFit",
     "SamplingError",
     "ShapeError",
     "Sheet",
     "SpuriousKinkError",
     "TrainingSample",
-    "UnsupportedDivisorError",
     "VirtualPoly",
     "ZeroVirtualPolynomialError",
     "aligned_input_direction",
     "as_fraction",
-    "bottleneck_layers",
     "check_samples",
     "detect_kinks_on_line",
-    "enumerate_activation_sets",
     "enumerate_singular_sheets",
     "enumerate_virtual_polynomials",
-    "extract_input_direction",
     "factorize",
     "fit_hyperplane",
-    "fit_region_polynomial",
     "forward",
     "gen_instance",
     "harvest_sheet_points",
     "instance_from_json",
     "layerwise_degree",
-    "linear_support",
     "load_instance",
     "loss",
     "make_loss_fn",
     "make_oracle",
     "make_warmup_instance",
     "one_d_warmup_oracle",
-    "p_active_network",
-    "pseudo_divides",
-    "realized_activation_set",
     "recover_architecture",
     "refine_kink",
-    "region_difference_direction",
     "region_loss_polynomial",
     "region_of",
     "run_attack",

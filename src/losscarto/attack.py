@@ -5,9 +5,7 @@ up as the coefficient vectors of the linear walls, so the attack scans
 lines for kinks, refines each kink by bisection against left/right local
 polynomial models, harvests N+1 nearby points of the same sheet, fits a
 hyperplane through them (smallest principal direction), and reads the
-input direction off the normal's support.  A second, independent route
-fits the loss polynomial on both sides of a wall and extracts the same
-direction from the gradient of the difference at the wall.
+input direction off the normal's support.
 
 Everything here is double precision; exact algebra stays in polyalg.
 run_attack is black-box: it sees only the oracle, the parameter count N
@@ -16,25 +14,21 @@ and the input arity d_1, never the sample list or the architecture.
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
-    ContaminationError,
     DegeneracyError,
-    EnumerationBudgetError,
     HarvestError,
     QueryBudgetExceeded,
     RecoveryError,
-    ShapeError,
     SpuriousKinkError,
 )
-from .network import NetworkShape
-from .polyalg import Poly, TermKey
+from .polyalg import Poly
 
 
 class LossOracle:
@@ -384,39 +378,6 @@ class ExtractedDirection:
     support: tuple[int, ...] = ()
 
 
-def extract_input_direction(
-    normal, shape: NetworkShape, support_tol: float = 1e-4
-) -> ExtractedDirection:
-    """White-box normal classification using the true flat layout."""
-    normal = np.asarray(normal, dtype=float)
-    if normal.shape != (shape.weight_count,):
-        raise ShapeError(
-            f"normal has shape {normal.shape}, expected ({shape.weight_count},)"
-        )
-    amax = float(np.max(np.abs(normal)))
-    if amax == 0.0:
-        raise DegeneracyError("zero normal")
-    support = tuple(int(v) for v in np.flatnonzero(np.abs(normal) > support_tol * amax))
-    if len(support) == 1:
-        return ExtractedDirection("weight-parameter", variable=support[0], support=support)
-    unpacked = [shape.unpack(v) for v in support]
-    layers = {k for k, _i, _j in unpacked}
-    targets = {j for _k, _i, j in unpacked}
-    if layers == {1} and len(targets) == 1:
-        j = targets.pop()
-        coeffs = np.zeros(shape.widths[0])
-        for v, (_k, i, _j) in zip(support, unpacked):
-            coeffs[i - 1] = normal[v]
-        coeffs = _sign_normalize(coeffs / np.linalg.norm(coeffs))
-        return ExtractedDirection(
-            "input-direction",
-            direction=tuple(float(c) for c in coeffs),
-            node=j,
-            support=support,
-        )
-    return ExtractedDirection("nonlinear", support=support)
-
-
 def aligned_input_direction(
     normal, input_dim: int, support_tol: float = 1e-4
 ) -> ExtractedDirection:
@@ -448,246 +409,6 @@ def aligned_input_direction(
             support=support,
         )
     return ExtractedDirection("nonlinear", support=support)
-
-
-# float polynomials for the region-fit route
-
-
-class FloatPoly:
-    """Sparse float-coefficient polynomial (fitted, never exact)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[TermKey, float] | Iterable[tuple[TermKey, float]] = ()):
-        items = terms.items() if isinstance(terms, dict) else terms
-        acc: dict[TermKey, float] = {}
-        for key, c in items:
-            key = tuple(sorted((int(v), int(e)) for v, e in key if e != 0))
-            c = float(c)
-            if c == 0.0:
-                continue
-            acc[key] = acc.get(key, 0.0) + c
-        object.__setattr__(self, "terms", {k: c for k, c in acc.items() if c != 0.0})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FloatPoly is immutable")
-
-    @staticmethod
-    def from_exact(p: Poly) -> "FloatPoly":
-        return FloatPoly({k: float(c) for k, c in p.terms})
-
-    def __sub__(self, other: "FloatPoly") -> "FloatPoly":
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            acc[k] = acc.get(k, 0.0) - c
-        return FloatPoly(acc)
-
-    def evaluate(self, w) -> float:
-        w = np.asarray(w, dtype=float)
-        parts = []
-        for key, c in self.terms.items():
-            m = c
-            for v, e in key:
-                m *= w[v] ** e
-            parts.append(m)
-        return math.fsum(parts)
-
-    def gradient(self, w, dim: int) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        g = np.zeros(dim)
-        for key, c in self.terms.items():
-            for idx, (v, e) in enumerate(key):
-                m = c * e * w[v] ** (e - 1)
-                for v2, e2 in key[:idx] + key[idx + 1 :]:
-                    m *= w[v2] ** e2
-                g[v] += m
-        return g
-
-    def degree_scales(self) -> dict[int, float]:
-        """Max |coefficient| per total degree."""
-        out: dict[int, float] = {}
-        for key, c in self.terms.items():
-            d = sum(e for _, e in key)
-            out[d] = max(out.get(d, 0.0), abs(c))
-        return out
-
-    def drop_tiny(self, eps: float) -> "FloatPoly":
-        if not self.terms:
-            return self
-        cut = eps * max(abs(c) for c in self.terms.values())
-        return FloatPoly({k: c for k, c in self.terms.items() if abs(c) > cut})
-
-    def substitute_affine(self, alpha: float, beta) -> "FloatPoly":
-        """Polynomial in u after replacing every variable v_i by alpha*u_i + beta_i."""
-        beta = np.asarray(beta, dtype=float)
-        acc: dict[TermKey, float] = {}
-        for key, c in self.terms.items():
-            partial: dict[TermKey, float] = {(): c}
-            for v, e in key:
-                lin = {((v, 1),): alpha, (): float(beta[v])}
-                for _ in range(e):
-                    nxt: dict[TermKey, float] = {}
-                    for k1, c1 in partial.items():
-                        for k2, c2 in lin.items():
-                            merged = dict(k1)
-                            for vv, ee in k2:
-                                merged[vv] = merged.get(vv, 0) + ee
-                            mk = tuple(sorted(merged.items()))
-                            nxt[mk] = nxt.get(mk, 0.0) + c1 * c2
-                    partial = nxt
-            for k, c2 in partial.items():
-                acc[k] = acc.get(k, 0.0) + c2
-        return FloatPoly(acc)
-
-    def taylor_at(self, point) -> "FloatPoly":
-        """Same polynomial in displacement coordinates v = w - point."""
-        return self.substitute_affine(1.0, np.asarray(point, dtype=float))
-
-    def __repr__(self) -> str:
-        return f"FloatPoly({len(self.terms)} terms)"
-
-
-def _monomial_keys(dim: int, degree_bound: int) -> list[TermKey]:
-    keys: list[TermKey] = [()]
-    for d in range(1, degree_bound + 1):
-        for combo in itertools.combinations_with_replacement(range(dim), d):
-            key: dict[int, int] = {}
-            for v in combo:
-                key[v] = key.get(v, 0) + 1
-            keys.append(tuple(sorted(key.items())))
-    return keys
-
-
-@dataclass(frozen=True)
-class RegionFit:
-    poly: FloatPoly  # ambient coordinates
-    residual: float
-    queries: int
-
-
-def fit_region_polynomial(
-    oracle,
-    center,
-    radius: float,
-    degree_bound: int,
-    *,
-    rng: np.random.Generator,
-    sample_factor: int = 4,
-    monomial_cap: int = 5000,
-    residual_tol: float = 1e-6,
-    prescan: bool = True,
-) -> RegionFit:
-    """Least-squares loss polynomial on a ball believed to be wall-free.
-
-    Samples the ball, fits all monomials up to degree_bound in centered,
-    radius-scaled coordinates (for conditioning), and expands back to
-    ambient coordinates.  A prescan along two random diameters rejects
-    balls containing a kink; afterwards a residual above residual_tol
-    times the local value scale still raises ContaminationError, since a
-    polynomial piece must fit to numerical precision.
-    """
-    center = np.asarray(center, dtype=float)
-    dim = len(center)
-    keys = _monomial_keys(dim, degree_bound)
-    if len(keys) > monomial_cap:
-        raise EnumerationBudgetError(
-            f"{len(keys)} monomials exceed cap {monomial_cap} (N={dim}, degree={degree_bound})"
-        )
-    queries = 0
-
-    if prescan:
-        for _ in range(2):
-            d = rng.normal(size=dim)
-            d /= np.linalg.norm(d)
-            ts = np.linspace(-radius, radius, 17)
-            ys = np.array([oracle(center + t * d) for t in ts])
-            queries += len(ts)
-            d2 = np.abs(ys[:-2] - 2 * ys[1:-1] + ys[2:])
-            floor = 1e-12 * (float(np.max(np.abs(ys))) + 1.0)
-            med = float(np.median(d2))
-            if np.any(d2 > max(12.0 * (med + floor), floor)):
-                raise ContaminationError("prescan found a kink inside the fit ball")
-
-    m = sample_factor * len(keys)
-    vs = rng.normal(size=(m, dim))
-    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-    vs *= rng.uniform(0.0, 1.0, size=(m, 1)) ** (1.0 / dim)
-    ys = np.array([oracle(center + radius * v) for v in vs])
-    queries += m
-
-    A = np.empty((m, len(keys)))
-    for c, key in enumerate(keys):
-        col = np.ones(m)
-        for v, e in key:
-            col = col * vs[:, v] ** e
-        A[:, c] = col
-    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    resid = float(np.sqrt(np.mean((A @ coef - ys) ** 2)))
-    scale = float(np.sqrt(np.mean(ys**2))) + 1e-30
-    if resid > residual_tol * max(scale, 1.0):
-        raise ContaminationError(
-            f"fit residual {resid:.3e} above {residual_tol:.1e} x scale: region crossed a wall"
-        )
-    local = FloatPoly(dict(zip(keys, coef))).drop_tiny(1e-9)
-    ambient = local.substitute_affine(1.0 / radius, -center / radius)
-    return RegionFit(poly=ambient, residual=resid, queries=queries)
-
-
-@dataclass(frozen=True)
-class DifferenceDirection:
-    """Outcome of the region-difference route."""
-
-    kind: str  # 'input-direction' | 'weight-parameter' | 'nonlinear' | 'not-linear'
-    direction: tuple[float, ...] | None
-    node: int | None
-    magnitude: float
-
-
-def region_difference_direction(
-    f: FloatPoly | RegionFit,
-    g: FloatPoly | RegionFit,
-    shape: NetworkShape | None = None,
-    support_tol: float = 1e-4,
-    *,
-    wall_point,
-    input_dim: int | None = None,
-    localize_radius: float = 1e-2,
-    lin_factor: float = 10.0,
-    floor: float = 1e-9,
-) -> DifferenceDirection:
-    """Input direction from two adjacent region fits.
-
-    The difference of the pieces vanishes on the wall, so in displacement
-    coordinates at a wall point its degree-1 part is the gradient there,
-    which is proportional to the wall's own gradient.  When that linear
-    part dominates every other degree at the localization radius, the
-    gradient is routed through normal classification (white-box when a
-    shape is given, blind with input_dim otherwise); a vanishing gradient
-    (for example a squared wall factor, or f == g) reports 'not-linear'.
-    """
-    fp = f.poly if isinstance(f, RegionFit) else f
-    gp = g.poly if isinstance(g, RegionFit) else g
-    diff = fp - gp
-    wall_point = np.asarray(wall_point, dtype=float)
-    shifted = diff.taylor_at(wall_point)
-    scales = shifted.degree_scales()
-    rho = localize_radius
-    weighted = {d: c * rho**d for d, c in scales.items()}
-    lin = weighted.get(1, 0.0)
-    others = max((c for d, c in weighted.items() if d != 1), default=0.0)
-    if lin <= floor or lin <= lin_factor * others:
-        return DifferenceDirection("not-linear", None, None, magnitude=lin)
-    grad = np.zeros(len(wall_point))
-    for key, c in shifted.terms.items():
-        if len(key) == 1 and key[0][1] == 1:
-            grad[key[0][0]] = c
-    if shape is not None:
-        ext = extract_input_direction(grad, shape, support_tol)
-    elif input_dim is not None:
-        ext = aligned_input_direction(grad, input_dim, support_tol)
-    else:
-        raise ValueError("need a shape or input_dim to classify the direction")
-    return DifferenceDirection(ext.kind, ext.direction, ext.node, magnitude=lin)
 
 
 # architecture recovery from exact sheet sets
@@ -823,9 +544,18 @@ class AttackConfig:
     max_kinks_per_line: int = 3
     probe_scale: float = 1.0
     seed: int = 0
-    paths: tuple[str, ...] = ("hyperplane",)
 
     _JSON_ALIASES = {"tol": "detect_tol", "radius": "radius_scale"}
+
+    def __post_init__(self):
+        for name, least in (("budget", 1), ("n_lines", 1), ("refine_budget", 1),
+                            ("retries", 0), ("grid", 8), ("degree", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"attack config {name!r} must be an integer >= {least}, got {value!r}")
+        lo, hi = self.t_range
+        if not lo < hi:
+            raise ValueError(f"attack config 't_range' needs lo < hi, got {self.t_range!r}")
 
     @staticmethod
     def from_json(data: dict) -> "AttackConfig":
@@ -835,8 +565,6 @@ class AttackConfig:
             name = AttackConfig._JSON_ALIASES.get(key, key)
             if name not in fields:
                 raise ValueError(f"unknown attack config key {key!r}")
-            if name == "paths":
-                val = tuple(val)
             if name == "t_range":
                 val = (float(val[0]), float(val[1]))
             kwargs[name] = val
@@ -849,7 +577,6 @@ class AttackConfig:
             "tol": self.detect_tol,
             "radius": self.radius_scale,
             "seed": self.seed,
-            "paths": list(self.paths),
         }
 
 
@@ -858,7 +585,7 @@ class RecoveredDirection:
     direction: tuple[float, ...]
     node: int | None
     residual: float
-    provenance: str  # 'hyperplane' or 'regionfit'
+    provenance: str  # always 'hyperplane': the wall's fitted normal
 
 
 @dataclass(frozen=True)
@@ -879,6 +606,7 @@ class ReconstructionReport:
     weight_sheets: int = 0
     rejected_sheets: int = 0
     budget: int | None = None
+    budget_exhausted: bool = False
     residual_tol: float | None = None
 
     def to_json(self) -> dict:
@@ -909,6 +637,7 @@ class ReconstructionReport:
             "rejected_sheets": self.rejected_sheets,
             "kink_count": len(self.kinks),
             "budget": self.budget,
+            "budget_exhausted": self.budget_exhausted,
             "residual_tol": self.residual_tol,
             "residual_tol_note": "artifact heuristic threshold, not derived from the model",
         }
@@ -983,78 +712,50 @@ def run_attack(
             )
             for kink in kinks:
                 report.kinks.append((line_id, kink.t, kink.jump_magnitude, kink.refined))
-            if "hyperplane" in cfg.paths:
-                for kink in kinks:
-                    radius = cfg.radius_scale * max(
-                        1.0, float(np.linalg.norm(kink.location))
-                    )
-                    pts = None
-                    for _shrink in range(2):
-                        try:
-                            pts = harvest_sheet_points(
-                                counted,
-                                kink,
-                                n_weights,
-                                radius,
-                                rng=rng,
-                                retries=cfg.retries,
-                                degree=cfg.degree,
-                                refine_tol=cfg.refine_tol,
-                                refine_budget=cfg.refine_budget,
-                                detect_tol=cfg.detect_tol,
-                            )
-                            break
-                        except HarvestError:
-                            radius *= 0.5
-                    if pts is None:
-                        report.rejected_sheets += 1
-                        continue
+            for kink in kinks:
+                radius = cfg.radius_scale * max(
+                    1.0, float(np.linalg.norm(kink.location))
+                )
+                pts = None
+                for _shrink in range(2):
                     try:
-                        normal, resid = fit_hyperplane(pts)
-                    except DegeneracyError:
-                        report.rejected_sheets += 1
-                        continue
-                    if resid > cfg.residual_tol * max(1.0, radius):
-                        report.rejected_sheets += 1
-                        continue
-                    ext = aligned_input_direction(normal, input_dim, cfg.support_tol)
-                    if ext.kind == "weight-parameter":
-                        report.weight_sheets += 1
-                    elif ext.kind == "input-direction":
-                        raw_candidates.append(
-                            RecoveredDirection(ext.direction, ext.node, resid, "hyperplane")
+                        pts = harvest_sheet_points(
+                            counted,
+                            kink,
+                            n_weights,
+                            radius,
+                            rng=rng,
+                            retries=cfg.retries,
+                            degree=cfg.degree,
+                            refine_tol=cfg.refine_tol,
+                            refine_budget=cfg.refine_budget,
+                            detect_tol=cfg.detect_tol,
                         )
-                    else:
-                        report.rejected_sheets += 1
-            if "regionfit" in cfg.paths and kinks:
-                kink = kinks[0]
-                clearance = max(0.05, 10.0 * cfg.radius_scale)
-                loc = np.asarray(kink.location)
-                d = np.asarray(kink.line[1])
-                try:
-                    fit_lo = fit_region_polynomial(
-                        counted, loc - clearance * d, 0.4 * clearance, cfg.degree, rng=rng
-                    )
-                    fit_hi = fit_region_polynomial(
-                        counted, loc + clearance * d, 0.4 * clearance, cfg.degree, rng=rng
-                    )
-                except (ContaminationError, EnumerationBudgetError):
+                        break
+                    except HarvestError:
+                        radius *= 0.5
+                if pts is None:
                     report.rejected_sheets += 1
-                else:
-                    dd = region_difference_direction(
-                        fit_lo,
-                        fit_hi,
-                        None,
-                        cfg.support_tol,
-                        wall_point=loc,
-                        input_dim=input_dim,
+                    continue
+                try:
+                    normal, resid = fit_hyperplane(pts)
+                except DegeneracyError:
+                    report.rejected_sheets += 1
+                    continue
+                if resid > cfg.residual_tol * max(1.0, radius):
+                    report.rejected_sheets += 1
+                    continue
+                ext = aligned_input_direction(normal, input_dim, cfg.support_tol)
+                if ext.kind == "weight-parameter":
+                    report.weight_sheets += 1
+                elif ext.kind == "input-direction":
+                    raw_candidates.append(
+                        RecoveredDirection(ext.direction, ext.node, resid, "hyperplane")
                     )
-                    if dd.kind == "input-direction":
-                        raw_candidates.append(
-                            RecoveredDirection(dd.direction, dd.node, dd.magnitude, "regionfit")
-                        )
+                else:
+                    report.rejected_sheets += 1
     except QueryBudgetExceeded:
-        pass
+        report.budget_exhausted = True
 
     for cand in raw_candidates:
         v = np.asarray(cand.direction)

@@ -10,16 +10,12 @@ Subcommands:
 Exit codes: 0 success, 1 validation failure (bad instance contents or a
 failed verify check), 2 I/O failure (missing or unreadable files), 3
 attack finished without recovering any direction, 64 usage error.
-
-LOSSCARTO_THREADS is accepted and validated for forward compatibility;
-execution is currently serial regardless of its value.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -163,7 +159,7 @@ def _check_piecewise(inst: Instance, probes: int, rng) -> tuple[int, int]:
             continue
         done += 1
         piece = region_loss_polynomial(shape, inst.samples, region)
-        if piece.evaluate(w, exact=True) == loss(shape, w, inst.samples, exact=True):
+        if piece.evaluate(w, exact=True) == loss(shape, w, inst.samples):
             ok += 1
     return ok, done
 
@@ -237,24 +233,20 @@ def _cmd_verify(ns) -> int:
 
 def _cmd_attack(ns) -> int:
     inst = load_instance(ns.instance)
+    raw = {}
     if ns.config is not None:
         with open(ns.config, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InstanceError(f"{ns.config}: not valid JSON ({exc})") from exc
-        try:
-            cfg = AttackConfig.from_json(raw)
-        except (ValueError, TypeError) as exc:
-            raise UsageError(str(exc))
-    else:
-        cfg = AttackConfig()
-    if ns.budget is not None:
-        if ns.budget <= 0:
-            raise UsageError("--budget must be positive")
-        cfg = AttackConfig(**{**_config_kwargs(cfg), "budget": ns.budget})
-    if ns.seed is not None:
-        cfg = AttackConfig(**{**_config_kwargs(cfg), "seed": ns.seed})
+        if not isinstance(raw, dict):
+            raise UsageError(f"{ns.config}: attack config must be a JSON object")
+    overrides = {key: val for key, val in (("budget", ns.budget), ("seed", ns.seed)) if val is not None}
+    try:
+        cfg = AttackConfig.from_json({**raw, **overrides})
+    except (ValueError, TypeError) as exc:
+        raise UsageError(str(exc))
 
     oracle = make_oracle(inst)
     true_inputs = [tuple(float(v) for v in s.input) for s in inst.samples]
@@ -265,7 +257,8 @@ def _cmd_attack(ns) -> int:
         cfg,
         true_inputs=true_inputs,
     )
-    print(f"oracle queries: {report.oracle_queries} / {cfg.budget}")
+    exhausted = "; budget exhausted" if report.budget_exhausted else ""
+    print(f"oracle queries: {report.oracle_queries} / {cfg.budget}{exhausted}")
     print(f"kinks found: {len(report.kinks)}; weight sheets: {report.weight_sheets}; rejected: {report.rejected_sheets}")
     for idx, rec in enumerate(report.directions):
         line = f"direction {idx}: node~{rec.node} residual={rec.residual:.2e} [{rec.provenance}]"
@@ -287,14 +280,12 @@ def _cmd_attack(ns) -> int:
     return 0
 
 
-def _config_kwargs(cfg: AttackConfig) -> dict:
-    return {name: getattr(cfg, name) for name in AttackConfig.__dataclass_fields__}
-
-
 def _cmd_surface(ns) -> int:
     inst = load_instance(ns.instance)
     if ns.grid < 2:
         raise UsageError("--grid must be at least 2")
+    if ns.probes < 1:
+        raise UsageError("--probes must be positive")
     try:
         lo_s, hi_s = ns.t_range.split(":")
         lo, hi = float(lo_s), float(hi_s)
@@ -333,23 +324,10 @@ def _cmd_surface(ns) -> int:
     return 0
 
 
-def _validate_threads_env() -> None:
-    raw = os.environ.get("LOSSCARTO_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"LOSSCARTO_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"LOSSCARTO_THREADS must be positive, got {value}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        _validate_threads_env()
         handler = {
             "gen": _cmd_gen,
             "verify": _cmd_verify,

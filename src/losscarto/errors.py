@@ -17,10 +17,6 @@ class DegreeError(LosscartoError, ValueError):
     """Polynomial does not have the degree the operation requires."""
 
 
-class UnsupportedDivisorError(LosscartoError, ValueError):
-    """pseudo_divides got a divisor with no multilinear variable."""
-
-
 class EnumerationBudgetError(LosscartoError, ValueError):
     """Activation-set enumeration would exceed the configured cap."""
 
@@ -51,10 +47,6 @@ class HarvestError(LosscartoError, RuntimeError):
 
 class DegeneracyError(LosscartoError, RuntimeError):
     """Point cloud does not span a unique hyperplane."""
-
-
-class ContaminationError(LosscartoError, RuntimeError):
-    """Region fit crossed a wall (kink in ball or residual too large)."""
 
 
 class RecoveryError(LosscartoError, RuntimeError):

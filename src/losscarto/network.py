@@ -14,20 +14,18 @@ Conventions used everywhere in this package:
   (k, i, j) are 1-based with i the source node and j the target node.
   Consequently the block for weight layer k, reshaped to (d_{k+1}, d_k)
   row-major, is the usual matrix W_k acting by W_k @ x.
-* Scalar mode is a parameter: ``exact=True`` computes with
-  fractions.Fraction throughout (floats are converted exactly, so every
-  float is treated as the dyadic rational it is), ``exact=False`` uses
-  numpy double precision.
+* forward, loss and the activation sets compute with fractions.Fraction
+  throughout (floats are converted exactly, so every float is treated as
+  the dyadic rational it is); make_loss_fn is the double-precision loss.
 
 All types here are immutable; functions are pure.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -142,15 +140,6 @@ class NetworkShape:
     def check_input(self, x: Sequence[Scalar]) -> None:
         if len(x) != self.widths[0]:
             raise ShapeError(f"input has length {len(x)}, expected {self.widths[0]}")
-
-    def as_matrices(self, w: Sequence[Scalar]) -> list[np.ndarray]:
-        """Float weight matrices W_1..W_{L-1}, W_k of shape (d_{k+1}, d_k)."""
-        self.check_weights(w)
-        flat = np.asarray(w, dtype=float)
-        return [
-            flat[self.layer_slice(k)].reshape(self.widths[k], self.widths[k - 1])
-            for k in range(1, self.depth)
-        ]
 
     def as_fraction_matrices(self, w: Sequence[Scalar]) -> list[list[list[Fraction]]]:
         """Exact weight matrices as nested lists of Fractions."""
@@ -285,82 +274,39 @@ class ForwardTrace:
         return self.post[-1]
 
 
-def forward(shape: NetworkShape, w: Sequence[Scalar], x: Sequence[Scalar], *, exact: bool = False) -> ForwardTrace:
-    """Run the network; ReLU on hidden layers only.
-
-    exact=True does all arithmetic in Fraction (inputs converted exactly).
-    """
+def forward(shape: NetworkShape, w: Sequence[Scalar], x: Sequence[Scalar]) -> ForwardTrace:
+    """Run the network in Fraction arithmetic; ReLU on hidden layers only."""
     shape.check_weights(w)
     shape.check_input(x)
-    if exact:
-        mats = shape.as_fraction_matrices(w)
-        cur: list[Fraction] = [as_fraction(v) for v in x]
-        zero = Fraction(0)
-    else:
-        mats = shape.as_matrices(w)
-        cur = np.asarray(x, dtype=float)
-        zero = 0.0
+    mats = shape.as_fraction_matrices(w)
+    cur: list[Fraction] = [as_fraction(v) for v in x]
     pre = []
     post = [tuple(cur)]
     for k in range(2, shape.depth + 1):
-        if exact:
-            z = [sum((wij * xi for wij, xi in zip(row, cur)), Fraction(0)) for row in mats[k - 2]]
-        else:
-            z = mats[k - 2] @ cur
+        z = [sum((wij * xi for wij, xi in zip(row, cur)), Fraction(0)) for row in mats[k - 2]]
         pre.append(tuple(z))
-        if k < shape.depth:
-            if exact:
-                cur = [v if v > zero else Fraction(0) for v in z]
-            else:
-                cur = np.maximum(z, 0.0)
-        else:
-            cur = z
+        cur = [v if v > 0 else Fraction(0) for v in z] if k < shape.depth else z
         post.append(tuple(cur))
     return ForwardTrace(pre=tuple(pre), post=tuple(post))
 
 
-def loss(
-    shape: NetworkShape,
-    w: Sequence[Scalar],
-    samples: Sequence[TrainingSample],
-    *,
-    exact: bool = False,
-) -> Scalar:
-    """E(w) = sum_p (1/2) * || b_p - F_w(a_p) ||^2."""
+def loss(shape: NetworkShape, w: Sequence[Scalar], samples: Sequence[TrainingSample]) -> Fraction:
+    """E(w) = sum_p (1/2) * || b_p - F_w(a_p) ||^2, exactly."""
     check_samples(shape, samples)
-    if exact:
-        total = Fraction(0)
-        for s in samples:
-            out = forward(shape, w, s.input, exact=True).output
-            for b, f in zip(s.output, out):
-                r = as_fraction(b) - f
-                total += Fraction(1, 2) * r * r
-        return total
-    total = 0.0
+    total = Fraction(0)
     for s in samples:
-        out = np.asarray(forward(shape, w, s.input).output)
-        r = np.asarray(s.output, dtype=float) - out
-        total += 0.5 * float(r @ r)
+        out = forward(shape, w, s.input).output
+        for b, f in zip(s.output, out):
+            r = as_fraction(b) - f
+            total += Fraction(1, 2) * r * r
     return total
 
 
-def realized_activation_set(
-    shape: NetworkShape, w: Sequence[Scalar], x: Sequence[Scalar], *, exact: bool = False
-) -> ActivationSet:
-    """Flags realized at (w, x): active iff z > 0, zero counts as negative."""
-    trace = forward(shape, w, x, exact=exact)
-    rows = []
-    for k in range(2, shape.depth):
-        z = trace.pre[k - 2]
-        rows.append(tuple(bool(v > 0) for v in z))
-    return ActivationSet(shape.widths, tuple(rows))
-
-
 def strict_activation_set(
-    shape: NetworkShape, w: Sequence[Scalar], x: Sequence[Scalar], *, exact: bool = True
+    shape: NetworkShape, w: Sequence[Scalar], x: Sequence[Scalar]
 ) -> ActivationSet:
-    """Like realized_activation_set but refuses boundary points (some z == 0)."""
-    trace = forward(shape, w, x, exact=exact)
+    """Flags realized at (w, x), active iff z > 0; refuses boundary points (some z == 0)."""
+    trace = forward(shape, w, x)
     rows = []
     for k in range(2, shape.depth):
         z = trace.pre[k - 2]
@@ -393,13 +339,3 @@ def make_loss_fn(
         return 0.5 * float(np.sum(R * R))
 
     return E
-
-
-def enumerate_activation_sets(shape: NetworkShape) -> Iterator[ActivationSet]:
-    """All 2^(hidden) activation sets, deterministic order (small shapes only)."""
-    per_layer = []
-    for k in range(2, shape.depth):
-        d = shape.width(k)
-        per_layer.append([tuple(bits) for bits in itertools.product((True, False), repeat=d)])
-    for combo in itertools.product(*per_layer):
-        yield ActivationSet(shape.widths, tuple(combo))

@@ -7,18 +7,16 @@ term key is ().  Polynomials are immutable and kept in a canonical order
 lexicographically with lower variable index more significant), so
 structural equality is mathematical equality and hashing works.
 
-Float coefficients never appear here; the attack module keeps its fitted
-polynomials in its own lightweight type.
+Float coefficients never appear here.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DegreeError, ShapeError, UnsupportedDivisorError
+from .errors import DegreeError
 from .network import NetworkShape, Scalar, as_fraction
 
 TermKey = tuple[tuple[int, int], ...]
@@ -305,106 +303,3 @@ def layerwise_degree(p: Poly, shape: NetworkShape) -> MultiDegree | None:
         elif cur != expected:
             return None
     return expected
-
-
-def pseudo_divides(u: Poly, f: Poly) -> bool:
-    """Does f vanish on the locus u = 0, tested by pseudo-substitution?
-
-    Picks a variable x in which u is multilinear, writes u = A*x + B, and
-    checks that A^deg_x(f) * f with x replaced by -B/A is the zero
-    polynomial.  Sound in the divides->True direction always; the
-    True->divides direction needs u irreducible and coprime to A.
-    """
-    if u.is_zero():
-        raise UnsupportedDivisorError("divisor is zero")
-    x = None
-    for v in u.variables():
-        if u.degree_in(v) == 1:
-            x = v
-            break
-    if x is None:
-        raise UnsupportedDivisorError("divisor has no multilinear variable")
-    # split u = A*x + B
-    a_terms: dict[TermKey, Fraction] = {}
-    b_terms: dict[TermKey, Fraction] = {}
-    for key, c in u.terms:
-        kd = dict(key)
-        if x in kd:
-            kd.pop(x)
-            a_terms[tuple(sorted(kd.items()))] = c
-        else:
-            b_terms[key] = c
-    A = Poly(a_terms)
-    B = Poly(b_terms)
-    d = f.degree_in(x)
-    # group f by power of x: f = sum_j c_j * x^j
-    groups: dict[int, dict[TermKey, Fraction]] = {}
-    for key, c in f.terms:
-        kd = dict(key)
-        j = kd.pop(x, 0)
-        groups.setdefault(j, {})[tuple(sorted(kd.items()))] = c
-    remainder = Poly.zero()
-    negB = -B
-    for j, terms in groups.items():
-        cj = Poly(terms)
-        remainder = remainder + cj * (negB**j) * (A ** (d - j))
-    return remainder.is_zero()
-
-
-class LinearSupport:
-    """Classification of a degree-1 polynomial's variable support."""
-
-    __slots__ = ("kind", "variable", "target", "coefficients")
-
-    def __init__(self, kind: str, variable: int | None = None, target: int | None = None,
-                 coefficients: tuple[Fraction, ...] | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "coefficients", coefficients)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearSupport is immutable")
-
-    def __repr__(self):
-        return (f"LinearSupport(kind={self.kind!r}, variable={self.variable}, "
-                f"target={self.target}, coefficients={self.coefficients})")
-
-
-def linear_support(p: Poly, shape: NetworkShape) -> LinearSupport:
-    """Classify a total-degree-1 polynomial.
-
-    * 'single-weight': exactly one variable (a bare weight parameter);
-    * 'first-layer': every variable lives in weight layer 1 and targets
-      one common node j; coefficients come back indexed by source node;
-    * 'other': anything else of degree 1 (constant offset, mixed layers,
-      mixed targets).
-    """
-    if p.is_zero():
-        raise DegreeError("zero polynomial has no linear support")
-    if p.total_degree() != 1:
-        raise DegreeError(f"expected total degree 1, got {p.total_degree()}")
-    has_constant = any(not key for key, _ in p.terms)
-    vars_ = p.variables()
-    if has_constant:
-        return LinearSupport("other")
-    if len(vars_) == 1:
-        return LinearSupport("single-weight", variable=vars_[0])
-    targets = set()
-    layers = set()
-    for v in vars_:
-        k, _i, j = shape.unpack(v)
-        layers.add(k)
-        targets.add(j)
-    if layers == {1} and len(targets) == 1:
-        j = targets.pop()
-        coeffs = [Fraction(0)] * shape.widths[0]
-        for v in vars_:
-            _k, i, _j = shape.unpack(v)
-            coeffs[i - 1] = p.coefficient(((v, 1),))
-        return LinearSupport("first-layer", target=j, coefficients=tuple(coeffs))
-    return LinearSupport("other")
-
-
-def poly_json_dumps(p: Poly) -> str:
-    return json.dumps(p.to_json())

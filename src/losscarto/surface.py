@@ -60,14 +60,12 @@ def region_of(
     shape: NetworkShape,
     samples: Sequence[TrainingSample],
     w: Sequence[Scalar],
-    *,
-    exact: bool = True,
 ) -> Region:
     """Region containing w; BoundaryError when any pre-output is exactly zero."""
     check_samples(shape, samples)
     shape.check_weights(w)
     sets = tuple(
-        strict_activation_set(shape, w, s.input, exact=exact) for s in samples
+        strict_activation_set(shape, w, s.input) for s in samples
     )
     return Region(sets, tuple(w))
 
@@ -196,7 +194,7 @@ def enumerate_singular_sheets(
     for _ in range(probe_budget):
         w = _random_dyadic_weights(shape, rng)
         try:
-            r = region_of(shape, samples, w, exact=True)
+            r = region_of(shape, samples, w)
         except BoundaryError:
             continue
         regions.setdefault(r.key, r)

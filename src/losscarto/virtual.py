@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import EnumerationBudgetError, ShapeError, ZeroVirtualPolynomialError
 from .network import ActivationSet, NetworkShape, Scalar, as_fraction
@@ -131,58 +131,6 @@ def enumerate_virtual_polynomials(
     out = list(seen.values())
     out.sort(key=lambda vp: vp.poly.terms, reverse=True)
     return out
-
-
-@dataclass(frozen=True)
-class ActiveSubnetwork:
-    """Nodes retained by an activation set; input/output layers always present."""
-
-    widths: tuple[int, ...]
-    nodes: tuple[tuple[int, ...], ...]  # per layer 1..L, 1-based ids, sorted
-
-    def present(self, i: int, k: int) -> bool:
-        return i in self.nodes[k - 1]
-
-    def edges(self) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
-        """Retained edges ((i,k),(j,k+1)): both endpoints present."""
-        for k in range(1, len(self.widths)):
-            for i in self.nodes[k - 1]:
-                for j in self.nodes[k]:
-                    yield (i, k), (j, k + 1)
-
-
-def p_active_network(shape: NetworkShape, activation_set: ActivationSet) -> ActiveSubnetwork:
-    """Subnetwork of P-active hidden nodes plus the full input/output layers."""
-    if tuple(activation_set.widths) != shape.widths:
-        raise ShapeError("activation set belongs to a different shape")
-    layers = [tuple(range(1, shape.widths[0] + 1))]
-    for k in range(2, shape.depth):
-        layers.append(activation_set.active_in_layer(k))
-    layers.append(tuple(range(1, shape.widths[-1] + 1)))
-    return ActiveSubnetwork(shape.widths, tuple(layers))
-
-
-@dataclass(frozen=True)
-class BottleneckReport:
-    """Single-node layers of an active subnetwork.
-
-    bottlenecks: layers (2..L) with exactly one present node; the input
-    layer never counts, the output layer counts when d_L == 1.  When any
-    hidden layer is completely dead the signal cannot pass at all, so
-    dead_cuts is reported and bottlenecks is empty.
-    """
-
-    bottlenecks: tuple[int, ...]
-    dead_cuts: tuple[int, ...]
-
-
-def bottleneck_layers(sub: ActiveSubnetwork) -> BottleneckReport:
-    depth = len(sub.widths)
-    dead = tuple(k for k in range(2, depth) if len(sub.nodes[k - 1]) == 0)
-    if dead:
-        return BottleneckReport(bottlenecks=(), dead_cuts=dead)
-    necks = [k for k in range(2, depth + 1) if len(sub.nodes[k - 1]) == 1]
-    return BottleneckReport(bottlenecks=tuple(necks), dead_cuts=())
 
 
 class Factorization:

@@ -17,10 +17,10 @@ from losscarto import (
     NetworkShape,
     Poly,
     TrainingSample,
+    aligned_input_direction,
     detect_kinks_on_line,
     enumerate_singular_sheets,
     enumerate_virtual_polynomials,
-    extract_input_direction,
     factorize,
     gen_instance,
     layerwise_degree,
@@ -153,7 +153,7 @@ def test_criterion_5_exact_piecewise_identity():
             total += 1
             if r.key not in piece_cache:
                 piece_cache[r.key] = region_loss_polynomial(s, samples, r)
-            if piece_cache[r.key].evaluate(w, exact=True) != loss(s, w, samples, exact=True):
+            if piece_cache[r.key].evaluate(w, exact=True) != loss(s, w, samples):
                 ok = False
                 break
         if not ok:
@@ -319,7 +319,7 @@ def test_criterion_10_sample_scale_invariance():
             for key, c in sh.poly.terms:
                 if key:
                     vec[key[0][0]] = float(c)
-            ext = extract_input_direction(vec, s)
+            ext = aligned_input_direction(vec, s.width(1))
             if ext.kind != "input-direction":
                 continue
             twin = next(t for t in sheets_b if t.poly == sh.poly)
@@ -327,7 +327,7 @@ def test_criterion_10_sample_scale_invariance():
             for key, c in twin.poly.terms:
                 if key:
                     vec2[key[0][0]] = float(c)
-            ext2 = extract_input_direction(vec2, s)
+            ext2 = aligned_input_direction(vec2, s.width(1))
             cos = abs(float(np.dot(ext.direction, ext2.direction)))
             if cos < 1.0 - 1e-12:
                 ok = False

@@ -1,17 +1,11 @@
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from losscarto import (
     AttackConfig,
-    ContaminationError,
     DegeneracyError,
-    EnumerationBudgetError,
-    FloatPoly,
     LossOracle,
     NetworkShape,
     Poly,
@@ -21,16 +15,13 @@ from losscarto import (
     aligned_input_direction,
     detect_kinks_on_line,
     enumerate_singular_sheets,
-    extract_input_direction,
     fit_hyperplane,
-    fit_region_polynomial,
     gen_instance,
     harvest_sheet_points,
     make_oracle,
     one_d_warmup_oracle,
     recover_architecture,
     refine_kink,
-    region_difference_direction,
     run_attack,
 )
 
@@ -210,7 +201,7 @@ class TestExtraction:
         for i in range(3):
             normal[s.index_of(1, i + 1, col)] = a[i]
         normal /= np.linalg.norm(normal)
-        ext = extract_input_direction(normal, s)
+        ext = aligned_input_direction(normal, s.width(1))
         assert ext.kind == "input-direction"
         assert ext.node == col
         cos = abs(np.dot(ext.direction, a) / (np.linalg.norm(ext.direction) * np.linalg.norm(a)))
@@ -220,7 +211,7 @@ class TestExtraction:
         s = NetworkShape([3, 4, 2])
         normal = np.zeros(s.weight_count)
         normal[17] = -1.0
-        ext = extract_input_direction(normal, s)
+        ext = aligned_input_direction(normal, s.width(1))
         assert ext.kind == "weight-parameter" and ext.variable == 17
 
     def test_mixed_support_is_nonlinear(self):
@@ -228,14 +219,14 @@ class TestExtraction:
         normal = np.zeros(s.weight_count)
         normal[0] = 1.0
         normal[13] = 1.0
-        assert extract_input_direction(normal, s).kind == "nonlinear"
+        assert aligned_input_direction(normal, s.width(1)).kind == "nonlinear"
 
     def test_support_tolerance(self):
         s = NetworkShape([3, 4, 2])
         normal = np.zeros(s.weight_count)
         normal[0], normal[1], normal[2] = 1.0, 2.0, -1.0
         normal[12] = 1e-9  # numerical dust outside the column
-        assert extract_input_direction(normal, s).kind == "input-direction"
+        assert aligned_input_direction(normal, s.width(1)).kind == "input-direction"
 
     def test_blind_agrees_with_white_box(self):
         s = NetworkShape([3, 4, 2])
@@ -245,122 +236,11 @@ class TestExtraction:
             normal = np.zeros(s.weight_count)
             for i in range(3):
                 normal[s.index_of(1, i + 1, col)] = a[i]
-            w = extract_input_direction(normal, s)
             b = aligned_input_direction(normal, 3)
-            assert w.kind == b.kind == "input-direction"
-            assert w.node == b.node == col
-            assert np.allclose(w.direction, b.direction)
-
-
-class TestFloatPoly:
-    @settings(max_examples=30)
-    @given(st.integers(0, 10**6))
-    def test_affine_substitution_matches_evaluation(self, seed):
-        rng = np.random.default_rng(seed)
-        keys = [(), ((0, 1),), ((1, 2),), ((0, 1), (2, 1)), ((1, 1), (2, 2))]
-        p = FloatPoly({k: float(c) for k, c in zip(keys, rng.normal(size=len(keys)))})
-        alpha = float(rng.uniform(0.5, 2.0))
-        beta = rng.normal(size=3)
-        q = p.substitute_affine(alpha, beta)
-        for _ in range(5):
-            u = rng.normal(size=3)
-            assert q.evaluate(u) == pytest.approx(p.evaluate(alpha * u + beta), rel=1e-9, abs=1e-9)
-
-    def test_taylor_shift(self):
-        p = FloatPoly({((0, 2),): 1.0})  # w0^2
-        c = np.array([3.0])
-        s = p.taylor_at(c)  # (v + 3)^2 = v^2 + 6v + 9
-        assert s.terms[()] == pytest.approx(9.0)
-        assert s.terms[((0, 1),)] == pytest.approx(6.0)
-        assert s.terms[((0, 2),)] == pytest.approx(1.0)
-
-    def test_gradient(self):
-        p = FloatPoly({((0, 1), (1, 1)): 2.0, ((1, 3),): 1.0})
-        g = p.gradient([2.0, 3.0], 2)
-        assert g[0] == pytest.approx(6.0)  # d/dw0 2 w0 w1
-        assert g[1] == pytest.approx(4.0 + 27.0)  # 2 w0 + 3 w1^2
-
-    def test_from_exact(self):
-        p = F(1, 2) * V(0) * V(1) - 3 * V(2)
-        fp = FloatPoly.from_exact(p)
-        assert fp.evaluate([2.0, 4.0, 1.0]) == pytest.approx(float(p.evaluate((2, 4, 1))))
-
-
-class TestRegionFit:
-    def test_recovers_polynomial(self):
-        rng = np.random.default_rng(4)
-        true = FloatPoly({(): 1.5, ((0, 2),): 2.0, ((0, 1), (1, 1)): -1.0, ((2, 4),): 0.25})
-        oracle = LossOracle(lambda w: true.evaluate(w))
-        center = np.array([0.4, -0.2, 0.8])
-        fit = fit_region_polynomial(oracle, center, 0.1, 4, rng=rng)
-        assert fit.residual < 1e-10
-        for _ in range(10):
-            w = center + 0.1 * rng.normal(size=3) * 0.5
-            assert fit.poly.evaluate(w) == pytest.approx(true.evaluate(w), rel=1e-7, abs=1e-9)
-
-    def test_contamination_detected(self):
-        rng = np.random.default_rng(5)
-        n = np.array([1.0, -1.0, 0.5])
-
-        def f(w):
-            w = np.asarray(w)
-            return abs(float(n @ w)) + 0.05 * float(w @ w)
-
-        # ball centered on the kink sheet
-        with pytest.raises(ContaminationError):
-            fit_region_polynomial(LossOracle(f), np.zeros(3), 0.1, 4, rng=rng)
-
-    def test_monomial_cap(self):
-        rng = np.random.default_rng(6)
-        with pytest.raises(EnumerationBudgetError):
-            fit_region_polynomial(
-                LossOracle(lambda w: 0.0), np.zeros(30), 0.1, 4, rng=rng, monomial_cap=100
-            )
-
-
-class TestDifferenceDirection:
-    def test_linear_wall_gives_direction(self):
-        s = NetworkShape([2, 2, 1])
-        # wall x1 w0 + x2 w1 with sample direction (1, 2)
-        wall = FloatPoly({((0, 1),): 1.0, ((1, 1),): 2.0})
-        cof = FloatPoly({((4, 1),): 0.7, (): 0.3})
-        f = FloatPoly({(): 1.0, ((2, 2),): 0.5})
-        g_terms = dict(f.terms)
-        diff = FloatPoly({})
-        # f - g = wall * cofactor
-        prod = {}
-        for k1, c1 in wall.terms.items():
-            for k2, c2 in cof.terms.items():
-                merged = dict(k1)
-                for v, e in k2:
-                    merged[v] = merged.get(v, 0) + e
-                key = tuple(sorted(merged.items()))
-                prod[key] = prod.get(key, 0.0) + c1 * c2
-        g = f - FloatPoly(prod)
-        wall_point = np.array([2.0, -1.0, 0.3, 0.4, 1.0, 2.0])  # wall = 2 - 2 = 0
-        dd = region_difference_direction(f, g, s, wall_point=wall_point)
-        assert dd.kind == "input-direction"
-        assert dd.node == 1
-        assert np.allclose(
-            np.abs(dd.direction / np.linalg.norm(dd.direction)),
-            np.abs(np.array([1.0, 2.0]) / math.sqrt(5.0)),
-        )
-
-    def test_equal_pieces_not_linear(self):
-        s = NetworkShape([2, 2, 1])
-        f = FloatPoly({((0, 2),): 1.0})
-        dd = region_difference_direction(f, f, s, wall_point=np.zeros(6))
-        assert dd.kind == "not-linear"
-        assert dd.magnitude == pytest.approx(0.0, abs=1e-12)
-
-    def test_squared_wall_not_linear(self):
-        # difference (w0)^2: gradient vanishes on the wall w0 = 0
-        s = NetworkShape([2, 2, 1])
-        f = FloatPoly({((0, 2),): 1.0})
-        g = FloatPoly({})
-        wall_point = np.zeros(6)
-        dd = region_difference_direction(f, g, s, wall_point=wall_point)
-        assert dd.kind == "not-linear"
+            assert b.kind == "input-direction"
+            assert b.node == col
+            expected = a / np.linalg.norm(a)
+            assert np.allclose(b.direction, expected if expected[0] > 0 else -expected)
 
 
 class TestRecoverArchitecture:
@@ -434,6 +314,8 @@ class TestAttackPipeline:
         cfg = AttackConfig(n_lines=4, budget=700, seed=5)
         report = run_attack(make_oracle(inst), 6, 2, cfg)
         assert report.oracle_queries <= 700
+        assert report.budget_exhausted
+        assert report.to_json()["budget_exhausted"] is True
 
     def test_report_round_trip(self):
         inst = gen_instance([2, 2, 1], 1, seed=2)
@@ -442,6 +324,7 @@ class TestAttackPipeline:
         report = run_attack(make_oracle(inst), 6, 2, cfg, true_inputs=true_inputs)
         data = report.to_json()
         assert data["oracle_queries"] == report.oracle_queries
+        assert not report.budget_exhausted and data["budget_exhausted"] is False
         assert "residual_tol_note" in data
         csv = report.kink_csv()
         assert csv.splitlines()[0] == "line_id,t,jump,refined"
@@ -449,20 +332,23 @@ class TestAttackPipeline:
 
     def test_config_json_aliases(self):
         cfg = AttackConfig.from_json(
-            {"budget": 1000, "grid": 65, "tol": 9.0, "radius": 1e-4, "seed": 3, "paths": ["hyperplane"]}
+            {"budget": 1000, "grid": 65, "tol": 9.0, "radius": 1e-4, "seed": 3}
         )
         assert cfg.budget == 1000 and cfg.grid == 65
         assert cfg.detect_tol == 9.0 and cfg.radius_scale == 1e-4
         assert cfg.to_json()["tol"] == 9.0
-        with pytest.raises(ValueError):
-            AttackConfig.from_json({"warp": 1})
+        bad_configs = [
+            {"warp": 1}, {"paths": ["hyperplane"]}, {"budget": 0}, {"budget": "x"},
+            {"budget": 2.5}, {"n_lines": 0}, {"refine_budget": -1}, {"retries": -1},
+            {"grid": 4}, {"t_range": [1, 0]}, {"t_range": [0, 0]}, {"degree": 0}, {"seed": -1},
+        ]
+        for bad in bad_configs:
+            with pytest.raises(ValueError):
+                AttackConfig.from_json(bad)
 
-    def test_regionfit_path_on_small_instance(self):
+    def test_hyperplane_path_on_small_instance(self):
         inst = gen_instance([2, 2, 1], 1, seed=3)
-        cfg = AttackConfig(
-            n_lines=3, budget=100_000, seed=2, paths=("hyperplane", "regionfit"),
-            max_kinks_per_line=2,
-        )
+        cfg = AttackConfig(n_lines=3, budget=100_000, seed=2, max_kinks_per_line=2)
         true_inputs = [tuple(float(v) for v in s.input) for s in inst.samples]
         report = run_attack(make_oracle(inst), 6, 2, cfg, true_inputs=true_inputs)
         assert any(m.cosine > 0.999 for m in report.matches)

@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -77,9 +76,10 @@ class TestAttack:
         assert any(m["cosine"] >= 0.999 for m in data["matches"])
         assert kinks.read_text().splitlines()[0] == "line_id,t,jump,refined"
 
-    def test_no_recovery_exit_code(self, inst_path):
+    def test_no_recovery_exit_code(self, inst_path, capsys):
         # a starved budget cannot even finish one scan line
         assert main(["attack", "--instance", str(inst_path), "--budget", "50"]) == 3
+        assert "oracle queries: 50 / 50; budget exhausted" in capsys.readouterr().out
 
     def test_bad_budget(self, inst_path):
         assert main(["attack", "--instance", str(inst_path), "--budget", "-1"]) == 64
@@ -88,8 +88,10 @@ class TestAttack:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"budget": 90000, "grid": 129, "seed": 2}))
         assert main(["attack", "--instance", str(inst_path), "--config", str(cfg)]) == 0
-        cfg.write_text(json.dumps({"nope": 1}))
-        assert main(["attack", "--instance", str(inst_path), "--config", str(cfg)]) == 64
+        for bad in ({"nope": 1}, {"paths": ["hyperplane"]}, {"grid": 4}, {"t_range": [1, 0]},
+                    {"budget": "x"}, {"budget": -5}, [1, 2]):
+            cfg.write_text(json.dumps(bad))
+            assert main(["attack", "--instance", str(inst_path), "--config", str(cfg)]) == 64, bad
 
 
 class TestSurface:
@@ -109,6 +111,7 @@ class TestSurface:
         out = str(tmp_path / "surf")
         assert main(["surface", "--instance", str(inst_path), "--out", out, "--t-range", "junk"]) == 64
         assert main(["surface", "--instance", str(inst_path), "--out", out, "--t-range", "2:1"]) == 64
+        assert main(["surface", "--instance", str(inst_path), "--out", out, "--probes", "0"]) == 64
 
     def test_direction_length_validated(self, inst_path, tmp_path):
         out = str(tmp_path / "surf")
@@ -116,14 +119,6 @@ class TestSurface:
 
 
 class TestEnvironment:
-    def test_threads_env_validated(self, inst_path, monkeypatch):
-        monkeypatch.setenv("LOSSCARTO_THREADS", "abc")
-        assert main(["verify", "--instance", str(inst_path), "--probes", "2"]) == 64
-        monkeypatch.setenv("LOSSCARTO_THREADS", "0")
-        assert main(["verify", "--instance", str(inst_path), "--probes", "2"]) == 64
-        monkeypatch.setenv("LOSSCARTO_THREADS", "2")
-        assert main(["verify", "--instance", str(inst_path), "--probes", "2"]) == 0
-
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "losscarto" in capsys.readouterr().out

@@ -91,7 +91,7 @@ class TestOracle:
         inst = gen_instance([2, 2, 1], 2, seed=9, materialize_weights=True)
         oracle = make_oracle(inst)
         w = [float(v) for v in inst.weights]
-        exact = loss(inst.shape, inst.weights, inst.samples, exact=True)
+        exact = loss(inst.shape, inst.weights, inst.samples)
         assert oracle(w) == pytest.approx(float(exact), rel=1e-12)
 
     def test_warmup_instance_realizes_h(self):

@@ -8,10 +8,7 @@ from losscarto import (
     DegreeError,
     NetworkShape,
     Poly,
-    UnsupportedDivisorError,
     layerwise_degree,
-    linear_support,
-    pseudo_divides,
 )
 
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -126,61 +123,3 @@ class TestLayerwiseDegree:
         s = NetworkShape([2, 2, 1])
         with pytest.raises(DegreeError):
             layerwise_degree(Poly.zero(), s)
-
-
-class TestPseudoDivides:
-    def test_frozen_examples(self):
-        prod = (V(0) + 2 * V(1)) * V(4)
-        assert pseudo_divides(V(4), prod)
-        assert pseudo_divides(V(0) + 2 * V(1), prod)
-        assert not pseudo_divides(V(0) + V(1), prod)
-
-    @given(polys(max_vars=3), polys(max_vars=3))
-    def test_factor_always_divides(self, f, g):
-        if f.is_zero() or g.is_zero():
-            return
-        if not any(f.degree_in(v) == 1 for v in f.variables()):
-            return
-        assert pseudo_divides(f, f * g)
-
-    @given(polys(max_vars=3), polys(max_vars=3))
-    def test_shifted_product_fails(self, f, g):
-        # f*g + 1 never vanishes on {f = 0}, so the test must reject it
-        if f.is_zero() or f.coefficient(()) != 0:
-            return
-        if not any(f.degree_in(v) == 1 for v in f.variables()):
-            return
-        assert not pseudo_divides(f, f * g + 1)
-
-    def test_unsupported_divisor(self):
-        with pytest.raises(UnsupportedDivisorError):
-            pseudo_divides(V(0) ** 2, V(0) ** 2 * V(1))
-        with pytest.raises(UnsupportedDivisorError):
-            pseudo_divides(Poly.zero(), V(0))
-
-
-class TestLinearSupport:
-    def test_first_layer_column(self):
-        s = NetworkShape([2, 2, 1])
-        ls = linear_support(V(0) + 2 * V(1), s)
-        assert ls.kind == "first-layer"
-        assert ls.target == 1
-        assert ls.coefficients == (Fraction(1), Fraction(2))
-
-    def test_single_weight(self):
-        s = NetworkShape([2, 2, 1])
-        ls = linear_support(V(4), s)
-        assert ls.kind == "single-weight" and ls.variable == 4
-
-    def test_other(self):
-        s = NetworkShape([2, 2, 1])
-        assert linear_support(V(0) + V(4), s).kind == "other"  # mixed layers
-        assert linear_support(V(0) + V(2), s).kind == "other"  # mixed targets
-        assert linear_support(V(0) + 1, s).kind == "other"  # constant term
-
-    def test_degree_guard(self):
-        s = NetworkShape([2, 2, 1])
-        with pytest.raises(DegreeError):
-            linear_support(V(0) * V(4), s)
-        with pytest.raises(DegreeError):
-            linear_support(Poly.constant(3), s)

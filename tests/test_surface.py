@@ -59,7 +59,7 @@ class TestRegions:
                 continue
             hits += 1
             piece = region_loss_polynomial(s, samples, r)
-            assert piece.evaluate(w, exact=True) == loss(s, w, samples, exact=True)
+            assert piece.evaluate(w, exact=True) == loss(s, w, samples)
 
     @settings(max_examples=30)
     @given(st.lists(st.integers(1, 3), min_size=3, max_size=4), st.integers(0, 10**6))
@@ -80,7 +80,7 @@ class TestRegions:
             except BoundaryError:
                 continue
             piece = region_loss_polynomial(s, samples, r)
-            assert piece.evaluate(w, exact=True) == loss(s, w, samples, exact=True)
+            assert piece.evaluate(w, exact=True) == loss(s, w, samples)
 
 
 class TestWalls:

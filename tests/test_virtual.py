@@ -11,11 +11,9 @@ from losscarto import (
     NetworkShape,
     Poly,
     ZeroVirtualPolynomialError,
-    bottleneck_layers,
     enumerate_virtual_polynomials,
     factorize,
     layerwise_degree,
-    p_active_network,
     virtual_polynomial,
 )
 
@@ -100,33 +98,6 @@ class TestVirtualPolynomial:
         s = NetworkShape([2, 9, 8, 1])  # 17 hidden nodes > default cap 16
         with pytest.raises(EnumerationBudgetError):
             enumerate_virtual_polynomials(s, (F(1), F(1)), (1, 4))
-
-
-class TestActiveNetwork:
-    def test_present_nodes(self):
-        s = NetworkShape([2, 2, 2, 2, 1])
-        act = ActivationSet.from_mapping(s, {(2, 3): False})
-        sub = p_active_network(s, act)
-        assert sub.present(1, 1) and sub.present(1, 5)  # input/output always
-        assert sub.present(1, 3) and not sub.present(2, 3)
-
-    def test_bottlenecks_with_output_width_one(self):
-        s = NetworkShape([2, 2, 2, 2, 1])
-        act = ActivationSet.from_mapping(s, {(2, 3): False})
-        rep = bottleneck_layers(p_active_network(s, act))
-        assert rep.bottlenecks == (3, 5)
-        assert rep.dead_cuts == ()
-
-    def test_wide_output_not_a_bottleneck(self):
-        s = NetworkShape([2, 2, 2])
-        rep = bottleneck_layers(p_active_network(s, ActivationSet.from_mapping(s, {(2, 2): False})))
-        assert rep.bottlenecks == (2,)
-
-    def test_dead_layer_suppresses_bottlenecks(self):
-        s = NetworkShape([2, 2, 2, 2, 1])
-        rep = bottleneck_layers(p_active_network(s, ActivationSet.all_negative(s)))
-        assert rep.bottlenecks == ()
-        assert rep.dead_cuts == (2, 3, 4)
 
 
 class TestFactorization:
