@@ -29,7 +29,7 @@ w = tuple(F(rng.randint(-64, 64), 16) for _ in range(s.weight_count))
 r = region_of(s, samples, w)
 piece = region_loss_polynomial(s, samples, r)
 print("region flags:", r.key)
-print("piece(w) == E(w):", piece.evaluate(w, exact=True) == loss(s, w, samples))
+print("piece(w) == E(w):", piece.evaluate(w) == loss(s, w, samples))
 
 # walk to an adjacent region and classify the wall between them
 neighbour = None

@@ -163,7 +163,6 @@ def detect_kinks_on_line(
     grid: int = 257,
     *,
     tol: float = 12.0,
-    refine: bool = True,
     refine_tol: float = 1e-9,
     degree: int = 4,
     refine_budget: int = 200,
@@ -180,12 +179,12 @@ def detect_kinks_on_line(
     the local scale, a rolling median plus an absolute floor, so the
     test is invariant to the overall magnitude of the loss.  Runs of
     flags collapse to their strongest cell; each cell's one-spacing
-    bracket is refined by refine_kink unless refine=False, and refined
-    kinks landing within one grid spacing of an already-accepted one are
-    dropped as duplicates (a kink sitting on a grid point splits its
-    flag run in two).  Kinks closer together than a few grid cells can
-    merge or shadow each other; the caller controls recall through grid
-    and t_range.
+    bracket is refined by refine_kink, and refined kinks landing within
+    one grid spacing of an already-accepted one are dropped as
+    duplicates (a kink sitting on a grid point splits its flag run in
+    two).  Kinks closer together than a few grid cells can merge or
+    shadow each other; the caller controls recall through grid and
+    t_range.
     """
     base = np.asarray(base, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -230,20 +229,6 @@ def detect_kinks_on_line(
     for cell in groups:
         center = cell + 2
         lo_t, hi_t = float(ts[center - 1]), float(ts[center + 1])
-        if not refine:
-            mid = float(ts[center])
-            out.append(
-                KinkPoint(
-                    t=mid,
-                    location=tuple(float(v) for v in base + mid * direction),
-                    line=(tuple(float(v) for v in base), tuple(float(v) for v in direction)),
-                    bracket_width=hi_t - lo_t,
-                    jump_magnitude=float(d4[cell] / h),
-                    curvature_jump=0.0,
-                    refined=False,
-                )
-            )
-            continue
         try:
             kink = refine_kink(
                 oracle,
@@ -518,6 +503,10 @@ def recover_architecture(
 # end-to-end pipeline
 
 
+def _is_finite_real(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class AttackConfig:
     """Tunables for run_attack; defaults sized for shapes up to ~20 weights.
@@ -549,13 +538,24 @@ class AttackConfig:
 
     def __post_init__(self):
         for name, least in (("budget", 1), ("n_lines", 1), ("refine_budget", 1),
-                            ("retries", 0), ("grid", 8), ("degree", 1), ("seed", 0)):
+                            ("max_kinks_per_line", 1), ("retries", 0), ("grid", 8),
+                            ("degree", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"attack config {name!r} must be an integer >= {least}, got {value!r}")
-        lo, hi = self.t_range
-        if not lo < hi:
-            raise ValueError(f"attack config 't_range' needs lo < hi, got {self.t_range!r}")
+        for names, ok, rule in (
+            (("detect_tol", "refine_tol", "radius_scale", "support_tol", "residual_tol",
+              "probe_scale"), lambda v: v > 0, "> 0"),
+            (("dedup_tol",), lambda v: v >= 0, ">= 0"),
+            (("match_threshold",), lambda v: 0 < v <= 1, "in (0, 1]"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not (_is_finite_real(value) and ok(value)):
+                    raise ValueError(f"attack config {name!r} must be a finite number {rule}, got {value!r}")
+        r = self.t_range
+        if not (len(r) == 2 and all(map(_is_finite_real, r)) and r[0] < r[1]):
+            raise ValueError(f"attack config 't_range' needs two finite ends lo < hi, got {r!r}")
 
     @staticmethod
     def from_json(data: dict) -> "AttackConfig":
@@ -566,7 +566,7 @@ class AttackConfig:
             if name not in fields:
                 raise ValueError(f"unknown attack config key {key!r}")
             if name == "t_range":
-                val = (float(val[0]), float(val[1]))
+                val = tuple(float(v) for v in val)
             kwargs[name] = val
         return AttackConfig(**kwargs)
 

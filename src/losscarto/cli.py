@@ -159,7 +159,7 @@ def _check_piecewise(inst: Instance, probes: int, rng) -> tuple[int, int]:
             continue
         done += 1
         piece = region_loss_polynomial(shape, inst.samples, region)
-        if piece.evaluate(w, exact=True) == loss(shape, w, inst.samples):
+        if piece.evaluate(w) == loss(shape, w, inst.samples):
             ok += 1
     return ok, done
 
@@ -232,7 +232,6 @@ def _cmd_verify(ns) -> int:
 
 
 def _cmd_attack(ns) -> int:
-    inst = load_instance(ns.instance)
     raw = {}
     if ns.config is not None:
         with open(ns.config, "r", encoding="utf-8") as fh:
@@ -248,6 +247,7 @@ def _cmd_attack(ns) -> int:
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc))
 
+    inst = load_instance(ns.instance)
     oracle = make_oracle(inst)
     true_inputs = [tuple(float(v) for v in s.input) for s in inst.samples]
     report = run_attack(
@@ -281,7 +281,6 @@ def _cmd_attack(ns) -> int:
 
 
 def _cmd_surface(ns) -> int:
-    inst = load_instance(ns.instance)
     if ns.grid < 2:
         raise UsageError("--grid must be at least 2")
     if ns.probes < 1:
@@ -293,10 +292,11 @@ def _cmd_surface(ns) -> int:
         raise UsageError(f"--t-range expects LO:HI, got {ns.t_range!r}")
     if not hi > lo:
         raise UsageError("--t-range needs LO < HI")
+    direction = None if ns.direction is None else np.array(_parse_floats(ns.direction, "--direction"))
 
+    inst = load_instance(ns.instance)
     base = np.array([float(w) for w in inst.resolved_weights()])
-    if ns.direction is not None:
-        direction = np.array(_parse_floats(ns.direction, "--direction"))
+    if direction is not None:
         if direction.shape != base.shape:
             raise InstanceError(
                 f"--direction length {len(direction)} != N = {len(base)}"

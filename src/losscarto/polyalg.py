@@ -12,7 +12,6 @@ Float coefficients never appear here.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -75,10 +74,6 @@ class Poly:
     def variable(v: int) -> "Poly":
         return Poly({((int(v), 1),): 1})
 
-    @staticmethod
-    def monomial(key: TermKey, coeff: Scalar = 1) -> "Poly":
-        return Poly({tuple(key): coeff})
-
     # inspection
 
     @property
@@ -121,12 +116,6 @@ class Poly:
             for v, _e in key:
                 seen.add(v)
         return tuple(sorted(seen))
-
-    def is_homogeneous(self) -> bool:
-        if not self._terms:
-            raise DegreeError("zero polynomial")
-        degs = {sum(e for _, e in key) for key, _ in self._terms}
-        return len(degs) == 1
 
     def normalized(self) -> "Poly":
         """Scale so the leading coefficient is 1 (canonical up-to-scale form)."""
@@ -205,40 +194,23 @@ class Poly:
 
     # evaluation
 
-    def evaluate(self, point: Sequence[Scalar], *, exact: bool | None = None) -> Scalar:
-        """Evaluate at a point indexed by flat variable.
-
-        exact=None infers the mode: Fraction/int entries give an exact
-        result, floats a compensated (math.fsum) double result.
-        """
-        if exact is None:
-            exact = all(isinstance(p, (int, Fraction)) for p in point)
-        if exact:
-            vals = [as_fraction(p) for p in point]
-            total = Fraction(0)
-            pow_cache: dict[tuple[int, int], Fraction] = {}
-            for key, coeff in self._terms:
-                m = coeff
-                for v, e in key:
-                    if v >= len(vals):
-                        raise IndexError(f"variable {v} outside point of length {len(vals)}")
-                    p = pow_cache.get((v, e))
-                    if p is None:
-                        p = vals[v] ** e
-                        pow_cache[(v, e)] = p
-                    m *= p
-                total += m
-            return total
-        vals_f = [float(p) for p in point]
-        parts = []
+    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
+        """Exact value at a point indexed by flat variable (floats enter as dyadics)."""
+        vals = [as_fraction(p) for p in point]
+        total = Fraction(0)
+        pow_cache: dict[tuple[int, int], Fraction] = {}
         for key, coeff in self._terms:
-            m = float(coeff)
+            m = coeff
             for v, e in key:
-                if v >= len(vals_f):
-                    raise IndexError(f"variable {v} outside point of length {len(vals_f)}")
-                m *= vals_f[v] ** e
-            parts.append(m)
-        return math.fsum(parts)
+                if v >= len(vals):
+                    raise IndexError(f"variable {v} outside point of length {len(vals)}")
+                p = pow_cache.get((v, e))
+                if p is None:
+                    p = vals[v] ** e
+                    pow_cache[(v, e)] = p
+                m *= p
+            total += m
+        return total
 
     # serialization
 

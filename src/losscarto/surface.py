@@ -4,7 +4,8 @@ A region is a choice of realized activation set per training sample with
 a witness weight point strictly off every wall.  On a region the loss is
 one exact polynomial (the piece).  Crossing the zero set of a flipped
 node's virtual polynomial moves to the adjacent region; the crossing is
-singular exactly when the two pieces differ.
+singular exactly when the two pieces differ: when every hidden layer
+above the node keeps a P-active node (see _wall_is_singular).
 
 Sheet enumeration records, for every realizable region found by witness
 sampling: the hidden-node wall polynomials themselves, their bottleneck
@@ -21,7 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import AdjacencyError, BoundaryError, SamplingError, ShapeError
+from .errors import (
+    AdjacencyError, BoundaryError, SamplingError, ShapeError, ZeroVirtualPolynomialError,
+)
 from .network import (
     ActivationSet,
     NetworkShape,
@@ -122,6 +125,19 @@ def _is_sample_independent(poly: Poly, shape: NetworkShape) -> bool:
     return all(shape.weight_layer_of(v) != 1 for v in poly.variables())
 
 
+def _wall_is_singular(shape: NetworkShape, P: ActivationSet, k: int) -> bool:
+    """Whether crossing a nonzero wall of a layer-k hidden node changes the piece.
+
+    Flipping node (i,k) changes output o by u*g_o, where u is the node's
+    virtual polynomial and g_o the P-masked path sum from the node to o.
+    Paths through the node and paths avoiding it have disjoint monomials,
+    so the two pieces differ iff some g_o is nonzero; with u nonzero and
+    fully connected layers that holds iff every hidden layer above k has
+    a P-active node.  It depends on the pattern alone, not on the sample.
+    """
+    return all(P.active_in_layer(m) for m in range(k + 1, shape.depth))
+
+
 def wall_between(
     shape: NetworkShape,
     samples: Sequence[TrainingSample],
@@ -132,7 +148,8 @@ def wall_between(
 
     The sheet polynomial is the flipped node's virtual polynomial under
     the shared flags (its own flag is irrelevant to its pre-output), and
-    the singular bit compares the two exact pieces.
+    the singular bit asks whether every hidden layer above the node keeps
+    an active node, which is when the two exact pieces differ.
     """
     check_samples(shape, samples)
     diffs: list[tuple[int, tuple[int, int]]] = []
@@ -149,9 +166,7 @@ def wall_between(
         raise AdjacencyError(
             f"no wall: node ({i},{k}) has identically zero pre-output here"
         )
-    piece1 = _sample_piece(shape, samples[p], r1.activation_sets[p])
-    piece2 = _sample_piece(shape, samples[p], r2.activation_sets[p])
-    singular = piece1 != piece2
+    singular = _wall_is_singular(shape, r1.activation_sets[p], k)
     sample_index = None if _is_sample_independent(u, shape) else p
     return Sheet(poly=u.normalized(), sample_index=sample_index, singular=singular)
 
@@ -169,7 +184,6 @@ def enumerate_singular_sheets(
     probe_budget: int,
     *,
     seed: int = 0,
-    include_components: bool = True,
 ) -> list[Sheet]:
     """Sheets discovered from probe_budget random witness points.
 
@@ -177,6 +191,7 @@ def enumerate_singular_sheets(
     nonzero rational scale:
 
     * each hidden node's nonzero wall polynomial, marked singular when
+      every hidden layer above it keeps an active node, which is when
       the adjacent pieces differ (every bottleneck factor of the wall
       inherits that flag: crossing any component flips the same node
       between the same two pieces);
@@ -201,14 +216,6 @@ def enumerate_singular_sheets(
     if not regions:
         raise SamplingError(f"no realizable region found in {probe_budget} probes")
 
-    piece_cache: dict[tuple[int, tuple[tuple[bool, ...], ...]], Poly] = {}
-
-    def piece(p: int, P: ActivationSet) -> Poly:
-        key = (p, P.flags)
-        if key not in piece_cache:
-            piece_cache[key] = _sample_piece(shape, samples[p], P)
-        return piece_cache[key]
-
     found: dict[Poly, Sheet] = {}
 
     def emit(poly: Poly, p: int, singular: bool) -> None:
@@ -224,23 +231,18 @@ def enumerate_singular_sheets(
         r = regions[key]
         for p, sample in enumerate(samples):
             P = r.activation_sets[p]
-            for i, k in shape.hidden_nodes():
-                u = virtual_polynomial(shape, sample.input, P, (i, k)).poly
-                if u.is_zero():
+            outputs = ((o, shape.depth) for o in range(1, shape.widths[-1] + 1))
+            for i, k in (*shape.hidden_nodes(), *outputs):
+                try:
+                    factors = factorize(shape, sample.input, P, (i, k))
+                except ZeroVirtualPolynomialError:
                     continue
-                singular = piece(p, P) != piece(p, P.flipped(i, k))
-                emit(u, p, singular)
-                if include_components:
-                    for g in factorize(shape, sample.input, P, (i, k)):
-                        emit(g, p, singular)
-            if include_components:
-                for o in range(1, shape.widths[-1] + 1):
-                    node = (o, shape.depth)
-                    u = virtual_polynomial(shape, sample.input, P, node).poly
-                    if u.is_zero():
-                        continue
-                    for g in factorize(shape, sample.input, P, node):
-                        emit(g, p, singular=False)
+                hidden = k < shape.depth
+                singular = hidden and _wall_is_singular(shape, P, k)
+                if hidden:  # the wall itself; output nodes give only their factors
+                    emit(factors.product(), p, singular)
+                for g in factors:
+                    emit(g, p, singular)
 
     return sorted(found.values(), key=lambda s: s.poly.terms, reverse=True)
 

@@ -56,6 +56,8 @@ def _propagate(
     start_values are the *outputs* x^(start_layer); masking applies to
     hidden layers strictly between start and end.  Returns z^(end_layer).
     """
+    if tuple(activation_set.widths) != shape.widths:
+        raise ShapeError("activation set belongs to a different shape")
     cur = list(start_values)
     pre: list[Poly] = []
     for k in range(start_layer, end_layer):
@@ -85,8 +87,6 @@ def virtual_polynomial(
     """Pre-output of `node` in the P-masked linear network, input as coefficients."""
     shape.check_input(x)
     i, k = _check_node(shape, node)
-    if tuple(activation_set.widths) != shape.widths:
-        raise ShapeError("activation set belongs to a different shape")
     inputs = tuple(as_fraction(v) for v in x)
     start = [Poly.constant(v) for v in inputs]
     pre = _propagate(shape, activation_set, 1, start, k)
@@ -118,13 +118,8 @@ def enumerate_virtual_polynomials(
     ]
     seen: dict[Poly, VirtualPoly] = {}
     for combo in itertools.product(*per_layer):
-        flags = []
-        for m in range(2, shape.depth):
-            if m in relevant_layers:
-                flags.append(combo[relevant_layers.index(m)])
-            else:
-                flags.append(tuple([True] * shape.width(m)))
-        P = ActivationSet(shape.widths, tuple(flags))
+        flags = combo + tuple((True,) * shape.width(m) for m in range(k, shape.depth))
+        P = ActivationSet(shape.widths, flags)
         vp = virtual_polynomial(shape, x, P, (i, k))
         if vp.poly not in seen:
             seen[vp.poly] = vp
@@ -133,6 +128,7 @@ def enumerate_virtual_polynomials(
     return out
 
 
+@dataclass(frozen=True)
 class Factorization:
     """Ordered factors of a virtual polynomial, one per bottleneck segment.
 
@@ -140,16 +136,10 @@ class Factorization:
     layer of the subnetwork each factor is the symbolic output of.
     """
 
-    __slots__ = ("factors", "segments", "node", "activation_set")
-
-    def __init__(self, factors, segments, node, activation_set):
-        object.__setattr__(self, "factors", tuple(factors))
-        object.__setattr__(self, "segments", tuple(segments))
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "activation_set", activation_set)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Factorization is immutable")
+    factors: tuple[Poly, ...]
+    segments: tuple[tuple[int, int], ...]
+    node: tuple[int, int]
+    activation_set: ActivationSet
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -161,8 +151,8 @@ class Factorization:
         return self.factors[idx]
 
     def product(self) -> Poly:
-        out = Poly.constant(1)
-        for f in self.factors:
+        out = self.factors[0]
+        for f in self.factors[1:]:
             out = out * f
         return out
 
@@ -192,15 +182,11 @@ def factorize(
 
     Raises ZeroVirtualPolynomialError when the polynomial is zero (for
     instance behind a dead cut): the zero polynomial has no meaningful
-    factorization.
+    factorization.  Q[w] has no zero divisors, so that is exactly when
+    some factor is zero, and no separate expansion is needed to see it.
     """
     shape.check_input(x)
     i, k = _check_node(shape, node)
-    vp = virtual_polynomial(shape, x, activation_set, (i, k))
-    if vp.poly.is_zero():
-        raise ZeroVirtualPolynomialError(
-            f"virtual polynomial of node ({i},{k}) is zero under these flags"
-        )
     cuts = [
         m for m in range(2, k) if len(activation_set.active_in_layer(m)) == 1
     ]
@@ -219,6 +205,10 @@ def factorize(
             ]
         pre = _propagate(shape, activation_set, s, start_vals, e)
         end_node = i if e == k else activation_set.active_in_layer(e)[0]
+        if pre[end_node - 1].is_zero():
+            raise ZeroVirtualPolynomialError(
+                f"virtual polynomial of node ({i},{k}) is zero under these flags"
+            )
         factors.append(pre[end_node - 1])
         segments.append((s, e))
-    return Factorization(factors, segments, (i, k), activation_set)
+    return Factorization(tuple(factors), tuple(segments), (i, k), activation_set)

@@ -153,7 +153,7 @@ def test_criterion_5_exact_piecewise_identity():
             total += 1
             if r.key not in piece_cache:
                 piece_cache[r.key] = region_loss_polynomial(s, samples, r)
-            if piece_cache[r.key].evaluate(w, exact=True) != loss(s, w, samples):
+            if piece_cache[r.key].evaluate(w) != loss(s, w, samples):
                 ok = False
                 break
         if not ok:

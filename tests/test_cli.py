@@ -81,15 +81,21 @@ class TestAttack:
         assert main(["attack", "--instance", str(inst_path), "--budget", "50"]) == 3
         assert "oracle queries: 50 / 50; budget exhausted" in capsys.readouterr().out
 
-    def test_bad_budget(self, inst_path):
+    def test_bad_budget(self, inst_path, tmp_path):
         assert main(["attack", "--instance", str(inst_path), "--budget", "-1"]) == 64
+        # flags are checked before the instance is read
+        assert main(["attack", "--instance", str(tmp_path / "ghost.json"), "--budget", "0"]) == 64
 
     def test_config_file(self, inst_path, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"budget": 90000, "grid": 129, "seed": 2}))
         assert main(["attack", "--instance", str(inst_path), "--config", str(cfg)]) == 0
         for bad in ({"nope": 1}, {"paths": ["hyperplane"]}, {"grid": 4}, {"t_range": [1, 0]},
-                    {"budget": "x"}, {"budget": -5}, [1, 2]):
+                    {"budget": "x"}, {"budget": -5}, [1, 2], {"tol": "x"}, {"radius": 0},
+                    {"support_tol": -1}, {"match_threshold": 2}, {"dedup_tol": -1e-9},
+                    {"refine_tol": True}, {"residual_tol": float("nan")},
+                    {"t_range": [0, float("inf")]}, {"t_range": [1]}, {"t_range": [0, 1, 2]},
+                    {"max_kinks_per_line": "x"}, {"max_kinks_per_line": 0}):
             cfg.write_text(json.dumps(bad))
             assert main(["attack", "--instance", str(inst_path), "--config", str(cfg)]) == 64, bad
 
@@ -112,6 +118,10 @@ class TestSurface:
         assert main(["surface", "--instance", str(inst_path), "--out", out, "--t-range", "junk"]) == 64
         assert main(["surface", "--instance", str(inst_path), "--out", out, "--t-range", "2:1"]) == 64
         assert main(["surface", "--instance", str(inst_path), "--out", out, "--probes", "0"]) == 64
+        # flags are checked before the instance is read
+        ghost = str(tmp_path / "ghost.json")
+        assert main(["surface", "--instance", ghost, "--out", out, "--probes", "0"]) == 64
+        assert main(["surface", "--instance", ghost, "--out", out, "--direction", "a,b"]) == 64
 
     def test_direction_length_validated(self, inst_path, tmp_path):
         out = str(tmp_path / "surf")

@@ -1,9 +1,13 @@
 """The public surface: every exported name resolves and every demo runs.
 
 A public name stays only while a pipeline, the CLI or a demo uses it, so
-the demos are pinned here as users of the package.
+the demos are pinned here as users of the package.  The traced benchmark
+reaches into the package by module and attribute name, so those names are
+pinned here too.
 """
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -38,3 +42,19 @@ def test_demo_exits_zero(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _load_bench_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    tracing = _load_bench_tracing()
+    for mod, attr, _label, _record in tracing.FUNCTIONS:
+        owner = importlib.import_module(f"losscarto.{mod}")
+        assert callable(owner.__dict__.get(attr)), f"losscarto.{mod}.{attr}"
+    for attr, _label in tracing.POLY_OPERATORS:
+        assert callable(losscarto.polyalg.Poly.__dict__.get(attr)), f"Poly.{attr}"

@@ -22,6 +22,8 @@ from losscarto import (
     sheet_report,
     wall_between,
 )
+from losscarto.surface import _sample_piece, _wall_is_singular
+from losscarto.virtual import virtual_polynomial
 
 V = Poly.variable
 F = Fraction
@@ -59,7 +61,7 @@ class TestRegions:
                 continue
             hits += 1
             piece = region_loss_polynomial(s, samples, r)
-            assert piece.evaluate(w, exact=True) == loss(s, w, samples)
+            assert piece.evaluate(w) == loss(s, w, samples)
 
     @settings(max_examples=30)
     @given(st.lists(st.integers(1, 3), min_size=3, max_size=4), st.integers(0, 10**6))
@@ -80,7 +82,7 @@ class TestRegions:
             except BoundaryError:
                 continue
             piece = region_loss_polynomial(s, samples, r)
-            assert piece.evaluate(w, exact=True) == loss(s, w, samples)
+            assert piece.evaluate(w) == loss(s, w, samples)
 
 
 class TestWalls:
@@ -127,6 +129,33 @@ class TestWalls:
         r1 = Region((act,), tuple(F(1) for _ in range(s.weight_count)))
         with pytest.raises(AdjacencyError):
             wall_between(s, samples, r1, r1.flipped(0, (1, 3)))
+
+
+class TestSingularBit:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=3, max_size=5), st.integers(0, 10**6))
+    def test_active_path_rule_matches_piece_comparison(self, widths, seed):
+        # the pattern-only rule against the exact reference: expand both
+        # squared pieces and compare them
+        s = NetworkShape(widths)
+        rng = random.Random(seed)
+
+        def value():
+            return F(0) if rng.random() < 0.3 else F(rng.randint(-8, 8), 4)
+
+        sample = TrainingSample(
+            tuple(value() for _ in range(s.width(1))), tuple(value() for _ in range(s.width(s.depth)))
+        )
+        dead = {k for k in range(2, s.depth) if rng.random() < 0.2}
+        P = ActivationSet.from_mapping(
+            s, {(i, k): k not in dead and rng.random() < 0.6 for i, k in s.hidden_nodes()}
+        )
+        piece = _sample_piece(s, sample, P)
+        for i, k in s.hidden_nodes():
+            if virtual_polynomial(s, sample.input, P, (i, k)).poly.is_zero():
+                continue
+            differs = piece != _sample_piece(s, sample, P.flipped(i, k))
+            assert _wall_is_singular(s, P, k) == differs, (widths, P.flags, (i, k))
 
 
 class TestSheetEnumeration:

@@ -160,6 +160,30 @@ class TestFactorization:
         fac = factorize(s, x, flags, node)
         assert fac.product() == u
 
+    @settings(max_examples=40)
+    @given(
+        st.lists(st.integers(1, 3), min_size=3, max_size=5),
+        st.integers(0, 10**6),
+    )
+    def test_zero_exactly_when_virtual_polynomial_is_zero(self, widths, seed):
+        # factorize reads zero off its factors; the reference expands the
+        # whole virtual polynomial
+        s = NetworkShape(widths)
+        rng = random.Random(seed)
+        flags = ActivationSet(
+            s.widths,
+            tuple(tuple(rng.random() < 0.5 for _ in range(d)) for d in s.widths[1:-1]),
+        )
+        x = tuple(F(rng.randint(-2, 2)) for _ in range(s.width(1)))
+        for k in range(2, s.depth + 1):
+            for i in range(1, s.width(k) + 1):
+                u = virtual_polynomial(s, x, flags, (i, k)).poly
+                if u.is_zero():
+                    with pytest.raises(ZeroVirtualPolynomialError):
+                        factorize(s, x, flags, (i, k))
+                else:
+                    assert factorize(s, x, flags, (i, k)).product() == u
+
     def test_json(self):
         s = NetworkShape([2, 2, 2, 2, 1])
         act = ActivationSet.from_mapping(s, {(2, 3): False})
