@@ -10,6 +10,14 @@ input direction off the normal's support.
 Everything here is double precision; exact algebra stays in polyalg.
 run_attack is black-box: it sees only the oracle, the parameter count N
 and the input arity d_1, never the sample list or the architecture.
+
+The oracle is any callable w -> E(w).  LossOracle counts its queries,
+enforces the budget and raises NonFiniteLossError on a NaN or infinite
+value, so no such value reaches a fit or a median.  A batch-capable
+oracle (one with a true ``batched`` attribute, as make_loss_fn returns)
+gets each scan grid and each refine stencil as one (Q, N) array through
+LossOracle.many; bisection steps stay single queries.  Any other callable
+is asked one row at a time, with the same queries, counts and results.
 """
 
 from __future__ import annotations
@@ -20,10 +28,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegeneracyError,
     HarvestError,
+    NonFiniteLossError,
     QueryBudgetExceeded,
     RecoveryError,
     SpuriousKinkError,
@@ -37,6 +47,12 @@ class LossOracle:
     The counter increments exactly once per query; when a budget is set,
     the query that would exceed it raises QueryBudgetExceeded before
     touching the underlying function, so query_count never passes budget.
+    A NaN or infinite loss raises NonFiniteLossError (that query counts).
+
+    many(W) answers the rows of a (Q, N) array as Q queries, charged and
+    checked exactly as Q calls in row order would be.  A function whose
+    ``batched`` attribute is true (make_loss_fn's) gets the rows that fit
+    the budget in one call; any other function is called once per row.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], float], budget: int | None = None):
@@ -48,7 +64,32 @@ class LossOracle:
         if self.budget is not None and self.query_count >= self.budget:
             raise QueryBudgetExceeded(f"oracle budget of {self.budget} queries exhausted")
         self.query_count += 1
-        return float(self._fn(np.asarray(w, dtype=float)))
+        value = float(self._fn(np.asarray(w, dtype=float)))
+        if not math.isfinite(value):
+            raise NonFiniteLossError(f"loss oracle returned {value} at query {self.query_count}")
+        return value
+
+    def many(self, W) -> np.ndarray:
+        W = np.asarray(W, dtype=float)
+        if not getattr(self._fn, "batched", False):
+            return np.array([self(w) for w in W], dtype=float)
+        fits = len(W)
+        if self.budget is not None:
+            fits = min(fits, max(self.budget - self.query_count, 0))
+        ys = np.asarray(self._fn(W[:fits]), dtype=float).reshape(fits) if fits else np.empty(0)
+        bad = np.flatnonzero(~np.isfinite(ys))
+        if bad.size:
+            self.query_count += int(bad[0]) + 1
+            raise NonFiniteLossError(f"loss oracle returned {ys[bad[0]]} at query {self.query_count}")
+        self.query_count += fits
+        if fits < len(W):
+            raise QueryBudgetExceeded(f"oracle budget of {self.budget} queries exhausted")
+        return ys
+
+
+def _as_oracle(oracle) -> LossOracle:
+    """A LossOracle as is; any other callable wrapped without a budget."""
+    return oracle if isinstance(oracle, LossOracle) else LossOracle(oracle)
 
 
 @dataclass(frozen=True)
@@ -96,7 +137,10 @@ def refine_kink(
     bracket can only shrink inside the noise ball, so the answer lands
     within it.  A bracket where both the slope jump and the curvature
     jump of the two models sit below their noise floors held no kink.
+    The 2 * (degree + 1) interpolation points are one oracle batch; all
+    queries count against max_queries.
     """
+    oracle = _as_oracle(oracle)
     base = np.asarray(base, dtype=float)
     direction = np.asarray(direction, dtype=float)
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -104,20 +148,24 @@ def refine_kink(
         raise ValueError(f"empty bracket {bracket}")
     width0 = hi - lo
 
-    queries = 0
+    spent = f"refine budget of {max_queries} queries exhausted"
+    h = width0 / degree
+    left_ts = [lo - j * h for j in range(degree + 1)]
+    right_ts = [hi + j * h for j in range(degree + 1)]
+    stencil = np.array(left_ts + right_ts)
+    queries = min(len(stencil), max_queries)
+    ys = oracle.many(base + stencil[:queries, None] * direction).tolist()
+    if queries < len(stencil):
+        raise QueryBudgetExceeded(spent)
+    left_ys, right_ys = ys[: degree + 1], ys[degree + 1 :]
 
     def f(t: float) -> float:
         nonlocal queries
         if queries >= max_queries:
-            raise QueryBudgetExceeded(f"refine budget of {max_queries} queries exhausted")
+            raise QueryBudgetExceeded(spent)
         queries += 1
         return oracle(base + t * direction)
 
-    h = width0 / degree
-    left_ts = [lo - j * h for j in range(degree + 1)]
-    right_ts = [hi + j * h for j in range(degree + 1)]
-    left_ys = [f(t) for t in left_ts]
-    right_ys = [f(t) for t in right_ts]
     p_left = _interp(left_ts, left_ys, degree)
     p_right = _interp(right_ts, right_ys, degree)
 
@@ -155,6 +203,22 @@ def refine_kink(
     )
 
 
+def _rolling_median(x: np.ndarray, half: int) -> np.ndarray:
+    """np.median(x[max(0, i - half) : i + half + 1]) for every i, at once.
+
+    The NaN padding of the edge windows sorts last, so the first count
+    entries of a sorted window are its own values, count known from i.
+    x must hold no NaN of its own.
+    """
+    n = len(x)
+    pad = np.full(half, np.nan)
+    windows = np.sort(sliding_window_view(np.concatenate([pad, x, pad]), 2 * half + 1), axis=1)
+    i = np.arange(n)
+    count = np.minimum(n, i + half + 1) - np.maximum(0, i - half)
+    lo, hi = windows[i, (count - 1) // 2], windows[i, count // 2]
+    return np.where(count % 2 == 1, lo, (lo + hi) / 2)
+
+
 def detect_kinks_on_line(
     oracle,
     base,
@@ -171,7 +235,7 @@ def detect_kinks_on_line(
 ) -> list[KinkPoint]:
     """Scan a line for nonsmooth points of the loss.
 
-    Works off the centered fourth difference, which spikes at h*|slope
+    The grid is one oracle batch.  Works off the centered fourth difference, which spikes at h*|slope
     jump| for a first-order kink and at h^2*|curvature jump| for a
     second-order one, against a smooth background of order h^4.  (The
     second difference would miss second-order kinks: it only steps.)
@@ -186,6 +250,7 @@ def detect_kinks_on_line(
     shadow each other; the caller controls recall through grid and
     t_range.
     """
+    oracle = _as_oracle(oracle)
     base = np.asarray(base, dtype=float)
     direction = np.asarray(direction, dtype=float)
     t0, t1 = float(t_range[0]), float(t_range[1])
@@ -194,15 +259,11 @@ def detect_kinks_on_line(
     if grid < 8:
         raise ValueError("grid too small to detect anything")
     ts = np.linspace(t0, t1, grid)
-    ys = np.array([oracle(base + t * direction) for t in ts])
+    ys = oracle.many(base + ts[:, None] * direction)
     d4 = np.abs(ys[:-4] - 4.0 * ys[1:-3] + 6.0 * ys[2:-2] - 4.0 * ys[3:-1] + ys[4:])
     floor = 1e-11 * (float(np.max(np.abs(ys))) + 1.0)
     n = len(d4)  # d4[c] is centered at grid point c + 2
-    win = 10
-    local = np.empty(n)
-    for i in range(n):
-        a, b = max(0, i - win), min(n, i + win + 1)
-        local[i] = np.median(d4[a:b])
+    local = _rolling_median(d4, 10)
     flagged = d4 > np.maximum(tol * (local + floor), floor)
 
     runs: list[int] = []  # strongest cell per run of flags

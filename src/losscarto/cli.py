@@ -7,9 +7,10 @@ Subcommands:
     losscarto attack   reconstruct input directions from the loss oracle
     losscarto surface  slice the loss along a line and enumerate sheets
 
-Exit codes: 0 success, 1 validation failure (bad instance contents or a
-failed verify check), 2 I/O failure (missing or unreadable files), 3
-attack finished without recovering any direction, 64 usage error.
+Exit codes: 0 success, 1 validation failure (bad instance contents, a
+failed verify check, or a NaN or infinite loss during an attack), 2 I/O
+failure (missing or unreadable files), 3 attack finished without
+recovering any direction, 64 usage error.
 """
 
 from __future__ import annotations

@@ -57,5 +57,9 @@ class QueryBudgetExceeded(LosscartoError, RuntimeError):
     """Loss oracle refused a query past the configured budget."""
 
 
+class NonFiniteLossError(LosscartoError, RuntimeError):
+    """Loss oracle returned NaN or an infinity."""
+
+
 class InstanceError(LosscartoError, ValueError):
     """Instance file failed validation."""

@@ -16,7 +16,9 @@ Conventions used everywhere in this package:
   row-major, is the usual matrix W_k acting by W_k @ x.
 * forward, loss and the activation sets compute with fractions.Fraction
   throughout (floats are converted exactly, so every float is treated as
-  the dyadic rational it is); make_loss_fn is the double-precision loss.
+  the dyadic rational it is); make_loss_fn is the double-precision loss,
+  batch-capable: it evaluates one weight vector or a (Q, N) stack of them
+  in one forward pass.
 
 All types here are immutable; functions are pure.
 """
@@ -318,24 +320,34 @@ def strict_activation_set(
 
 def make_loss_fn(
     shape: NetworkShape, samples: Sequence[TrainingSample]
-) -> Callable[[np.ndarray], float]:
-    """Vectorized float loss w -> E(w), all samples in one pass."""
+) -> Callable[[np.ndarray], float | np.ndarray]:
+    """Vectorized float loss w -> E(w), all samples in one pass.
+
+    The function is batch-capable (its ``batched`` attribute is True): a
+    (Q, N) stack of weight vectors gives the Q losses as a float array in
+    one stacked forward pass, each equal bit for bit to the loss of its
+    row alone.  A single (N,) vector gives a float.
+    """
     check_samples(shape, samples)
     X = np.asarray([s.input for s in samples], dtype=float).T  # (d_1, M)
     B = np.asarray([s.output for s in samples], dtype=float).T  # (d_L, M)
     depth = shape.depth
     slices = [shape.layer_slice(k) for k in range(1, depth)]
     dims = shape.widths
+    n = shape.weight_count
 
-    def E(w: np.ndarray) -> float:
-        flat = np.asarray(w, dtype=float)
-        if flat.shape != (shape.weight_count,):
-            raise ShapeError(f"weight vector has shape {flat.shape}, expected ({shape.weight_count},)")
+    def E(w: np.ndarray) -> float | np.ndarray:
+        W = np.asarray(w, dtype=float)
+        if W.ndim not in (1, 2) or W.shape[-1] != n:
+            raise ShapeError(f"weight array has shape {W.shape}, expected ({n},) or (Q, {n})")
+        lead = W.shape[:-1]
         H = X
         for k in range(1, depth):
-            Z = flat[slices[k - 1]].reshape(dims[k], dims[k - 1]) @ H
+            Z = W[..., slices[k - 1]].reshape(*lead, dims[k], dims[k - 1]) @ H
             H = Z if k == depth - 1 else np.maximum(Z, 0.0)
         R = B - H
-        return 0.5 * float(np.sum(R * R))
+        total = 0.5 * np.sum(R * R, axis=(-2, -1))
+        return float(total) if not lead else total
 
+    E.batched = True
     return E

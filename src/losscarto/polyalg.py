@@ -84,31 +84,10 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, key: TermKey) -> Fraction:
-        key = tuple(sorted((v, e) for v, e in key if e != 0))
-        for k, c in self._terms:
-            if k == key:
-                return c
-        return Fraction(0)
-
-    def leading_coefficient(self) -> Fraction:
-        if not self._terms:
-            raise DegreeError("zero polynomial has no leading coefficient")
-        return self._terms[0][1]
-
     def total_degree(self) -> int:
         if not self._terms:
             raise DegreeError("zero polynomial has no degree")
         return sum(e for _, e in self._terms[0][0])
-
-    def degree_in(self, v: int) -> int:
-        """Largest exponent of variable v (0 if absent; 0 for the zero poly)."""
-        best = 0
-        for key, _ in self._terms:
-            for var, e in key:
-                if var == v and e > best:
-                    best = e
-        return best
 
     def variables(self) -> tuple[int, ...]:
         seen: set[int] = set()

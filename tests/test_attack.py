@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from losscarto import (
     AttackConfig,
     DegeneracyError,
     LossOracle,
     NetworkShape,
+    NonFiniteLossError,
     Poly,
     QueryBudgetExceeded,
     RecoveryError,
@@ -24,6 +27,7 @@ from losscarto import (
     refine_kink,
     run_attack,
 )
+from losscarto.attack import _rolling_median
 
 V = Poly.variable
 F = Fraction
@@ -45,8 +49,93 @@ class TestLossOracle:
             oracle([0.0])
         assert oracle.query_count == 3
 
+    def test_many_within_budget_matches_calls(self):
+        calls = []
+        W = np.arange(12.0).reshape(4, 3)
+        batched = LossOracle(batched_first_coordinate(calls), budget=10)
+        rowwise = LossOracle(lambda w: float(w[0]), budget=10)
+        assert batched.many(W).tolist() == rowwise.many(W).tolist() == [0.0, 3.0, 6.0, 9.0]
+        assert batched.query_count == rowwise.query_count == 4
+        assert [c.shape for c in calls] == [(4, 3)]  # one call for the whole batch
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_many_crossing_budget_charges_up_to_it(self, batched):
+        calls = []
+        fn = batched_first_coordinate(calls) if batched else (lambda w: calls.append(w) or float(w[0]))
+        oracle = LossOracle(fn, budget=10)
+        for _ in range(7):
+            oracle([1.0, 0.0])
+        calls.clear()
+        with pytest.raises(QueryBudgetExceeded):
+            oracle.many(np.ones((5, 2)))
+        assert oracle.query_count == 10
+        assert sum(len(np.atleast_2d(c)) for c in calls) == 3  # only the rows that fit ran
+        calls.clear()
+        with pytest.raises(QueryBudgetExceeded):
+            oracle.many(np.ones((2, 2)))
+        assert oracle.query_count == 10 and calls == []
+
+    def test_non_finite_values_raise(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            oracle = LossOracle(lambda w, bad=bad: bad)
+            with pytest.raises(NonFiniteLossError):
+                oracle([0.0])
+            assert oracle.query_count == 1
+        assert issubclass(NonFiniteLossError, RuntimeError)
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_many_stops_at_first_non_finite_row(self, batched):
+        def fn(w):
+            w = np.asarray(w)
+            return np.where(w[..., 0] > 2.5, np.nan, w[..., 0])
+
+        fn.batched = batched
+        oracle = LossOracle(fn)
+        with pytest.raises(NonFiniteLossError):
+            oracle.many(np.arange(6.0)[:, None])
+        assert oracle.query_count == 4  # rows 0..2 and the NaN row 3, as four calls would be
+
+
+def batched_first_coordinate(calls):
+    """Batch-capable test loss w -> w[0] that records each array it is given."""
+
+    def fn(w):
+        w = np.asarray(w)
+        calls.append(w)
+        return w[..., 0] * 1.0
+
+    fn.batched = True
+    return fn
+
+
+def per_cell_median(x, win=10):
+    """The rolling median as one np.median per cell: the reference."""
+    n = len(x)
+    local = np.empty(n)
+    for i in range(n):
+        a, b = max(0, i - win), min(n, i + win + 1)
+        local[i] = np.median(x[a:b])
+    return local
+
 
 class TestDetectRefine:
+    @given(
+        st.lists(
+            st.sampled_from([0.0, 0.0, 1.0, 1.0, 2.5, 1e-300, 7e12])
+            | st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+            min_size=4,
+            max_size=300,
+        )
+    )
+    def test_rolling_median_matches_per_cell_median(self, values):
+        x = np.array(values)
+        assert _rolling_median(x, 10).tolist() == per_cell_median(x).tolist()
+
+    @pytest.mark.parametrize("n", [4, 5, 20, 21, 22, 253])
+    def test_rolling_median_edge_lengths(self, n):
+        x = np.abs(np.random.default_rng(n).normal(size=n)).round(1)  # ties and zeros
+        assert _rolling_median(x, 10).tolist() == per_cell_median(x).tolist()
+
     def test_first_order_kink(self):
         # |t - 0.37| has a slope jump of 2 at 0.37, on a smooth background
         kink_at = 0.37
@@ -114,6 +203,29 @@ class TestDetectRefine:
 
         with pytest.raises(QueryBudgetExceeded):
             refine_kink(LossOracle(f), [0.0], [1.0], (0.1, 0.2), max_queries=12)
+
+    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("max_queries", [1, 7, 10])
+    def test_refine_budget_below_stencil_charges_exactly(self, batched, max_queries):
+        def f(w):
+            return np.abs(np.asarray(w)[..., 0] - 0.15)
+
+        f.batched = batched
+        oracle = LossOracle(f)
+        with pytest.raises(QueryBudgetExceeded):  # the stencil alone takes 2 * (4 + 1) = 10
+            refine_kink(oracle, [0.0], [1.0], (0.1, 0.2), max_queries=max_queries)
+        assert oracle.query_count == max_queries
+
+    @pytest.mark.parametrize("wrap", ["plain", "oracle", "batched"])
+    def test_nan_half_space_raises(self, wrap):
+        def f(w):
+            w = np.asarray(w)
+            return np.where(w[..., 0] > 1.0, np.nan, np.abs(w[..., 0] - 0.3))
+
+        f.batched = wrap == "batched"
+        oracle = f if wrap == "plain" else LossOracle(f)
+        with pytest.raises(NonFiniteLossError):
+            detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257)
 
     def test_oracle_budget_propagates(self):
         oracle = LossOracle(lambda w: abs(w[0]), budget=50)
@@ -308,6 +420,38 @@ class TestAttackPipeline:
         assert a.oracle_queries == b.oracle_queries
         assert [d.direction for d in a.directions] == [d.direction for d in b.directions]
         assert a.kinks == b.kinks
+
+    @pytest.mark.parametrize("budget", [60_000, 700])
+    def test_batched_oracle_matches_per_row_oracle(self, budget):
+        inst = gen_instance([2, 2, 1], 2, seed=11)
+        cfg = AttackConfig(n_lines=4, budget=budget, seed=5)
+        true_inputs = [tuple(float(v) for v in s.input) for s in inst.samples]
+        E = make_oracle(inst)
+        ranks = []
+
+        def spy(w):
+            ranks.append(np.ndim(w))
+            return E(w)
+
+        spy.batched = True
+        fast = run_attack(spy, 6, 2, cfg, true_inputs=true_inputs)
+        slow = run_attack(lambda w: E(w), 6, 2, cfg, true_inputs=true_inputs)
+        assert 2 in ranks and len(ranks) < fast.oracle_queries  # the batch path ran
+        assert fast.to_json() == slow.to_json()
+        assert fast.kinks == slow.kinks
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_run_attack_nan_half_space_raises(self, batched):
+        inst = gen_instance([2, 2, 1], 2, seed=11)
+        E = make_oracle(inst)
+
+        def half(w):
+            w = np.asarray(w)
+            return np.where(w[..., 0] > 0.0, np.nan, E(w))
+
+        half.batched = batched
+        with pytest.raises(NonFiniteLossError):
+            run_attack(half, 6, 2, AttackConfig(n_lines=4, budget=60_000, seed=5))
 
     def test_run_attack_respects_budget(self):
         inst = gen_instance([2, 2, 1], 2, seed=11)

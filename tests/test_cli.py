@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from losscarto.cli import main
@@ -80,6 +81,15 @@ class TestAttack:
         # a starved budget cannot even finish one scan line
         assert main(["attack", "--instance", str(inst_path), "--budget", "50"]) == 3
         assert "oracle queries: 50 / 50; budget exhausted" in capsys.readouterr().out
+
+    def test_non_finite_loss_exit_code(self, tmp_path, capsys):
+        # the loss overflows to inf at every weight vector the attack tries
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"widths": [2, 2, 1], "seed": 0,
+                                    "samples": [{"input": [1e200, -1e200], "output": [1.0]}]}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["attack", "--instance", str(path), "--budget", "1000"]) == 1
+        assert "loss oracle returned" in capsys.readouterr().err
 
     def test_bad_budget(self, inst_path, tmp_path):
         assert main(["attack", "--instance", str(inst_path), "--budget", "-1"]) == 64

@@ -133,6 +133,42 @@ class TestForward:
             assert fn(w) == pytest.approx(float(loss(s, w, samples)), rel=1e-12)
 
 
+    @given(
+        widths=st.lists(st.integers(1, 4), min_size=2, max_size=5),
+        n_samples=st.integers(1, 8),
+        n_rows=st.integers(1, 12),
+        integral=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_equals_rows_bit_for_bit(self, widths, n_samples, n_rows, integral, seed):
+        s = NetworkShape(widths)
+        rng = np.random.default_rng(seed)
+
+        def draw(*size):  # integral draws put exact zeros on the ReLU and ties in the loss
+            v = rng.normal(size=size) * 2.0
+            return np.round(v) if integral else v
+
+        samples = [
+            TrainingSample(draw(widths[0]).tolist(), draw(widths[-1]).tolist())
+            for _ in range(n_samples)
+        ]
+        fn = make_loss_fn(s, samples)
+        assert fn.batched is True
+        W = draw(n_rows, s.weight_count)
+        batch = fn(W)
+        assert isinstance(batch, np.ndarray) and batch.shape == (n_rows,)
+        rows = [fn(w) for w in W]
+        assert all(type(v) is float for v in rows)
+        assert batch.tolist() == rows
+
+    def test_make_loss_fn_rejects_bad_shapes(self):
+        s = NetworkShape([2, 2, 1])
+        fn = make_loss_fn(s, [TrainingSample((1, 2), (1,))])
+        for bad in (np.zeros(5), np.zeros((3, 7)), np.zeros((2, 3, 6)), np.float64(1.0)):
+            with pytest.raises(ShapeError):
+                fn(bad)
+
+
 class TestActivationSets:
     def test_tie_counts_as_negative(self):
         s = NetworkShape([2, 1, 1])
