@@ -36,6 +36,7 @@ from .errors import (
     NonFiniteLossError,
     QueryBudgetExceeded,
     RecoveryError,
+    RefineBudgetExceeded,
     SpuriousKinkError,
 )
 from .polyalg import Poly
@@ -138,7 +139,9 @@ def refine_kink(
     within it.  A bracket where both the slope jump and the curvature
     jump of the two models sit below their noise floors held no kink.
     The 2 * (degree + 1) interpolation points are one oracle batch; all
-    queries count against max_queries.
+    queries count against max_queries, and running past it raises
+    RefineBudgetExceeded (the oracle's own budget raises
+    QueryBudgetExceeded, as everywhere).
     """
     oracle = _as_oracle(oracle)
     base = np.asarray(base, dtype=float)
@@ -156,13 +159,13 @@ def refine_kink(
     queries = min(len(stencil), max_queries)
     ys = oracle.many(base + stencil[:queries, None] * direction).tolist()
     if queries < len(stencil):
-        raise QueryBudgetExceeded(spent)
+        raise RefineBudgetExceeded(spent)
     left_ys, right_ys = ys[: degree + 1], ys[degree + 1 :]
 
     def f(t: float) -> float:
         nonlocal queries
         if queries >= max_queries:
-            raise QueryBudgetExceeded(spent)
+            raise RefineBudgetExceeded(spent)
         queries += 1
         return oracle(base + t * direction)
 
@@ -246,9 +249,10 @@ def detect_kinks_on_line(
     bracket is refined by refine_kink, and refined kinks landing within
     one grid spacing of an already-accepted one are dropped as
     duplicates (a kink sitting on a grid point splits its flag run in
-    two).  Kinks closer together than a few grid cells can merge or
-    shadow each other; the caller controls recall through grid and
-    t_range.
+    two).  A bracket that proves spurious or spends refine_budget is
+    skipped; the oracle's own budget running out ends the scan.  Kinks
+    closer together than a few grid cells can merge or shadow each
+    other; the caller controls recall through grid and t_range.
     """
     oracle = _as_oracle(oracle)
     base = np.asarray(base, dtype=float)
@@ -301,7 +305,7 @@ def detect_kinks_on_line(
                 max_queries=refine_budget,
                 spurious_tol=spurious_tol,
             )
-        except SpuriousKinkError:
+        except (SpuriousKinkError, RefineBudgetExceeded):
             continue
         if any(abs(kink.t - prev.t) <= h for prev in out):
             continue

@@ -311,10 +311,9 @@ def _cmd_surface(ns) -> int:
         direction = rng.normal(size=len(base))
         direction /= np.linalg.norm(direction)
 
-    oracle = make_oracle(inst)
-    rows = ["t,loss"]
-    for t in np.linspace(lo, hi, ns.grid):
-        rows.append(f"{float(t)!r},{oracle(base + t * direction)!r}")
+    ts = np.linspace(lo, hi, ns.grid)
+    values = make_oracle(inst)(base + ts[:, None] * direction)  # one batched forward pass
+    rows = ["t,loss", *(f"{float(t)!r},{float(v)!r}" for t, v in zip(ts, values))]
     atomic_write_text(f"{ns.out}.csv", "\n".join(rows) + "\n")
 
     sheets = enumerate_singular_sheets(inst.shape, inst.samples, ns.probes, seed=ns.seed)

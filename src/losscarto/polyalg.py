@@ -7,7 +7,9 @@ term key is ().  Polynomials are immutable and kept in a canonical order
 lexicographically with lower variable index more significant), so
 structural equality is mathematical equality and hashing works.
 
-Float coefficients never appear here.
+Float coefficients never appear here.  The public constructor checks and
+canonicalizes its input; results of the ring operations, whose keys are
+canonical already, go through the trusted Poly._canonical instead.
 """
 
 from __future__ import annotations
@@ -25,6 +27,13 @@ MultiDegree = tuple[int, ...]
 def _term_sort_key(key: TermKey):
     total = sum(e for _, e in key)
     return total, tuple((-v, e) for v, e in key)
+
+
+def _sorted_terms(acc: Mapping[TermKey, Fraction]) -> tuple[tuple[TermKey, Fraction], ...]:
+    """The nonzero terms of a canonical-key mapping, in canonical order."""
+    return tuple(
+        sorted(((k, c) for k, c in acc.items() if c), key=lambda kc: _term_sort_key(kc[0]), reverse=True)
+    )
 
 
 def _merge_keys(a: TermKey, b: TermKey) -> TermKey:
@@ -53,9 +62,19 @@ class Poly:
             if c == 0:
                 continue
             acc[key] = acc.get(key, Fraction(0)) + c
-        cleaned = [(k, c) for k, c in acc.items() if c != 0]
-        cleaned.sort(key=lambda kc: _term_sort_key(kc[0]), reverse=True)
-        object.__setattr__(self, "_terms", tuple(cleaned))
+        object.__setattr__(self, "_terms", _sorted_terms(acc))
+
+    @classmethod
+    def _canonical(cls, acc: Mapping[TermKey, Fraction]) -> "Poly":
+        """Trusted constructor: keys already canonical, coefficients Fractions.
+
+        Drops zero coefficients and sorts, skipping the key and coefficient
+        checks of the public constructor; the ring operations and the
+        propagation in virtual produce such mappings.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", _sorted_terms(acc))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -103,7 +122,7 @@ class Poly:
         lead = self._terms[0][1]
         if lead == 1:
             return self
-        return Poly({k: c / lead for k, c in self._terms})
+        return Poly._canonical({k: c / lead for k, c in self._terms})
 
     # ring operations
 
@@ -121,7 +140,7 @@ class Poly:
         return hash(self._terms)
 
     def __neg__(self) -> "Poly":
-        return Poly({k: -c for k, c in self._terms})
+        return Poly._canonical({k: -c for k, c in self._terms})
 
     def __add__(self, other) -> "Poly":
         other = _coerce(other)
@@ -130,7 +149,7 @@ class Poly:
         acc = dict(self._terms)
         for k, c in other._terms:
             acc[k] = acc.get(k, Fraction(0)) + c
-        return Poly(acc)
+        return Poly._canonical(acc)
 
     __radd__ = __add__
 
@@ -155,7 +174,7 @@ class Poly:
             for kb, cb in other._terms:
                 k = _merge_keys(ka, kb)
                 acc[k] = acc.get(k, Fraction(0)) + ca * cb
-        return Poly(acc)
+        return Poly._canonical(acc)
 
     __rmul__ = __mul__
 

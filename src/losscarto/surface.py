@@ -12,7 +12,11 @@ sampling: the hidden-node wall polynomials themselves, their bottleneck
 factors, and the bottleneck factors of the output nodes' virtual
 polynomials.  The factors are the irreducible components the walls and
 retained defining polynomials split into; weight-only components (no
-first-layer variable) are precisely the sample-independent ones.
+first-layer variable) are precisely the sample-independent ones.  A
+node's wall and factors depend only on the sample and on the flags of
+the layers below the node, not on the region, so one enumeration
+factorizes each (sample, node, lower flags) once; the singular bit reads
+the layers above and is decided per region.
 """
 
 from __future__ import annotations
@@ -171,6 +175,25 @@ def wall_between(
     return Sheet(poly=u.normalized(), sample_index=sample_index, singular=singular)
 
 
+def _node_components(
+    shape: NetworkShape, x: Sequence[Scalar], P: ActivationSet, node: tuple[int, int]
+) -> tuple[tuple[Poly, bool], ...]:
+    """The node's sheet candidates as (normalized poly, sample independent) pairs.
+
+    A hidden node gives its wall (the product of its bottleneck factors)
+    and then each factor; an output node gives only its factors.  Empty
+    when the virtual polynomial is zero.  Reads P below the node's layer
+    only, as factorize does.
+    """
+    try:
+        factors = factorize(shape, x, P, node)
+    except ZeroVirtualPolynomialError:
+        return ()
+    polys = (factors.product(), *factors) if node[1] < shape.depth else tuple(factors)
+    norms = [q.normalized() for q in polys]
+    return tuple((g, _is_sample_independent(g, shape)) for g in norms)
+
+
 def _random_dyadic_weights(shape: NetworkShape, rng: random.Random) -> list[Fraction]:
     scale = 1 << 20
     return [
@@ -216,16 +239,10 @@ def enumerate_singular_sheets(
     if not regions:
         raise SamplingError(f"no realizable region found in {probe_budget} probes")
 
+    # a node's components depend on the sample and on the flags below its
+    # layer only (all factorize reads), not on the region: compute each once
+    components: dict[tuple, tuple[tuple[Poly, bool], ...]] = {}
     found: dict[Poly, Sheet] = {}
-
-    def emit(poly: Poly, p: int, singular: bool) -> None:
-        norm = poly.normalized()
-        idx = None if _is_sample_independent(norm, shape) else p
-        prev = found.get(norm)
-        if prev is None:
-            found[norm] = Sheet(norm, idx, singular)
-        elif singular and not prev.singular:
-            found[norm] = Sheet(norm, prev.sample_index, True)
 
     for key in sorted(regions):
         r = regions[key]
@@ -233,16 +250,17 @@ def enumerate_singular_sheets(
             P = r.activation_sets[p]
             outputs = ((o, shape.depth) for o in range(1, shape.widths[-1] + 1))
             for i, k in (*shape.hidden_nodes(), *outputs):
-                try:
-                    factors = factorize(shape, sample.input, P, (i, k))
-                except ZeroVirtualPolynomialError:
-                    continue
-                hidden = k < shape.depth
-                singular = hidden and _wall_is_singular(shape, P, k)
-                if hidden:  # the wall itself; output nodes give only their factors
-                    emit(factors.product(), p, singular)
-                for g in factors:
-                    emit(g, p, singular)
+                memo_key = (p, (i, k), P.flags[: k - 2])
+                comps = components.get(memo_key)
+                if comps is None:
+                    comps = components[memo_key] = _node_components(shape, sample.input, P, (i, k))
+                singular = k < shape.depth and _wall_is_singular(shape, P, k)
+                for norm, independent in comps:
+                    prev = found.get(norm)
+                    if prev is None:
+                        found[norm] = Sheet(norm, None if independent else p, singular)
+                    elif singular and not prev.singular:
+                        found[norm] = Sheet(norm, prev.sample_index, True)
 
     return sorted(found.values(), key=lambda s: s.poly.terms, reverse=True)
 

@@ -11,6 +11,11 @@ When the P-active subnetwork pinches to a single node at some interior
 layer, the polynomial factors as the product of the segment outputs
 between consecutive pinch points; factorize computes exactly that
 decomposition and the product recovers the virtual polynomial exactly.
+Both read only the flags of layers below the node.
+
+Propagation builds each node's pre-output sum_i w_{k,i,j} x_i in one
+pass: the terms of all incoming edges are gathered in one dict and
+sorted once into a Poly, rather than through one ring addition per edge.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Sequence
 
 from .errors import EnumerationBudgetError, ShapeError, ZeroVirtualPolynomialError
 from .network import ActivationSet, NetworkShape, Scalar, as_fraction
-from .polyalg import Poly
+from .polyalg import Poly, TermKey, _merge_keys
 
 
 def _check_node(shape: NetworkShape, node: tuple[int, int]) -> tuple[int, int]:
@@ -63,11 +68,14 @@ def _propagate(
     for k in range(start_layer, end_layer):
         pre = []
         for j in range(1, shape.width(k + 1) + 1):
-            acc = Poly.zero()
+            # z_j = sum_i w_{k,i,j} * x_i
+            acc: dict[TermKey, Fraction] = {}
             for i in range(1, shape.width(k) + 1):
-                if not cur[i - 1].is_zero():
-                    acc = acc + Poly.variable(shape.index_of(k, i, j)) * cur[i - 1]
-            pre.append(acc)
+                edge = ((shape.index_of(k, i, j), 1),)
+                for key, c in cur[i - 1].terms:
+                    mono = _merge_keys(key, edge)
+                    acc[mono] = acc.get(mono, 0) + c
+            pre.append(Poly._canonical(acc))
         if k + 1 < end_layer:
             if not 2 <= k + 1 <= shape.depth - 1:
                 raise AssertionError("masking a non-hidden layer")

@@ -14,6 +14,7 @@ from losscarto import (
     Poly,
     QueryBudgetExceeded,
     RecoveryError,
+    RefineBudgetExceeded,
     SpuriousKinkError,
     aligned_input_direction,
     detect_kinks_on_line,
@@ -201,7 +202,7 @@ class TestDetectRefine:
         def f(w):
             return abs(w[0] - 0.15)
 
-        with pytest.raises(QueryBudgetExceeded):
+        with pytest.raises(RefineBudgetExceeded):  # still a QueryBudgetExceeded
             refine_kink(LossOracle(f), [0.0], [1.0], (0.1, 0.2), max_queries=12)
 
     @pytest.mark.parametrize("batched", [True, False])
@@ -231,6 +232,20 @@ class TestDetectRefine:
         oracle = LossOracle(lambda w: abs(w[0]), budget=50)
         with pytest.raises(QueryBudgetExceeded):
             detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257)
+
+    def test_refine_cap_skips_the_kink(self):
+        # one kink's cap drops that kink; the scan goes on and raises nothing
+        oracle = LossOracle(lambda w: abs(w[0] - 0.3))
+        assert len(detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257)) == 1
+        assert detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257, refine_budget=20) == []
+
+    def test_oracle_budget_inside_refine_propagates(self):
+        # the grid takes 257 queries, the refine stencil runs into the budget
+        oracle = LossOracle(lambda w: abs(w[0] - 0.3), budget=260)
+        with pytest.raises(QueryBudgetExceeded) as info:
+            detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257)
+        assert not isinstance(info.value, RefineBudgetExceeded)
+        assert oracle.query_count == 260
 
 
 def plane_kink_oracle(normal, smooth_scale=0.1):
@@ -460,6 +475,37 @@ class TestAttackPipeline:
         assert report.oracle_queries <= 700
         assert report.budget_exhausted
         assert report.to_json()["budget_exhausted"] is True
+
+    def test_refine_cap_does_not_end_the_attack(self):
+        inst = gen_instance([3, 4, 2], 5, 7)
+        E = make_oracle(inst)
+        grids = []
+
+        def spy(W):
+            if np.ndim(W) == 2 and len(W) == 257:
+                grids.append(len(W))
+            return E(W)
+
+        spy.batched = True
+        report = run_attack(spy, inst.shape.weight_count, 3, AttackConfig(refine_budget=20))
+        assert len(grids) == 12  # every line is scanned
+        assert not report.budget_exhausted
+        assert report.oracle_queries < report.budget
+
+    def test_oracle_budget_inside_refine_sets_exhausted(self):
+        inst = gen_instance([3, 4, 2], 5, 7)
+        E = make_oracle(inst)
+        batches = []
+
+        def spy(W):
+            batches.append(len(W))
+            return E(W)
+
+        spy.batched = True
+        report = run_attack(spy, inst.shape.weight_count, 3, AttackConfig(budget=260))
+        assert batches == [257, 3]  # the first line's grid, then a cut refine stencil
+        assert report.budget_exhausted
+        assert report.oracle_queries == 260
 
     def test_report_round_trip(self):
         inst = gen_instance([2, 2, 1], 1, seed=2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from losscarto.cli import main
+from losscarto.instances import load_instance, make_oracle
 
 
 @pytest.fixture()
@@ -122,6 +123,22 @@ class TestSurface:
         sheets = json.loads((tmp_path / "surf.sheets.json").read_text())
         assert sheets["widths"] == [2, 2, 1]
         assert sheets["sheets"]
+
+    def test_slice_matches_per_point_oracle(self, inst_path, tmp_path):
+        # the line is one batched call; each row must equal its own query
+        out = tmp_path / "surf"
+        raw = [0.5, -1.0, 2.0, 0.25, -0.75, 1.5]
+        argv = ["surface", "--instance", str(inst_path), "--out", str(out), "--grid", "37",
+                "--t-range=-3:2.5", "--direction=" + ",".join(map(repr, raw)), "--probes", "8"]
+        assert main(argv) == 0
+        inst = load_instance(inst_path)
+        oracle = make_oracle(inst)
+        base = np.array([float(w) for w in inst.resolved_weights()])
+        d = np.array(raw) / np.linalg.norm(raw)
+        want = ["t,loss"] + [
+            f"{float(t)!r},{oracle(base + t * d)!r}" for t in np.linspace(-3.0, 2.5, 37)
+        ]
+        assert (tmp_path / "surf.csv").read_text().splitlines() == want
 
     def test_t_range_usage(self, inst_path, tmp_path):
         out = str(tmp_path / "surf")

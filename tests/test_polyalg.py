@@ -81,6 +81,29 @@ class TestRing:
         assert p.normalized().terms[0][1] == 1
 
 
+canonical_keys = st.dictionaries(st.integers(0, 4), st.integers(1, 3), max_size=3).map(
+    lambda exps: tuple(sorted(exps.items()))
+)
+
+
+class TestTrustedConstructor:
+    @given(st.lists(st.tuples(canonical_keys, coeffs), max_size=12), st.data())
+    def test_canonical_matches_public_constructor(self, pairs, data):
+        # accumulate with cancellations: some terms get their negation added
+        acc: dict = {}
+        for key, c in pairs:
+            acc[key] = acc.get(key, Fraction(0)) + c
+            if data.draw(st.booleans()):
+                acc[key] -= c
+        assert Poly._canonical(acc).terms == Poly(acc).terms
+
+    @given(polys(), polys())
+    def test_ring_results_are_canonical(self, p, q):
+        # re-validating through the public constructor changes nothing
+        for r in (p + q, p * q, -p, p - q, p.normalized()):
+            assert Poly(dict(r.terms)).terms == r.terms
+
+
 class TestStructure:
     def test_term_order_graded_lex(self):
         # degree first, then earlier variables dominate

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from losscarto import (
@@ -14,6 +14,7 @@ from losscarto import (
     Region,
     SamplingError,
     TrainingSample,
+    ZeroVirtualPolynomialError,
     enumerate_singular_sheets,
     loss,
     region_loss_polynomial,
@@ -22,8 +23,10 @@ from losscarto import (
     sheet_report,
     wall_between,
 )
-from losscarto.surface import _sample_piece, _wall_is_singular
-from losscarto.virtual import virtual_polynomial
+from losscarto.surface import (
+    Sheet, _is_sample_independent, _random_dyadic_weights, _sample_piece, _wall_is_singular,
+)
+from losscarto.virtual import factorize, virtual_polynomial
 
 V = Poly.variable
 F = Fraction
@@ -205,3 +208,72 @@ class TestSheetEnumeration:
             assert set(row) >= {"poly", "sample_index", "singular"}
         independents = [r for r in rows if r["sample_index"] == "independent"]
         assert len(independents) == 2
+
+
+def unmemoised_sheets(shape, samples, probe_budget, seed):
+    """Reference enumeration: one factorize per (region, sample, node), no memo."""
+    rng = random.Random(seed)
+    regions = {}
+    for _ in range(probe_budget):
+        w = _random_dyadic_weights(shape, rng)
+        try:
+            r = region_of(shape, samples, w)
+        except BoundaryError:
+            continue
+        regions.setdefault(r.key, r)
+    if not regions:
+        raise SamplingError("no region")
+    found = {}
+
+    def emit(poly, p, singular):
+        norm = poly.normalized()
+        idx = None if _is_sample_independent(norm, shape) else p
+        prev = found.get(norm)
+        if prev is None:
+            found[norm] = Sheet(norm, idx, singular)
+        elif singular and not prev.singular:
+            found[norm] = Sheet(norm, prev.sample_index, True)
+
+    for key in sorted(regions):
+        for p, sample in enumerate(samples):
+            P = regions[key].activation_sets[p]
+            outputs = [(o, shape.depth) for o in range(1, shape.widths[-1] + 1)]
+            for i, k in [*shape.hidden_nodes(), *outputs]:
+                try:
+                    factors = factorize(shape, sample.input, P, (i, k))
+                except ZeroVirtualPolynomialError:
+                    continue
+                hidden = k < shape.depth
+                singular = hidden and _wall_is_singular(shape, P, k)
+                if hidden:
+                    emit(factors.product(), p, singular)
+                for g in factors:
+                    emit(g, p, singular)
+    return sorted(found.values(), key=lambda s: s.poly.terms, reverse=True)
+
+
+class TestMemoisedEnumeration:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.integers(1, 3), min_size=3, max_size=5),
+        st.integers(1, 3),
+        st.integers(8, 32),
+        st.integers(0, 10**6),
+    )
+    @example([2, 1, 2, 1], 2, 32, 0)  # a width-1 layer is dead wherever its node is negative
+    @example([2, 3, 1, 2, 1], 3, 32, 5)
+    def test_matches_unmemoised_reference(self, widths, n_samples, probes, seed):
+        s = NetworkShape(widths)
+        rng = random.Random(seed)
+        samples = []
+        for _ in range(n_samples):
+            x = [F(rng.randint(-4, 4), 2) for _ in range(s.width(1))]
+            x[rng.randrange(len(x))] = F(rng.choice((-3, -1, 1, 3)), 2)  # never the zero input
+            samples.append(TrainingSample(x, [F(rng.randint(-4, 4)) for _ in range(s.width(s.depth))]))
+        try:
+            want = sheet_report(unmemoised_sheets(s, samples, probes, seed))
+        except SamplingError:
+            with pytest.raises(SamplingError):
+                enumerate_singular_sheets(s, samples, probes, seed=seed)
+            return
+        assert sheet_report(enumerate_singular_sheets(s, samples, probes, seed=seed)) == want

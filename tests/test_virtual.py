@@ -13,6 +13,7 @@ from losscarto import (
     ZeroVirtualPolynomialError,
     enumerate_virtual_polynomials,
     factorize,
+    forward,
     layerwise_degree,
     virtual_polynomial,
 )
@@ -88,6 +89,28 @@ class TestVirtualPolynomial:
         if u.is_zero():
             return
         assert layerwise_degree(u, s) == tuple(1 if m < k else 0 for m in range(1, s.depth))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(1, 3), min_size=2, max_size=5),
+        st.integers(0, 10**6),
+    )
+    def test_evaluates_to_forward_pre_output(self, widths, seed):
+        # pins the propagation against exact Fraction arithmetic, not the
+        # Poly ring: under the flags realized at w, each node's virtual
+        # polynomial evaluated at w is the node's pre-output there
+        s = NetworkShape(widths)
+        rng = random.Random(seed)
+        w = [F(rng.randint(-64, 64), 16) for _ in range(s.weight_count)]
+        x = tuple(F(rng.randint(-8, 8), 4) for _ in range(s.width(1)))
+        trace = forward(s, w, x)
+        realized = ActivationSet(
+            s.widths, tuple(tuple(z > 0 for z in trace.pre[k - 2]) for k in range(2, s.depth))
+        )
+        for k in range(2, s.depth + 1):
+            for i in range(1, s.width(k) + 1):
+                u = virtual_polynomial(s, x, realized, (i, k)).poly
+                assert u.evaluate(w) == trace.pre[k - 2][i - 1], (widths, (i, k))
 
     def test_input_enters_exactly(self):
         s = NetworkShape([2, 1, 1])
