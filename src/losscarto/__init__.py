@@ -47,7 +47,6 @@ from .instances import (
     instance_from_json,
     load_instance,
     make_oracle,
-    make_warmup_instance,
     save_instance,
 )
 from .network import (
@@ -75,7 +74,6 @@ from .surface import (
 )
 from .virtual import (
     Factorization,
-    VirtualPoly,
     enumerate_virtual_polynomials,
     factorize,
     virtual_polynomial,
@@ -113,7 +111,6 @@ __all__ = [
     "Sheet",
     "SpuriousKinkError",
     "TrainingSample",
-    "VirtualPoly",
     "ZeroVirtualPolynomialError",
     "aligned_input_direction",
     "as_fraction",
@@ -132,7 +129,6 @@ __all__ = [
     "loss",
     "make_loss_fn",
     "make_oracle",
-    "make_warmup_instance",
     "one_d_warmup_oracle",
     "recover_architecture",
     "refine_kink",

@@ -18,6 +18,9 @@ oracle (one with a true ``batched`` attribute, as make_loss_fn returns)
 gets each scan grid and each refine stencil as one (Q, N) array through
 LossOracle.many; bisection steps stay single queries.  Any other callable
 is asked one row at a time, with the same queries, counts and results.
+
+AttackConfig holds the knobs a caller sets; the heuristic thresholds no
+caller changes are the module constants below.
 """
 
 from __future__ import annotations
@@ -40,6 +43,16 @@ from .errors import (
     SpuriousKinkError,
 )
 from .polyalg import Poly
+
+# A refine bracket holds no kink when its slope and curvature jumps both
+# sit below SPURIOUS_TOL times the loss scale over the bracket width
+# (squared for the curvature).
+SPURIOUS_TOL = 1e-7
+# Grid points of each short rescan window in harvest_sheet_points.
+HARVEST_WINDOW_GRID = 33
+# fit_hyperplane calls a point cloud degenerate when its second-smallest
+# singular value is below DEGENERACY_TOL times its largest.
+DEGENERACY_TOL = 1e-10
 
 
 class LossOracle:
@@ -106,15 +119,9 @@ class KinkPoint:
     t: float
     location: tuple[float, ...]
     line: tuple[tuple[float, ...], tuple[float, ...]]  # (base, direction)
-    bracket_width: float
     jump_magnitude: float
     curvature_jump: float
     refined: bool
-
-
-def _interp(ts: Sequence[float], ys: Sequence[float], degree: int):
-    """Exact local polynomial model through degree+1 points."""
-    return np.polynomial.polynomial.Polynomial.fit(ts, ys, degree)
 
 
 def refine_kink(
@@ -126,7 +133,6 @@ def refine_kink(
     tol: float = 1e-9,
     degree: int = 4,
     max_queries: int = 200,
-    spurious_tol: float = 1e-7,
 ) -> KinkPoint:
     """Bisect a bracketed kink against left/right local polynomial models.
 
@@ -169,8 +175,9 @@ def refine_kink(
         queries += 1
         return oracle(base + t * direction)
 
-    p_left = _interp(left_ts, left_ys, degree)
-    p_right = _interp(right_ts, right_ys, degree)
+    # exact local polynomial models through the degree + 1 points of each side
+    p_left = np.polynomial.polynomial.Polynomial.fit(left_ts, left_ys, degree)
+    p_right = np.polynomial.polynomial.Polynomial.fit(right_ts, right_ys, degree)
 
     while hi - lo > tol:
         m = 0.5 * (lo + hi)
@@ -187,8 +194,8 @@ def refine_kink(
     jump2 = abs(p_left.deriv(2)(t_star) - p_right.deriv(2)(t_star))
     y_scale = 1.0 + max(abs(v) for v in (*left_ys, *right_ys))
     w0 = max(width0, 1e-12)
-    slope_floor = spurious_tol * y_scale / w0
-    curv_floor = spurious_tol * y_scale / w0**2
+    slope_floor = SPURIOUS_TOL * y_scale / w0
+    curv_floor = SPURIOUS_TOL * y_scale / w0**2
     if jump <= slope_floor and jump2 <= curv_floor:
         raise SpuriousKinkError(
             f"slope jump {jump:.3e} and curvature jump {jump2:.3e} below noise floors: "
@@ -199,7 +206,6 @@ def refine_kink(
         t=t_star,
         location=tuple(float(v) for v in loc),
         line=(tuple(float(v) for v in base), tuple(float(v) for v in direction)),
-        bracket_width=hi - lo,
         jump_magnitude=float(jump),
         curvature_jump=float(jump2),
         refined=True,
@@ -234,7 +240,6 @@ def detect_kinks_on_line(
     degree: int = 4,
     refine_budget: int = 200,
     max_kinks: int | None = None,
-    spurious_tol: float = 1e-7,
 ) -> list[KinkPoint]:
     """Scan a line for nonsmooth points of the loss.
 
@@ -303,7 +308,6 @@ def detect_kinks_on_line(
                 tol=refine_tol,
                 degree=degree,
                 max_queries=refine_budget,
-                spurious_tol=spurious_tol,
             )
         except (SpuriousKinkError, RefineBudgetExceeded):
             continue
@@ -325,7 +329,6 @@ def harvest_sheet_points(
     degree: int = 4,
     refine_tol: float = 1e-9,
     refine_budget: int = 200,
-    window_grid: int = 33,
     detect_tol: float = 12.0,
 ) -> np.ndarray:
     """Seed point plus n_points refined sheet points, all within 2*radius.
@@ -353,7 +356,7 @@ def harvest_sheet_points(
                 shifted,
                 direction,
                 (kink.t - window, kink.t + window),
-                window_grid,
+                HARVEST_WINDOW_GRID,
                 tol=detect_tol,
                 refine_tol=refine_tol,
                 degree=degree,
@@ -375,7 +378,7 @@ def harvest_sheet_points(
     return np.array(pts)
 
 
-def fit_hyperplane(points, *, degeneracy_tol: float = 1e-10) -> tuple[np.ndarray, float]:
+def fit_hyperplane(points) -> tuple[np.ndarray, float]:
     """Best-fit hyperplane normal through a point cloud.
 
     Centers the points and takes the right singular vector of the
@@ -394,7 +397,7 @@ def fit_hyperplane(points, *, degeneracy_tol: float = 1e-10) -> tuple[np.ndarray
     _u, s, vt = np.linalg.svd(centered, full_matrices=True)
     if s[0] <= 0.0:
         raise DegeneracyError("all points coincide")
-    if n >= 2 and s[n - 2] <= degeneracy_tol * s[0]:
+    if n >= 2 and s[n - 2] <= DEGENERACY_TOL * s[0]:
         raise DegeneracyError(
             f"points span rank < N-1 (s[{n - 2}]/s[0] = {s[n - 2] / s[0]:.3e})"
         )
@@ -468,11 +471,7 @@ def _is_multilinear(p: Poly) -> bool:
     return all(e == 1 for key, _ in p.terms for _v, e in key)
 
 
-def recover_architecture(
-    defining_polys: Sequence[Poly],
-    *,
-    declared_output_arity: int | None = None,
-) -> tuple[int, ...]:
+def recover_architecture(defining_polys: Sequence[Poly]) -> tuple[int, ...]:
     """Widths d_1..d_L from an exact sheet polynomial set (white-box).
 
     Multi-variable linear sheets are the first-layer columns: overlapping
@@ -557,11 +556,6 @@ def recover_architecture(
             )
         widths.append(len(new_vars) // widths[k - 1])
         k += 1
-
-    if declared_output_arity is not None and widths[-1] != declared_output_arity:
-        raise RecoveryError(
-            f"recovered output arity {widths[-1]} contradicts declared {declared_output_arity}"
-        )
     return tuple(widths)
 
 
@@ -631,18 +625,11 @@ class AttackConfig:
             if name not in fields:
                 raise ValueError(f"unknown attack config key {key!r}")
             if name == "t_range":
-                val = tuple(float(v) for v in val)
+                if not isinstance(val, list):
+                    raise ValueError(f"attack config 't_range' must be a list [lo, hi], got {val!r}")
+                val = tuple(val)
             kwargs[name] = val
         return AttackConfig(**kwargs)
-
-    def to_json(self) -> dict:
-        return {
-            "budget": self.budget,
-            "grid": self.grid,
-            "tol": self.detect_tol,
-            "radius": self.radius_scale,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)

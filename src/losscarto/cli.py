@@ -35,6 +35,8 @@ from .instances import (
     gen_instance,
     load_instance,
     make_oracle,
+    read_json,
+    save_instance,
 )
 from .network import ActivationSet, loss
 from .polyalg import layerwise_degree
@@ -135,11 +137,11 @@ def _check_homogeneity(inst: Instance, probes: int, rng) -> tuple[int, int]:
         k = rng.randrange(2, shape.depth + 1)
         i = rng.randrange(1, shape.width(k) + 1)
         x = inst.samples[trial % len(inst.samples)].input
-        vp = virtual_polynomial(shape, x, act, (i, k))
-        if vp.poly.is_zero():
+        u = virtual_polynomial(shape, x, act, (i, k))
+        if u.is_zero():
             ok += 1
             continue
-        deg = layerwise_degree(vp.poly, shape)
+        deg = layerwise_degree(u, shape)
         expected = tuple(1 if m < k else 0 for m in range(1, shape.depth))
         if deg == expected:
             ok += 1
@@ -185,11 +187,11 @@ def _check_factorization(inst: Instance, probes: int, rng) -> tuple[int, int]:
         node = (rng.randrange(1, shape.width(shape.depth) + 1), shape.depth)
         x = inst.samples[done % len(inst.samples)].input
         u = virtual_polynomial(shape, x, act, node)
-        if u.poly.is_zero():
+        if u.is_zero():
             continue
         done += 1
         fac = factorize(shape, x, act, node)
-        if fac.product() == u.poly:
+        if fac.product() == u:
             ok += 1
     return ok, done
 
@@ -199,7 +201,7 @@ def _cmd_gen(ns) -> int:
     if ns.samples < 1:
         raise UsageError("--samples must be positive")
     inst = gen_instance(widths, ns.samples, ns.seed, materialize_weights=ns.materialize_weights)
-    atomic_write_text(ns.out, json.dumps(inst.to_json(), indent=2) + "\n")
+    save_instance(inst, ns.out)
     print(f"wrote instance widths={list(widths)} samples={ns.samples} seed={ns.seed} -> {ns.out}")
     return 0
 
@@ -235,11 +237,7 @@ def _cmd_verify(ns) -> int:
 def _cmd_attack(ns) -> int:
     raw = {}
     if ns.config is not None:
-        with open(ns.config, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InstanceError(f"{ns.config}: not valid JSON ({exc})") from exc
+        raw = read_json(ns.config)
         if not isinstance(raw, dict):
             raise UsageError(f"{ns.config}: attack config must be a JSON object")
     overrides = {key: val for key, val in (("budget", ns.budget), ("seed", ns.seed)) if val is not None}

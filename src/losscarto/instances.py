@@ -85,28 +85,6 @@ def gen_instance(
     return Instance(shape=shape, samples=tuple(samples), weights=weights, seed=seed)
 
 
-def make_warmup_instance(pairs: Sequence[tuple[float, float]]) -> tuple[Instance, np.ndarray, np.ndarray]:
-    """[2,1,1] instance whose loss on the line base + t*dir is the 1-D warm-up.
-
-    Each data pair (x, y) becomes the sample ((x, y), (0,)); restricted to
-    w = (-a, 1, 1) the network computes a*x - y through the hidden ReLU,
-    so the loss is sum_i (1/2) max(0, y_i - a x_i)^2 at a = t.  Returns
-    (instance, base, direction) with base = (0, 1, 1), direction = (-1, 0, 0).
-    """
-    samples = tuple(
-        TrainingSample((as_fraction(x), as_fraction(y)), (as_fraction(0),)) for x, y in pairs
-    )
-    inst = Instance(
-        shape=NetworkShape((2, 1, 1)),
-        samples=samples,
-        weights=(Fraction(0), Fraction(1), Fraction(1)),
-        seed=None,
-    )
-    base = np.array([0.0, 1.0, 1.0])
-    direction = np.array([-1.0, 0.0, 0.0])
-    return inst, base, direction
-
-
 def make_oracle(instance: Instance) -> Callable[[np.ndarray], float]:
     """Vectorized float loss for the instance (weights are not consulted)."""
     return make_loss_fn(instance.shape, instance.samples)
@@ -165,13 +143,17 @@ def instance_from_json(data: dict) -> Instance:
     return Instance(shape=shape, samples=tuple(samples), weights=weights, seed=seed)
 
 
-def load_instance(path: str | os.PathLike) -> Instance:
+def read_json(path: str | os.PathLike):
+    """The JSON value in a UTF-8 file; InstanceError when it is not one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"{path}: not valid JSON ({exc})") from exc
-    return instance_from_json(data)
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InstanceError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
+
+
+def load_instance(path: str | os.PathLike) -> Instance:
+    return instance_from_json(read_json(path))
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:

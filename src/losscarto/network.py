@@ -183,12 +183,6 @@ class ActivationSet:
         )
 
     @staticmethod
-    def all_negative(shape: NetworkShape) -> "ActivationSet":
-        return ActivationSet(
-            shape.widths, tuple(tuple([False] * d) for d in shape.widths[1:-1])
-        )
-
-    @staticmethod
     def from_mapping(shape: NetworkShape, mapping: dict[tuple[int, int], bool]) -> "ActivationSet":
         """Build from {(i, k): active}; unmentioned nodes default to active."""
         rows = []
@@ -220,23 +214,6 @@ class ActivationSet:
         return tuple(
             i for i in range(1, self.widths[k - 1] + 1) if self.flags[k - 2][i - 1]
         )
-
-    def to_json(self) -> dict[str, str]:
-        out = {}
-        for k in range(2, len(self.widths)):
-            for i in range(1, self.widths[k - 1] + 1):
-                out[f"{k}:{i}"] = "active" if self.flags[k - 2][i - 1] else "negative"
-        return out
-
-    @staticmethod
-    def from_json(shape: NetworkShape, data: dict[str, str]) -> "ActivationSet":
-        mapping = {}
-        for key, val in data.items():
-            k_str, i_str = key.split(":")
-            if val not in ("active", "negative"):
-                raise ValueError(f"bad activation flag {val!r}")
-            mapping[(int(i_str), int(k_str))] = val == "active"
-        return ActivationSet.from_mapping(shape, mapping)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ def _merge_keys(a: TermKey, b: TermKey) -> TermKey:
 
 
 class Poly:
-    """Immutable exact polynomial; supports +, -, *, ** and scalar ops."""
+    """Immutable exact polynomial; supports +, -, * and scalar ops."""
 
     __slots__ = ("_terms",)
 
@@ -178,18 +178,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Poly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers")
-        result = Poly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # evaluation
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
@@ -217,15 +205,6 @@ class Poly:
             {"coeff": f"{c.numerator}/{c.denominator}", "exps": {str(v): e for v, e in key}}
             for key, c in self._terms
         ]
-
-    @staticmethod
-    def from_json(data: list[dict]) -> "Poly":
-        terms = {}
-        for entry in data:
-            key = tuple(sorted((int(v), int(e)) for v, e in entry["exps"].items()))
-            coeff = Fraction(entry["coeff"])
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return Poly(terms)
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -96,7 +96,7 @@ def _sample_piece(shape: NetworkShape, sample: TrainingSample, P: ActivationSet)
     half = Fraction(1, 2)
     acc = Poly.zero()
     for o in range(1, shape.widths[-1] + 1):
-        z = virtual_polynomial(shape, sample.input, P, (o, shape.depth)).poly
+        z = virtual_polynomial(shape, sample.input, P, (o, shape.depth))
         r = Poly.constant(as_fraction(sample.output[o - 1])) - z
         acc = acc + half * (r * r)
     return acc
@@ -165,7 +165,7 @@ def wall_between(
     if len(diffs) != 1:
         raise AdjacencyError(f"regions differ in {len(diffs)} flags, expected exactly 1")
     p, (i, k) = diffs[0]
-    u = virtual_polynomial(shape, samples[p].input, r1.activation_sets[p], (i, k)).poly
+    u = virtual_polynomial(shape, samples[p].input, r1.activation_sets[p], (i, k))
     if u.is_zero():
         raise AdjacencyError(
             f"no wall: node ({i},{k}) has identically zero pre-output here"
@@ -279,8 +279,6 @@ def sample_independent_sheets(
     the polynomials containing no first-layer variable.  These are the
     components of the singular locus that cannot depend on the data.
     """
-    out = []
-    seen: set[Poly] = set()
     runs = []
     for idx, samples in enumerate((samples_a, samples_b)):
         sheets = enumerate_singular_sheets(
@@ -289,11 +287,7 @@ def sample_independent_sheets(
         runs.append(
             {s.poly for s in sheets if _is_sample_independent(s.poly, shape)}
         )
-    for poly in sorted(runs[0] & runs[1], key=lambda q: q.terms, reverse=True):
-        if poly not in seen:
-            seen.add(poly)
-            out.append(poly)
-    return out
+    return sorted(runs[0] & runs[1], key=lambda q: q.terms, reverse=True)
 
 
 def sheet_report(sheets: Sequence[Sheet]) -> list[dict]:

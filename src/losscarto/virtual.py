@@ -5,7 +5,9 @@ active nodes pass their pre-output through, negative nodes emit zero.
 The virtual polynomial of type (i,k) for an input a is the pre-output of
 node (i,k) in that linear network, viewed as a polynomial in the weights
 (the input enters as rational coefficients).  The node's own flag is not
-applied; masking concerns layers strictly below k.
+applied; masking concerns layers strictly below k.  virtual_polynomial
+returns that Poly; enumerate_virtual_polynomials pairs each distinct one
+with a witness activation set.
 
 When the P-active subnetwork pinches to a single node at some interior
 layer, the polynomial factors as the product of the segment outputs
@@ -29,6 +31,9 @@ from .errors import EnumerationBudgetError, ShapeError, ZeroVirtualPolynomialErr
 from .network import ActivationSet, NetworkShape, Scalar, as_fraction
 from .polyalg import Poly, TermKey, _merge_keys
 
+# enumerate_virtual_polynomials refuses shapes with more hidden nodes than this
+ENUMERATION_CAP = 16
+
 
 def _check_node(shape: NetworkShape, node: tuple[int, int]) -> tuple[int, int]:
     i, k = node
@@ -37,16 +42,6 @@ def _check_node(shape: NetworkShape, node: tuple[int, int]) -> tuple[int, int]:
     if not 1 <= i <= shape.width(k):
         raise IndexError(f"node {i} out of range 1..{shape.width(k)} in layer {k}")
     return i, k
-
-
-@dataclass(frozen=True)
-class VirtualPoly:
-    """A virtual polynomial plus the data that produced it."""
-
-    poly: Poly
-    node: tuple[int, int]
-    activation_set: ActivationSet
-    input: tuple[Fraction, ...]
 
 
 def _propagate(
@@ -91,49 +86,45 @@ def virtual_polynomial(
     x: Sequence[Scalar],
     activation_set: ActivationSet,
     node: tuple[int, int],
-) -> VirtualPoly:
+) -> Poly:
     """Pre-output of `node` in the P-masked linear network, input as coefficients."""
     shape.check_input(x)
     i, k = _check_node(shape, node)
-    inputs = tuple(as_fraction(v) for v in x)
-    start = [Poly.constant(v) for v in inputs]
-    pre = _propagate(shape, activation_set, 1, start, k)
-    return VirtualPoly(poly=pre[i - 1], node=(i, k), activation_set=activation_set, input=inputs)
+    start = [Poly.constant(as_fraction(v)) for v in x]
+    return _propagate(shape, activation_set, 1, start, k)[i - 1]
 
 
 def enumerate_virtual_polynomials(
     shape: NetworkShape,
     x: Sequence[Scalar],
     node: tuple[int, int],
-    *,
-    cap: int = 16,
-) -> list[VirtualPoly]:
-    """All distinct virtual polynomials of one type, with one witness each.
+) -> list[tuple[ActivationSet, Poly]]:
+    """All distinct virtual polynomials of one type, as (witness, poly) pairs.
 
     Iterates activation sets of the hidden nodes that can influence the
     node (layers below it); flags elsewhere are completed as active in
-    the witness.  Refuses shapes with more than `cap` hidden nodes.
+    the witness, the first activation set found to give the polynomial.
+    Ordered by descending polynomial.  Refuses shapes with more than
+    ENUMERATION_CAP hidden nodes.
     """
     i, k = _check_node(shape, node)
-    if shape.hidden_count > cap:
+    if shape.hidden_count > ENUMERATION_CAP:
         raise EnumerationBudgetError(
-            f"{shape.hidden_count} hidden nodes exceed enumeration cap {cap}"
+            f"{shape.hidden_count} hidden nodes exceed enumeration cap {ENUMERATION_CAP}"
         )
     relevant_layers = list(range(2, min(k, shape.depth)))
     per_layer = [
         [tuple(bits) for bits in itertools.product((True, False), repeat=shape.width(m))]
         for m in relevant_layers
     ]
-    seen: dict[Poly, VirtualPoly] = {}
+    witness: dict[Poly, ActivationSet] = {}
     for combo in itertools.product(*per_layer):
         flags = combo + tuple((True,) * shape.width(m) for m in range(k, shape.depth))
         P = ActivationSet(shape.widths, flags)
-        vp = virtual_polynomial(shape, x, P, (i, k))
-        if vp.poly not in seen:
-            seen[vp.poly] = vp
-    out = list(seen.values())
-    out.sort(key=lambda vp: vp.poly.terms, reverse=True)
-    return out
+        witness.setdefault(virtual_polynomial(shape, x, P, (i, k)), P)
+    return [
+        (P, u) for u, P in sorted(witness.items(), key=lambda item: item[0].terms, reverse=True)
+    ]
 
 
 @dataclass(frozen=True)
@@ -146,8 +137,6 @@ class Factorization:
 
     factors: tuple[Poly, ...]
     segments: tuple[tuple[int, int], ...]
-    node: tuple[int, int]
-    activation_set: ActivationSet
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -163,14 +152,6 @@ class Factorization:
         for f in self.factors[1:]:
             out = out * f
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "node": list(self.node),
-            "activation_set": self.activation_set.to_json(),
-            "segments": [list(s) for s in self.segments],
-            "factors": [f.to_json() for f in self.factors],
-        }
 
 
 def factorize(
@@ -219,4 +200,4 @@ def factorize(
             )
         factors.append(pre[end_node - 1])
         segments.append((s, e))
-    return Factorization(tuple(factors), tuple(segments), (i, k), activation_set)
+    return Factorization(tuple(factors), tuple(segments))

@@ -74,7 +74,7 @@ def test_criterion_2_four_virtual_polynomials():
     via1 = (V(0) + 2 * V(1)) * V(4)
     via2 = (V(2) + 2 * V(3)) * V(5)
     expected = {via1 + via2, via1, via2, Poly.zero()}
-    got = {vp.poly for vp in enumerate_virtual_polynomials(s, x, (1, 3))}
+    got = {u for _, u in enumerate_virtual_polynomials(s, x, (1, 3))}
     ok = got == expected and len(got) == 4
     _report(2, "[2,2,1] output node has exactly 4 virtual polynomials", ok, f"got {len(got)}")
 
@@ -83,7 +83,7 @@ def test_criterion_3_bottleneck_factorization():
     s = NetworkShape([2, 2, 2, 2, 1])
     x = (F(1), F(2))
     act = ActivationSet.from_mapping(s, {(2, 3): False})
-    u = virtual_polynomial(s, x, act, (1, 5)).poly
+    u = virtual_polynomial(s, x, act, (1, 5))
     fac = factorize(s, x, act, (1, 5))
     g1 = V(0) * V(4) + 2 * V(1) * V(4) + V(2) * V(5) + 2 * V(3) * V(5)
     g2 = V(8) * V(12) + V(10) * V(13)
@@ -114,7 +114,7 @@ def test_criterion_4_homogeneity_sweep():
         k = rng.randrange(2, s.depth + 1)
         node = (rng.randrange(1, s.width(k) + 1), k)
         x = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(s.width(1)))
-        u = virtual_polynomial(s, x, flags, node).poly
+        u = virtual_polynomial(s, x, flags, node)
         if u.is_zero():
             continue
         checked += 1

@@ -397,17 +397,6 @@ class TestRecoverArchitecture:
         with pytest.raises(RecoveryError):
             recover_architecture([V(0) * V(4)])
 
-    def test_declared_arity_cross_check(self):
-        s = NetworkShape([2, 2, 1])
-        x = (F(1), F(2))
-        cols = [
-            x[0] * V(s.index_of(1, 1, j)) + x[1] * V(s.index_of(1, 2, j)) for j in (1, 2)
-        ]
-        z3 = cols[0] * V(4) + cols[1] * V(5)
-        assert recover_architecture(cols + [z3], declared_output_arity=1) == (2, 2, 1)
-        with pytest.raises(RecoveryError):
-            recover_architecture(cols + [z3], declared_output_arity=3)
-
     def test_divisibility_guard(self):
         # a fake degree-2 sheet claiming a single new variable for layer 2
         cols = [V(0) + V(1), V(2) + V(3)]
@@ -526,11 +515,11 @@ class TestAttackPipeline:
         )
         assert cfg.budget == 1000 and cfg.grid == 65
         assert cfg.detect_tol == 9.0 and cfg.radius_scale == 1e-4
-        assert cfg.to_json()["tol"] == 9.0
         bad_configs = [
             {"warp": 1}, {"paths": ["hyperplane"]}, {"budget": 0}, {"budget": "x"},
             {"budget": 2.5}, {"n_lines": 0}, {"refine_budget": -1}, {"retries": -1},
             {"grid": 4}, {"t_range": [1, 0]}, {"t_range": [0, 0]}, {"degree": 0}, {"seed": -1},
+            {"t_range": "12"}, {"t_range": [True, 2]},
         ]
         for bad in bad_configs:
             with pytest.raises(ValueError):

@@ -36,6 +36,13 @@ class TestGen:
         assert main(["frobnicate"]) == 64
 
 
+def non_utf8_file(tmp_path):
+    """A file whose first bytes (a UTF-16 byte-order mark) are not UTF-8."""
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    return path
+
+
 class TestVerify:
     def test_all_checks_pass(self, inst_path, capsys):
         assert main(["verify", "--instance", str(inst_path), "--probes", "8"]) == 0
@@ -48,10 +55,12 @@ class TestVerify:
     def test_missing_file(self, tmp_path):
         assert main(["verify", "--instance", str(tmp_path / "ghost.json")]) == 2
 
-    def test_invalid_instance(self, tmp_path):
+    def test_invalid_instance(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"widths": [2, 2, 1], "samples": [{"input": [1.0], "output": [1.0]}], "seed": 0}))
         assert main(["verify", "--instance", str(path)]) == 1
+        assert main(["verify", "--instance", str(non_utf8_file(tmp_path))]) == 1
+        assert "not valid UTF-8 JSON" in capsys.readouterr().err
 
 
 class TestAttack:
@@ -106,9 +115,14 @@ class TestAttack:
                     {"support_tol": -1}, {"match_threshold": 2}, {"dedup_tol": -1e-9},
                     {"refine_tol": True}, {"residual_tol": float("nan")},
                     {"t_range": [0, float("inf")]}, {"t_range": [1]}, {"t_range": [0, 1, 2]},
-                    {"max_kinks_per_line": "x"}, {"max_kinks_per_line": 0}):
+                    {"max_kinks_per_line": "x"}, {"max_kinks_per_line": 0},
+                    {"t_range": "12"}, {"t_range": [True, 2]}):
             cfg.write_text(json.dumps(bad))
             assert main(["attack", "--instance", str(inst_path), "--config", str(cfg)]) == 64, bad
+        # a config or an instance that is not UTF-8 is invalid input, not a crash
+        garbled = str(non_utf8_file(tmp_path))
+        assert main(["attack", "--instance", str(inst_path), "--config", garbled]) == 1
+        assert main(["attack", "--instance", garbled]) == 1
 
 
 class TestSurface:
@@ -153,6 +167,7 @@ class TestSurface:
     def test_direction_length_validated(self, inst_path, tmp_path):
         out = str(tmp_path / "surf")
         assert main(["surface", "--instance", str(inst_path), "--out", out, "--direction", "1,0"]) == 1
+        assert main(["surface", "--instance", str(non_utf8_file(tmp_path)), "--out", out]) == 1
 
 
 class TestEnvironment:

@@ -1,21 +1,35 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from losscarto import (
     Instance,
     InstanceError,
     NetworkShape,
+    TrainingSample,
     instance_from_json,
     gen_instance,
     load_instance,
     loss,
     make_oracle,
-    make_warmup_instance,
     one_d_warmup_oracle,
     save_instance,
 )
+
+
+def warmup_instance(pairs):
+    """[2,1,1] instance whose loss on the line base + t*dir is the 1-D warm-up.
+
+    Each data pair (x, y) becomes the sample ((x, y), (0,)); at
+    w = (-a, 1, 1) the network computes a*x - y through the hidden ReLU,
+    so the loss is sum_i (1/2) max(0, y_i - a x_i)^2 at a = t.  Returns
+    (instance, base, direction) with base = (0, 1, 1), direction = (-1, 0, 0).
+    """
+    samples = tuple(TrainingSample((Fraction(x), Fraction(y)), (Fraction(0),)) for x, y in pairs)
+    inst = Instance(NetworkShape((2, 1, 1)), samples, (Fraction(0), Fraction(1), Fraction(1)), None)
+    return inst, np.array([0.0, 1.0, 1.0]), np.array([-1.0, 0.0, 0.0])
 
 
 class TestGen:
@@ -84,6 +98,9 @@ class TestJson:
         path.write_text("{nope")
         with pytest.raises(InstanceError):
             load_instance(path)
+        path.write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16, not UTF-8
+        with pytest.raises(InstanceError):
+            load_instance(path)
 
 
 class TestOracle:
@@ -96,7 +113,7 @@ class TestOracle:
 
     def test_warmup_instance_realizes_h(self):
         pairs = [(1.0, 2.0), (3.0, 1.0)]
-        inst, base, direction = make_warmup_instance(pairs)
+        inst, base, direction = warmup_instance(pairs)
         assert inst.shape == NetworkShape((2, 1, 1))
         oracle = make_oracle(inst)
         h = one_d_warmup_oracle(pairs)

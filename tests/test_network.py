@@ -193,13 +193,6 @@ class TestActivationSets:
         assert not flipped.is_active(2, 2) and flipped.is_active(1, 2)
         assert flipped.flipped(2, 2) == act
 
-    def test_json_round_trip(self):
-        s = NetworkShape([2, 2, 2, 1])
-        act = ActivationSet.from_mapping(s, {(1, 2): False, (2, 3): False})
-        data = act.to_json()
-        assert data["2:1"] == "negative" and data["3:1"] == "active"
-        assert ActivationSet.from_json(s, data) == act
-
 
 class TestSamples:
     def test_check_samples(self):

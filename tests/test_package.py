@@ -1,14 +1,18 @@
 """The public surface: every exported name resolves and every demo runs.
 
 A public name stays only while a pipeline, the CLI or a demo uses it, so
-the demos are pinned here as users of the package.  The traced benchmark
+the demos are pinned here as users of the package, and every exported
+name must be used somewhere outside the tests.  The traced benchmark
 reaches into the package by module and attribute name, so those names are
-pinned here too.
+pinned here too, and one short traced benchmark run checks them end to end.
 """
 
+import ast
 import importlib
 import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +30,28 @@ def test_star_import_resolves_all():
     namespace = {}
     exec("from losscarto import *", namespace)  # AttributeError on a dangling name
     assert set(losscarto.__all__) <= set(namespace)
+
+
+def _names_used(path: Path) -> set[str]:
+    """Every name, attribute and imported name in one source file."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.split(".")[-1])
+    return used
+
+
+def test_every_export_has_a_user():
+    # a user is package code other than the export list itself, a demo or the benchmark
+    package = ROOT / "src" / "losscarto"
+    files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    files += DEMOS + sorted((ROOT / "bench").glob("*.py"))
+    used = set().union(*map(_names_used, files))
+    assert sorted(set(losscarto.__all__) - used) == []
 
 
 def test_demos_present():
@@ -58,3 +84,18 @@ def test_traced_names_resolve():
         assert callable(owner.__dict__.get(attr)), f"losscarto.{mod}.{attr}"
     for attr, _label in tracing.POLY_OPERATORS:
         assert callable(losscarto.polyalg.Poly.__dict__.get(attr)), f"Poly.{attr}"
+
+
+def test_bench_smoke(tmp_path):
+    # one short traced run of the exact-side workload in a copy of the tree:
+    # it checks the seed-7 sheet digests and the traced names, and asserts no timing
+    skip = shutil.ignore_patterns("out", "__pycache__")
+    for part in ("bench", "src"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=skip)
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "sheets-shallow", "--seed", "7",
+         "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

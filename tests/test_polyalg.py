@@ -49,13 +49,6 @@ class TestRing:
         assert p * Poly.constant(1) == p
         assert p - p == Poly.zero()
 
-    @given(polys(), st.integers(0, 3))
-    def test_power(self, p, e):
-        expected = Poly.constant(1)
-        for _ in range(e):
-            expected = expected * p
-        assert p**e == expected
-
     @given(polys(), polys())
     def test_evaluate_is_homomorphism(self, p, q):
         point = {v: Fraction(3, 2) if v % 2 else Fraction(-1, 3) for v in range(5)}
@@ -115,15 +108,23 @@ class TestStructure:
         assert keys[3] == ()
 
     def test_degrees(self):
-        p = V(0) ** 2 * V(1) + V(2)
+        p = V(0) * V(0) * V(1) + V(2)
         assert p.total_degree() == 3
         assert p.variables() == (0, 1, 2)
         with pytest.raises(DegreeError):
             Poly.zero().total_degree()
 
     def test_json_round_trip(self):
-        p = Fraction(3, 7) * V(0) * V(5) - V(2) ** 2 + Fraction(1, 2)
-        assert Poly.from_json(p.to_json()) == p
+        # the sheet reports' polynomial form loses nothing: parsing it back,
+        # as a reader of the report would, gives the polynomial again
+        p = Fraction(3, 7) * V(0) * V(5) - V(2) * V(2) + Fraction(1, 2)
+        data = p.to_json()
+        assert data[0] == {"coeff": "3/7", "exps": {"0": 1, "5": 1}}
+        parsed = Poly(
+            (tuple((int(v), e) for v, e in row["exps"].items()), Fraction(row["coeff"]))
+            for row in data
+        )
+        assert parsed == p
 
 
 class TestLayerwiseDegree:

@@ -155,7 +155,7 @@ class TestSingularBit:
         )
         piece = _sample_piece(s, sample, P)
         for i, k in s.hidden_nodes():
-            if virtual_polynomial(s, sample.input, P, (i, k)).poly.is_zero():
+            if virtual_polynomial(s, sample.input, P, (i, k)).is_zero():
                 continue
             differs = piece != _sample_piece(s, sample, P.flipped(i, k))
             assert _wall_is_singular(s, P, k) == differs, (widths, P.flags, (i, k))

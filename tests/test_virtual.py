@@ -39,14 +39,17 @@ class TestVirtualPolynomial:
         s = NetworkShape([2, 2, 1])
         x = (F(1), F(2))
         u = virtual_polynomial(s, x, ActivationSet.all_active(s), (1, 3))
-        assert u.poly == V(0) * V(4) + 2 * V(1) * V(4) + V(2) * V(5) + 2 * V(3) * V(5)
+        assert u == V(0) * V(4) + 2 * V(1) * V(4) + V(2) * V(5) + 2 * V(3) * V(5)
 
     def test_enumeration_gives_exactly_four(self):
         s = NetworkShape([2, 2, 1])
         x = (F(1), F(2))
         vps = enumerate_virtual_polynomials(s, x, (1, 3))
-        assert {vp.poly for vp in vps} == path_sum_family_221(F(1), F(2))
+        assert {u for _, u in vps} == path_sum_family_221(F(1), F(2))
         assert len(vps) == 4
+        # descending order, and each witness activation set gives its polynomial
+        assert [u.terms for _, u in vps] == sorted((u.terms for _, u in vps), reverse=True)
+        assert all(virtual_polynomial(s, x, P, (1, 3)) == u for P, u in vps)
 
     def test_pre_output_ignores_own_flag(self):
         # masking applies strictly below the node: its own flag is irrelevant
@@ -54,20 +57,20 @@ class TestVirtualPolynomial:
         x = (F(1), F(2))
         act = ActivationSet.from_mapping(s, {(1, 2): False})
         u = virtual_polynomial(s, x, act, (1, 2))
-        assert u.poly == V(0) + 2 * V(1)
+        assert u == V(0) + 2 * V(1)
 
     def test_masked_layer_kills_paths(self):
         s = NetworkShape([2, 2, 1])
         x = (F(1), F(2))
-        act = ActivationSet.all_negative(s)
-        assert virtual_polynomial(s, x, act, (1, 3)).poly.is_zero()
+        act = ActivationSet.from_mapping(s, dict.fromkeys(s.hidden_nodes(), False))
+        assert virtual_polynomial(s, x, act, (1, 3)).is_zero()
 
     def test_homogeneity_profile_examples(self):
         s = NetworkShape([2, 2, 2, 2, 1])
         x = (F(3), F(-2))
         act = ActivationSet.all_active(s)
         for k in range(2, 6):
-            u = virtual_polynomial(s, x, act, (1, k)).poly
+            u = virtual_polynomial(s, x, act, (1, k))
             assert layerwise_degree(u, s) == tuple(1 if m < k else 0 for m in range(1, 5))
 
     @settings(max_examples=40)
@@ -85,7 +88,7 @@ class TestVirtualPolynomial:
         k = rng.randrange(2, s.depth + 1)
         node = (rng.randrange(1, s.width(k) + 1), k)
         x = tuple(F(rng.randint(-5, 5)) for _ in range(s.width(1)))
-        u = virtual_polynomial(s, x, flags, node).poly
+        u = virtual_polynomial(s, x, flags, node)
         if u.is_zero():
             return
         assert layerwise_degree(u, s) == tuple(1 if m < k else 0 for m in range(1, s.depth))
@@ -109,13 +112,13 @@ class TestVirtualPolynomial:
         )
         for k in range(2, s.depth + 1):
             for i in range(1, s.width(k) + 1):
-                u = virtual_polynomial(s, x, realized, (i, k)).poly
+                u = virtual_polynomial(s, x, realized, (i, k))
                 assert u.evaluate(w) == trace.pre[k - 2][i - 1], (widths, (i, k))
 
     def test_input_enters_exactly(self):
         s = NetworkShape([2, 1, 1])
         u = virtual_polynomial(s, (0.5, F(1, 3)), ActivationSet.all_active(s), (1, 2))
-        assert u.poly == F(1, 2) * V(0) + F(1, 3) * V(1)
+        assert u == F(1, 2) * V(0) + F(1, 3) * V(1)
 
     def test_enumeration_cap(self):
         s = NetworkShape([2, 9, 8, 1])  # 17 hidden nodes > default cap 16
@@ -128,7 +131,7 @@ class TestFactorization:
         s = NetworkShape([2, 2, 2, 2, 1])
         x = (F(1), F(2))
         act = ActivationSet.from_mapping(s, {(2, 3): False})
-        u = virtual_polynomial(s, x, act, (1, 5)).poly
+        u = virtual_polynomial(s, x, act, (1, 5))
         fac = factorize(s, x, act, (1, 5))
         assert len(fac) == 2
         assert fac.segments == ((1, 3), (3, 5))
@@ -148,7 +151,7 @@ class TestFactorization:
         fac = factorize(s, (F(1), F(1)), act, (1, 5))
         assert len(fac) == 4
         assert fac.segments == ((1, 2), (2, 3), (3, 4), (4, 5))
-        assert fac.product() == virtual_polynomial(s, (F(1), F(1)), act, (1, 5)).poly
+        assert fac.product() == virtual_polynomial(s, (F(1), F(1)), act, (1, 5))
 
     def test_no_cut_single_factor(self):
         s = NetworkShape([2, 2, 1])
@@ -156,12 +159,13 @@ class TestFactorization:
         act = ActivationSet.all_active(s)
         fac = factorize(s, x, act, (1, 3))
         assert len(fac) == 1
-        assert fac.product() == virtual_polynomial(s, x, act, (1, 3)).poly
+        assert fac.product() == virtual_polynomial(s, x, act, (1, 3))
 
     def test_zero_rejected(self):
         s = NetworkShape([2, 2, 1])
+        all_negative = ActivationSet.from_mapping(s, dict.fromkeys(s.hidden_nodes(), False))
         with pytest.raises(ZeroVirtualPolynomialError):
-            factorize(s, (F(1), F(2)), ActivationSet.all_negative(s), (1, 3))
+            factorize(s, (F(1), F(2)), all_negative, (1, 3))
 
     @settings(max_examples=40)
     @given(
@@ -177,7 +181,7 @@ class TestFactorization:
         )
         x = tuple(F(rng.randint(-4, 4)) for _ in range(s.width(1)))
         node = (rng.randrange(1, s.width(s.depth) + 1), s.depth)
-        u = virtual_polynomial(s, x, flags, node).poly
+        u = virtual_polynomial(s, x, flags, node)
         if u.is_zero():
             return
         fac = factorize(s, x, flags, node)
@@ -200,16 +204,9 @@ class TestFactorization:
         x = tuple(F(rng.randint(-2, 2)) for _ in range(s.width(1)))
         for k in range(2, s.depth + 1):
             for i in range(1, s.width(k) + 1):
-                u = virtual_polynomial(s, x, flags, (i, k)).poly
+                u = virtual_polynomial(s, x, flags, (i, k))
                 if u.is_zero():
                     with pytest.raises(ZeroVirtualPolynomialError):
                         factorize(s, x, flags, (i, k))
                 else:
                     assert factorize(s, x, flags, (i, k)).product() == u
-
-    def test_json(self):
-        s = NetworkShape([2, 2, 2, 2, 1])
-        act = ActivationSet.from_mapping(s, {(2, 3): False})
-        data = factorize(s, (F(1), F(2)), act, (1, 5)).to_json()
-        assert len(data["factors"]) == 2
-        assert data["segments"] == [[1, 3], [3, 5]]
