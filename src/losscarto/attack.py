@@ -5,7 +5,8 @@ up as the coefficient vectors of the linear walls, so the attack scans
 lines for kinks, refines each kink by bisection against left/right local
 polynomial models, harvests N+1 nearby points of the same sheet, fits a
 hyperplane through them (smallest principal direction), and reads the
-input direction off the normal's support.
+input direction off the normal's support.  A kink whose harvest loses
+the sheet is rejected, as is one whose fit is degenerate or curved.
 
 Everything here is double precision; exact algebra stays in polyalg.
 run_attack is black-box: it sees only the oracle, the parameter count N
@@ -44,15 +45,9 @@ from .errors import (
 )
 from .polyalg import Poly
 
-# A refine bracket holds no kink when its slope and curvature jumps both
-# sit below SPURIOUS_TOL times the loss scale over the bracket width
-# (squared for the curvature).
-SPURIOUS_TOL = 1e-7
-# Grid points of each short rescan window in harvest_sheet_points.
-HARVEST_WINDOW_GRID = 33
-# fit_hyperplane calls a point cloud degenerate when its second-smallest
-# singular value is below DEGENERACY_TOL times its largest.
-DEGENERACY_TOL = 1e-10
+SPURIOUS_TOL = 1e-7  # refine_kink's jump noise floors, relative to the loss scale
+HARVEST_WINDOW_GRID = 33  # grid points of each rescan window in harvest_sheet_points
+DEGENERACY_TOL = 1e-10  # least s[N-2] / s[0] of a point cloud fit_hyperplane accepts
 
 
 class LossOracle:
@@ -768,25 +763,20 @@ def run_attack(
                 radius = cfg.radius_scale * max(
                     1.0, float(np.linalg.norm(kink.location))
                 )
-                pts = None
-                for _shrink in range(2):
-                    try:
-                        pts = harvest_sheet_points(
-                            counted,
-                            kink,
-                            n_weights,
-                            radius,
-                            rng=rng,
-                            retries=cfg.retries,
-                            degree=cfg.degree,
-                            refine_tol=cfg.refine_tol,
-                            refine_budget=cfg.refine_budget,
-                            detect_tol=cfg.detect_tol,
-                        )
-                        break
-                    except HarvestError:
-                        radius *= 0.5
-                if pts is None:
+                try:
+                    pts = harvest_sheet_points(
+                        counted,
+                        kink,
+                        n_weights,
+                        radius,
+                        rng=rng,
+                        retries=cfg.retries,
+                        degree=cfg.degree,
+                        refine_tol=cfg.refine_tol,
+                        refine_budget=cfg.refine_budget,
+                        detect_tol=cfg.detect_tol,
+                    )
+                except HarvestError:
                     report.rejected_sheets += 1
                     continue
                 try:

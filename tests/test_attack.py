@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from losscarto import (
     AttackConfig,
     DegeneracyError,
+    HarvestError,
     LossOracle,
     NetworkShape,
     NonFiniteLossError,
@@ -28,6 +29,7 @@ from losscarto import (
     refine_kink,
     run_attack,
 )
+from losscarto import attack as attack_module
 from losscarto.attack import _rolling_median
 
 V = Poly.variable
@@ -495,6 +497,22 @@ class TestAttackPipeline:
         assert batches == [257, 3]  # the first line's grid, then a cut refine stencil
         assert report.budget_exhausted
         assert report.oracle_queries == 260
+
+    def test_lost_harvest_rejects_the_kink_once(self, monkeypatch):
+        # a harvest that loses the sheet costs one call and one rejection; no retry
+        calls = []
+
+        def lost(oracle, kink, *args, **kwargs):
+            calls.append(kink.t)
+            raise HarvestError("sheet lost")
+
+        monkeypatch.setattr(attack_module, "harvest_sheet_points", lost)
+        inst = gen_instance([3, 4, 2], 5, 7)
+        cfg = AttackConfig(n_lines=1, max_kinks_per_line=1)
+        report = run_attack(make_oracle(inst), inst.shape.weight_count, 3, cfg)
+        assert len(report.kinks) == 1
+        assert calls == [report.kinks[0][1]]
+        assert report.rejected_sheets == 1 and not report.directions
 
     def test_report_round_trip(self):
         inst = gen_instance([2, 2, 1], 1, seed=2)
