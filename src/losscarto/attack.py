@@ -20,8 +20,10 @@ gets each scan grid and each refine stencil as one (Q, N) array through
 LossOracle.many; bisection steps stay single queries.  Any other callable
 is asked one row at a time, with the same queries, counts and results.
 
-AttackConfig holds the knobs a caller sets; the heuristic thresholds no
-caller changes are the module constants below.
+AttackConfig holds what a caller sets: the query budget, the number of
+scan lines and the seed.  How fine the scan is, how close the harvested
+points sit and how strict the fit is are fixed heuristics, the module
+constants below; the functions read them at call time.
 """
 
 from __future__ import annotations
@@ -45,9 +47,22 @@ from .errors import (
 )
 from .polyalg import Poly
 
+GRID = 257  # scan grid points per line: kinks a few cells apart stay separate
+T_RANGE = (-4.0, 4.0)  # scan interval along each unit-direction line
+MAX_KINKS_PER_LINE = 3  # strongest flagged cells refined per scan line
+DETECT_TOL = 12.0  # fourth difference over its rolling-median scale that flags a cell
+DEGREE = 4  # degree of refine_kink's one-sided models: a depth-3 loss is quartic on a line
+REFINE_TOL = 1e-9  # bracket width at which bisection stops, near float noise on t
+REFINE_BUDGET = 200  # queries one kink's refinement may spend before it is skipped
 SPURIOUS_TOL = 1e-7  # refine_kink's jump noise floors, relative to the loss scale
+RADIUS_SCALE = 1e-3  # harvest radius relative to the kink's norm: close, yet above noise
+RETRIES = 3  # extra rescans, at halved offsets, before a harvest loses the sheet
 HARVEST_WINDOW_GRID = 33  # grid points of each rescan window in harvest_sheet_points
 DEGENERACY_TOL = 1e-10  # least s[N-2] / s[0] of a point cloud fit_hyperplane accepts
+RESIDUAL_TOL = 1e-6  # heuristic (so labelled in reports): larger fit residual means curved
+SUPPORT_TOL = 1e-4  # normal entries below this share of the largest are numerical dust
+DEDUP_TOL = 1e-6  # directions with |cos| >= 1 - DEDUP_TOL are one direction
+MATCH_THRESHOLD = 0.999  # |cos| at which a direction counts as a recovered sample
 
 
 class LossOracle:
@@ -124,10 +139,6 @@ def refine_kink(
     base,
     direction,
     bracket: tuple[float, float],
-    *,
-    tol: float = 1e-9,
-    degree: int = 4,
-    max_queries: int = 200,
 ) -> KinkPoint:
     """Bisect a bracketed kink against left/right local polynomial models.
 
@@ -139,8 +150,9 @@ def refine_kink(
     bracket can only shrink inside the noise ball, so the answer lands
     within it.  A bracket where both the slope jump and the curvature
     jump of the two models sit below their noise floors held no kink.
-    The 2 * (degree + 1) interpolation points are one oracle batch; all
-    queries count against max_queries, and running past it raises
+    The models have degree DEGREE and bisection stops at width REFINE_TOL.
+    The 2 * (DEGREE + 1) interpolation points are one oracle batch; all
+    queries count against REFINE_BUDGET, and running past it raises
     RefineBudgetExceeded (the oracle's own budget raises
     QueryBudgetExceeded, as everywhere).
     """
@@ -151,6 +163,7 @@ def refine_kink(
     if not hi > lo:
         raise ValueError(f"empty bracket {bracket}")
     width0 = hi - lo
+    degree, max_queries = DEGREE, REFINE_BUDGET
 
     spent = f"refine budget of {max_queries} queries exhausted"
     h = width0 / degree
@@ -174,7 +187,7 @@ def refine_kink(
     p_left = np.polynomial.polynomial.Polynomial.fit(left_ts, left_ys, degree)
     p_right = np.polynomial.polynomial.Polynomial.fit(right_ts, right_ys, degree)
 
-    while hi - lo > tol:
+    while hi - lo > REFINE_TOL:
         m = 0.5 * (lo + hi)
         fm = f(m)
         err_left = abs(p_left(m) - fm)
@@ -227,29 +240,25 @@ def detect_kinks_on_line(
     oracle,
     base,
     direction,
-    t_range: tuple[float, float] = (-4.0, 4.0),
-    grid: int = 257,
+    t_range: tuple[float, float],
+    grid: int,
     *,
-    tol: float = 12.0,
-    refine_tol: float = 1e-9,
-    degree: int = 4,
-    refine_budget: int = 200,
     max_kinks: int | None = None,
 ) -> list[KinkPoint]:
     """Scan a line for nonsmooth points of the loss.
 
-    The grid is one oracle batch.  Works off the centered fourth difference, which spikes at h*|slope
-    jump| for a first-order kink and at h^2*|curvature jump| for a
-    second-order one, against a smooth background of order h^4.  (The
-    second difference would miss second-order kinks: it only steps.)
-    A grid point is flagged when its fourth difference exceeds tol times
-    the local scale, a rolling median plus an absolute floor, so the
-    test is invariant to the overall magnitude of the loss.  Runs of
-    flags collapse to their strongest cell; each cell's one-spacing
-    bracket is refined by refine_kink, and refined kinks landing within
-    one grid spacing of an already-accepted one are dropped as
-    duplicates (a kink sitting on a grid point splits its flag run in
-    two).  A bracket that proves spurious or spends refine_budget is
+    The grid is one oracle batch.  Works off the centered fourth
+    difference, which spikes at h*|slope jump| for a first-order kink and
+    at h^2*|curvature jump| for a second-order one, against a smooth
+    background of order h^4.  (The second difference would miss
+    second-order kinks: it only steps.)  A grid point is flagged when its
+    fourth difference exceeds DETECT_TOL times the local scale, a rolling
+    median plus an absolute floor, so the test is invariant to the overall
+    magnitude of the loss.  Runs of flags collapse to their strongest
+    cell; each cell's one-spacing bracket is refined by refine_kink, and
+    refined kinks landing within one grid spacing of an already-accepted
+    one are dropped as duplicates (a kink sitting on a grid point splits
+    its flag run in two).  A bracket that proves spurious or spends REFINE_BUDGET is
     skipped; the oracle's own budget running out ends the scan.  Kinks
     closer together than a few grid cells can merge or shadow each
     other; the caller controls recall through grid and t_range.
@@ -268,7 +277,7 @@ def detect_kinks_on_line(
     floor = 1e-11 * (float(np.max(np.abs(ys))) + 1.0)
     n = len(d4)  # d4[c] is centered at grid point c + 2
     local = _rolling_median(d4, 10)
-    flagged = d4 > np.maximum(tol * (local + floor), floor)
+    flagged = d4 > np.maximum(DETECT_TOL * (local + floor), floor)
 
     runs: list[int] = []  # strongest cell per run of flags
     i = 0
@@ -295,15 +304,7 @@ def detect_kinks_on_line(
         center = cell + 2
         lo_t, hi_t = float(ts[center - 1]), float(ts[center + 1])
         try:
-            kink = refine_kink(
-                oracle,
-                base,
-                direction,
-                (lo_t, hi_t),
-                tol=refine_tol,
-                degree=degree,
-                max_queries=refine_budget,
-            )
+            kink = refine_kink(oracle, base, direction, (lo_t, hi_t))
         except (SpuriousKinkError, RefineBudgetExceeded):
             continue
         if any(abs(kink.t - prev.t) <= h for prev in out):
@@ -320,18 +321,13 @@ def harvest_sheet_points(
     radius: float,
     *,
     rng: np.random.Generator,
-    retries: int = 3,
-    degree: int = 4,
-    refine_tol: float = 1e-9,
-    refine_budget: int = 200,
-    detect_tol: float = 12.0,
 ) -> np.ndarray:
     """Seed point plus n_points refined sheet points, all within 2*radius.
 
     Each point comes from perturbing the line base by a random offset of
     norm at most radius, rescanning a short window around the seed t and
     refining the nearest kink.  A lost or drifted kink is retried with a
-    fresh, smaller offset up to `retries` extra times, then HarvestError.
+    fresh, smaller offset up to RETRIES extra times, then HarvestError.
     """
     base = np.asarray(kink.line[0], dtype=float)
     direction = np.asarray(kink.line[1], dtype=float)
@@ -341,7 +337,7 @@ def harvest_sheet_points(
     window = 8.0 * radius / max(float(np.linalg.norm(direction)), 1e-12)
     for _ in range(n_points):
         got = None
-        for attempt in range(retries + 1):
+        for attempt in range(RETRIES + 1):
             frac = rng.uniform(0.3, 0.8) * (0.5**attempt)
             offset = rng.normal(size=dim)
             offset *= (frac * radius) / max(float(np.linalg.norm(offset)), 1e-300)
@@ -352,10 +348,6 @@ def harvest_sheet_points(
                 direction,
                 (kink.t - window, kink.t + window),
                 HARVEST_WINDOW_GRID,
-                tol=detect_tol,
-                refine_tol=refine_tol,
-                degree=degree,
-                refine_budget=refine_budget,
                 max_kinks=3,
             )
             if not kinks:
@@ -367,7 +359,7 @@ def harvest_sheet_points(
                 break
         if got is None:
             raise HarvestError(
-                f"kink lost near t={kink.t:.6g} after {retries + 1} attempts"
+                f"kink lost near t={kink.t:.6g} after {RETRIES + 1} attempts"
             )
         pts.append(got)
     return np.array(pts)
@@ -426,21 +418,20 @@ class ExtractedDirection:
     support: tuple[int, ...] = ()
 
 
-def aligned_input_direction(
-    normal, input_dim: int, support_tol: float = 1e-4
-) -> ExtractedDirection:
+def aligned_input_direction(normal, input_dim: int) -> ExtractedDirection:
     """Blind normal classification knowing only d_1.
 
     Every linear sheet is a bare weight or a first-layer column, and the
     flat layout makes each column d_1 consecutive entries starting at a
     multiple of d_1, so a support inside one aligned window is read as an
-    input direction without knowing the rest of the architecture.
+    input direction without knowing the rest of the architecture.  Entries
+    below SUPPORT_TOL times the largest are not part of the support.
     """
     normal = np.asarray(normal, dtype=float)
     amax = float(np.max(np.abs(normal)))
     if amax == 0.0:
         raise DegeneracyError("zero normal")
-    support = tuple(int(v) for v in np.flatnonzero(np.abs(normal) > support_tol * amax))
+    support = tuple(int(v) for v in np.flatnonzero(np.abs(normal) > SUPPORT_TOL * amax))
     if len(support) == 1:
         return ExtractedDirection("weight-parameter", variable=support[0], support=support)
     windows = {v // input_dim for v in support}
@@ -557,74 +548,33 @@ def recover_architecture(defining_polys: Sequence[Poly]) -> tuple[int, ...]:
 # end-to-end pipeline
 
 
-def _is_finite_real(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class AttackConfig:
-    """Tunables for run_attack; defaults sized for shapes up to ~20 weights.
+    """What a run_attack caller sets: query budget, scan lines and seed.
 
-    residual_tol is an artifact heuristic (flagged as such in reports):
-    a harvested sheet whose hyperplane residual exceeds it is treated as
-    curved and dropped rather than classified.
+    The seed draws each line's base and direction.  Every other setting
+    is a module constant.  RESIDUAL_TOL among them is an artifact
+    heuristic (flagged as such in reports): a harvested sheet whose
+    hyperplane residual exceeds it is treated as curved and dropped rather
+    than classified.
     """
 
     budget: int = 200_000
     n_lines: int = 12
-    grid: int = 257
-    t_range: tuple[float, float] = (-4.0, 4.0)
-    detect_tol: float = 12.0
-    refine_tol: float = 1e-9
-    refine_budget: int = 200
-    degree: int = 4
-    radius_scale: float = 1e-3
-    retries: int = 3
-    support_tol: float = 1e-4
-    dedup_tol: float = 1e-6
-    residual_tol: float = 1e-6
-    match_threshold: float = 0.999
-    max_kinks_per_line: int = 3
-    probe_scale: float = 1.0
     seed: int = 0
 
-    _JSON_ALIASES = {"tol": "detect_tol", "radius": "radius_scale"}
-
     def __post_init__(self):
-        for name, least in (("budget", 1), ("n_lines", 1), ("refine_budget", 1),
-                            ("max_kinks_per_line", 1), ("retries", 0), ("grid", 8),
-                            ("degree", 1), ("seed", 0)):
+        for name, least in (("budget", 1), ("n_lines", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"attack config {name!r} must be an integer >= {least}, got {value!r}")
-        for names, ok, rule in (
-            (("detect_tol", "refine_tol", "radius_scale", "support_tol", "residual_tol",
-              "probe_scale"), lambda v: v > 0, "> 0"),
-            (("dedup_tol",), lambda v: v >= 0, ">= 0"),
-            (("match_threshold",), lambda v: 0 < v <= 1, "in (0, 1]"),
-        ):
-            for name in names:
-                value = getattr(self, name)
-                if not (_is_finite_real(value) and ok(value)):
-                    raise ValueError(f"attack config {name!r} must be a finite number {rule}, got {value!r}")
-        r = self.t_range
-        if not (len(r) == 2 and all(map(_is_finite_real, r)) and r[0] < r[1]):
-            raise ValueError(f"attack config 't_range' needs two finite ends lo < hi, got {r!r}")
 
     @staticmethod
     def from_json(data: dict) -> "AttackConfig":
-        kwargs = {}
-        fields = AttackConfig.__dataclass_fields__
-        for key, val in data.items():
-            name = AttackConfig._JSON_ALIASES.get(key, key)
-            if name not in fields:
+        for key in data:
+            if key not in AttackConfig.__dataclass_fields__:
                 raise ValueError(f"unknown attack config key {key!r}")
-            if name == "t_range":
-                if not isinstance(val, list):
-                    raise ValueError(f"attack config 't_range' must be a list [lo, hi], got {val!r}")
-                val = tuple(val)
-            kwargs[name] = val
-        return AttackConfig(**kwargs)
+        return AttackConfig(**data)
 
 
 @dataclass(frozen=True)
@@ -729,53 +679,31 @@ def run_attack(
 
     Knows only the oracle, the weight count N and the input arity d_1.
     Recovered directions are unit vectors in input space, deduplicated at
-    |cos| >= 1 - dedup_tol; when true_inputs is supplied (scoring only,
+    |cos| >= 1 - DEDUP_TOL; when true_inputs is supplied (scoring only,
     never consulted by the search) each direction is matched to its best
     sample by |cosine| together with the implied scalar multiple.
     """
     cfg = config or AttackConfig()
     counted = LossOracle(oracle, budget=cfg.budget)
-    report = ReconstructionReport(budget=cfg.budget, residual_tol=cfg.residual_tol)
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_lines)
+    report = ReconstructionReport(budget=cfg.budget, residual_tol=RESIDUAL_TOL)
 
     raw_candidates: list[RecoveredDirection] = []
     try:
         for line_id in range(cfg.n_lines):
-            rng = np.random.default_rng(children[line_id])
-            base = rng.normal(size=n_weights) * cfg.probe_scale
+            # the line's child of SeedSequence(seed).spawn(n_lines), built when it is reached
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(line_id,)))
+            base = rng.normal(size=n_weights)
             direction = rng.normal(size=n_weights)
             direction /= np.linalg.norm(direction)
             kinks = detect_kinks_on_line(
-                counted,
-                base,
-                direction,
-                cfg.t_range,
-                cfg.grid,
-                tol=cfg.detect_tol,
-                refine_tol=cfg.refine_tol,
-                degree=cfg.degree,
-                refine_budget=cfg.refine_budget,
-                max_kinks=cfg.max_kinks_per_line,
+                counted, base, direction, T_RANGE, GRID, max_kinks=MAX_KINKS_PER_LINE
             )
             for kink in kinks:
                 report.kinks.append((line_id, kink.t, kink.jump_magnitude, kink.refined))
             for kink in kinks:
-                radius = cfg.radius_scale * max(
-                    1.0, float(np.linalg.norm(kink.location))
-                )
+                radius = RADIUS_SCALE * max(1.0, float(np.linalg.norm(kink.location)))
                 try:
-                    pts = harvest_sheet_points(
-                        counted,
-                        kink,
-                        n_weights,
-                        radius,
-                        rng=rng,
-                        retries=cfg.retries,
-                        degree=cfg.degree,
-                        refine_tol=cfg.refine_tol,
-                        refine_budget=cfg.refine_budget,
-                        detect_tol=cfg.detect_tol,
-                    )
+                    pts = harvest_sheet_points(counted, kink, n_weights, radius, rng=rng)
                 except HarvestError:
                     report.rejected_sheets += 1
                     continue
@@ -784,10 +712,10 @@ def run_attack(
                 except DegeneracyError:
                     report.rejected_sheets += 1
                     continue
-                if resid > cfg.residual_tol * max(1.0, radius):
+                if resid > RESIDUAL_TOL * max(1.0, radius):
                     report.rejected_sheets += 1
                     continue
-                ext = aligned_input_direction(normal, input_dim, cfg.support_tol)
+                ext = aligned_input_direction(normal, input_dim)
                 if ext.kind == "weight-parameter":
                     report.weight_sheets += 1
                 elif ext.kind == "input-direction":
@@ -805,7 +733,7 @@ def run_attack(
         for idx, kept in enumerate(report.directions):
             u = np.asarray(kept.direction)
             cos = abs(float(u @ v)) / (np.linalg.norm(u) * np.linalg.norm(v))
-            if cos >= 1.0 - cfg.dedup_tol:
+            if cos >= 1.0 - DEDUP_TOL:
                 if cand.residual < kept.residual:
                     report.directions[idx] = cand
                 dup = True

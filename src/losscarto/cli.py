@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .attack import AttackConfig, run_attack
+from .attack import MATCH_THRESHOLD, AttackConfig, run_attack
 from .errors import (
     BoundaryError,
     InstanceError,
@@ -237,7 +237,10 @@ def _cmd_verify(ns) -> int:
 def _cmd_attack(ns) -> int:
     raw = {}
     if ns.config is not None:
-        raw = read_json(ns.config)
+        try:
+            raw = read_json(ns.config)
+        except InstanceError as exc:
+            raise UsageError(f"attack config {exc}")
         if not isinstance(raw, dict):
             raise UsageError(f"{ns.config}: attack config must be a JSON object")
     overrides = {key: val for key, val in (("budget", ns.budget), ("seed", ns.seed)) if val is not None}
@@ -269,12 +272,12 @@ def _cmd_attack(ns) -> int:
         atomic_write_text(ns.out, json.dumps(report.to_json(), indent=2) + "\n")
     if ns.kinks:
         atomic_write_text(ns.kinks, report.kink_csv())
-    recovered = any(m.cosine >= cfg.match_threshold for m in report.matches)
+    recovered = any(m.cosine >= MATCH_THRESHOLD for m in report.matches)
     if not report.directions:
         print("no input directions recovered")
         return 3
     if report.matches and not recovered:
-        print(f"no direction matched a sample at |cos| >= {cfg.match_threshold}")
+        print(f"no direction matched a sample at |cos| >= {MATCH_THRESHOLD}")
         return 3
     return 0
 

@@ -200,23 +200,25 @@ class TestDetectRefine:
         with pytest.raises(SpuriousKinkError):
             refine_kink(LossOracle(f), [0.0], [1.0], (0.1, 0.2))
 
-    def test_refine_budget(self):
+    def test_refine_budget(self, monkeypatch):
         def f(w):
             return abs(w[0] - 0.15)
 
+        monkeypatch.setattr(attack_module, "REFINE_BUDGET", 12)
         with pytest.raises(RefineBudgetExceeded):  # still a QueryBudgetExceeded
-            refine_kink(LossOracle(f), [0.0], [1.0], (0.1, 0.2), max_queries=12)
+            refine_kink(LossOracle(f), [0.0], [1.0], (0.1, 0.2))
 
     @pytest.mark.parametrize("batched", [True, False])
     @pytest.mark.parametrize("max_queries", [1, 7, 10])
-    def test_refine_budget_below_stencil_charges_exactly(self, batched, max_queries):
+    def test_refine_budget_below_stencil_charges_exactly(self, batched, max_queries, monkeypatch):
         def f(w):
             return np.abs(np.asarray(w)[..., 0] - 0.15)
 
         f.batched = batched
         oracle = LossOracle(f)
+        monkeypatch.setattr(attack_module, "REFINE_BUDGET", max_queries)
         with pytest.raises(QueryBudgetExceeded):  # the stencil alone takes 2 * (4 + 1) = 10
-            refine_kink(oracle, [0.0], [1.0], (0.1, 0.2), max_queries=max_queries)
+            refine_kink(oracle, [0.0], [1.0], (0.1, 0.2))
         assert oracle.query_count == max_queries
 
     @pytest.mark.parametrize("wrap", ["plain", "oracle", "batched"])
@@ -235,11 +237,12 @@ class TestDetectRefine:
         with pytest.raises(QueryBudgetExceeded):
             detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257)
 
-    def test_refine_cap_skips_the_kink(self):
+    def test_refine_cap_skips_the_kink(self, monkeypatch):
         # one kink's cap drops that kink; the scan goes on and raises nothing
         oracle = LossOracle(lambda w: abs(w[0] - 0.3))
         assert len(detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257)) == 1
-        assert detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257, refine_budget=20) == []
+        monkeypatch.setattr(attack_module, "REFINE_BUDGET", 20)
+        assert detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257) == []
 
     def test_oracle_budget_inside_refine_propagates(self):
         # the grid takes 257 queries, the refine stencil runs into the budget
@@ -467,7 +470,32 @@ class TestAttackPipeline:
         assert report.budget_exhausted
         assert report.to_json()["budget_exhausted"] is True
 
-    def test_refine_cap_does_not_end_the_attack(self):
+    def test_line_seeds_are_built_lazily(self, monkeypatch):
+        # line i draws from SeedSequence(seed).spawn(n_lines)[i], built only when the
+        # line is reached, so a huge n_lines costs nothing before the first query
+        for i, child in enumerate(np.random.SeedSequence(5).spawn(4)):
+            lazy = np.random.SeedSequence(5, spawn_key=(i,))
+            assert np.array_equal(lazy.generate_state(8), child.generate_state(8))
+        built, spawned = [], []
+
+        class Spy(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("spawn_key", ()))
+                super().__init__(*args, **kwargs)
+
+            def spawn(self, n_children):
+                spawned.append(n_children)
+                return []
+
+        monkeypatch.setattr(np.random, "SeedSequence", Spy)
+        inst = gen_instance([2, 2, 1], 2, seed=11)
+        cfg = AttackConfig(n_lines=10**9, budget=700, seed=5)
+        report = run_attack(make_oracle(inst), 6, 2, cfg)
+        assert report.budget_exhausted
+        assert spawned == []
+        assert 1 <= len(built) <= 3 and built == [(i,) for i in range(len(built))]
+
+    def test_refine_cap_does_not_end_the_attack(self, monkeypatch):
         inst = gen_instance([3, 4, 2], 5, 7)
         E = make_oracle(inst)
         grids = []
@@ -478,7 +506,8 @@ class TestAttackPipeline:
             return E(W)
 
         spy.batched = True
-        report = run_attack(spy, inst.shape.weight_count, 3, AttackConfig(refine_budget=20))
+        monkeypatch.setattr(attack_module, "REFINE_BUDGET", 20)
+        report = run_attack(spy, inst.shape.weight_count, 3, AttackConfig())
         assert len(grids) == 12  # every line is scanned
         assert not report.budget_exhausted
         assert report.oracle_queries < report.budget
@@ -507,8 +536,9 @@ class TestAttackPipeline:
             raise HarvestError("sheet lost")
 
         monkeypatch.setattr(attack_module, "harvest_sheet_points", lost)
+        monkeypatch.setattr(attack_module, "MAX_KINKS_PER_LINE", 1)
         inst = gen_instance([3, 4, 2], 5, 7)
-        cfg = AttackConfig(n_lines=1, max_kinks_per_line=1)
+        cfg = AttackConfig(n_lines=1)
         report = run_attack(make_oracle(inst), inst.shape.weight_count, 3, cfg)
         assert len(report.kinks) == 1
         assert calls == [report.kinks[0][1]]
@@ -527,25 +557,27 @@ class TestAttackPipeline:
         assert csv.splitlines()[0] == "line_id,t,jump,refined"
         assert len(csv.splitlines()) == len(report.kinks) + 1
 
-    def test_config_json_aliases(self):
-        cfg = AttackConfig.from_json(
-            {"budget": 1000, "grid": 65, "tol": 9.0, "radius": 1e-4, "seed": 3}
-        )
-        assert cfg.budget == 1000 and cfg.grid == 65
-        assert cfg.detect_tol == 9.0 and cfg.radius_scale == 1e-4
+    def test_config_json_keys(self):
+        cfg = AttackConfig.from_json({"budget": 1000, "n_lines": 5, "seed": 3})
+        assert (cfg.budget, cfg.n_lines, cfg.seed) == (1000, 5, 3)
+        assert AttackConfig.from_json({}) == AttackConfig()
         bad_configs = [
             {"warp": 1}, {"paths": ["hyperplane"]}, {"budget": 0}, {"budget": "x"},
             {"budget": 2.5}, {"n_lines": 0}, {"refine_budget": -1}, {"retries": -1},
             {"grid": 4}, {"t_range": [1, 0]}, {"t_range": [0, 0]}, {"degree": 0}, {"seed": -1},
             {"t_range": "12"}, {"t_range": [True, 2]},
+            # any other key, even one naming a module constant at its value
+            {"tol": 12.0}, {"radius": 1e-3}, {"grid": 257}, {"probe_scale": 1.0},
+            {"n_lines": True}, {"seed": 1.0},
         ]
         for bad in bad_configs:
             with pytest.raises(ValueError):
                 AttackConfig.from_json(bad)
 
-    def test_hyperplane_path_on_small_instance(self):
+    def test_hyperplane_path_on_small_instance(self, monkeypatch):
+        monkeypatch.setattr(attack_module, "MAX_KINKS_PER_LINE", 2)
         inst = gen_instance([2, 2, 1], 1, seed=3)
-        cfg = AttackConfig(n_lines=3, budget=100_000, seed=2, max_kinks_per_line=2)
+        cfg = AttackConfig(n_lines=3, budget=100_000, seed=2)
         true_inputs = [tuple(float(v) for v in s.input) for s in inst.samples]
         report = run_attack(make_oracle(inst), 6, 2, cfg, true_inputs=true_inputs)
         assert any(m.cosine > 0.999 for m in report.matches)

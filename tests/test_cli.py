@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from losscarto import attack as attack_module
 from losscarto.cli import main
 from losscarto.instances import load_instance, make_oracle
 
@@ -106,9 +107,10 @@ class TestAttack:
         # flags are checked before the instance is read
         assert main(["attack", "--instance", str(tmp_path / "ghost.json"), "--budget", "0"]) == 64
 
-    def test_config_file(self, inst_path, tmp_path):
+    def test_config_file(self, inst_path, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"budget": 90000, "grid": 129, "seed": 2}))
+        cfg.write_text(json.dumps({"budget": 90000, "seed": 2}))
+        monkeypatch.setattr(attack_module, "GRID", 129)
         assert main(["attack", "--instance", str(inst_path), "--config", str(cfg)]) == 0
         for bad in ({"nope": 1}, {"paths": ["hyperplane"]}, {"grid": 4}, {"t_range": [1, 0]},
                     {"budget": "x"}, {"budget": -5}, [1, 2], {"tol": "x"}, {"radius": 0},
@@ -116,13 +118,22 @@ class TestAttack:
                     {"refine_tol": True}, {"residual_tol": float("nan")},
                     {"t_range": [0, float("inf")]}, {"t_range": [1]}, {"t_range": [0, 1, 2]},
                     {"max_kinks_per_line": "x"}, {"max_kinks_per_line": 0},
-                    {"t_range": "12"}, {"t_range": [True, 2]}):
+                    {"t_range": "12"}, {"t_range": [True, 2]}, {"grid": 257},
+                    {"n_lines": 0}, {"seed": -1}):
             cfg.write_text(json.dumps(bad))
             assert main(["attack", "--instance", str(inst_path), "--config", str(cfg)]) == 64, bad
-        # a config or an instance that is not UTF-8 is invalid input, not a crash
+        # a config that is not UTF-8 JSON is a usage error naming the config file;
+        # an instance that is not is invalid input; neither is a crash
         garbled = str(non_utf8_file(tmp_path))
-        assert main(["attack", "--instance", str(inst_path), "--config", garbled]) == 1
+        capsys.readouterr()
+        assert main(["attack", "--instance", str(inst_path), "--config", garbled]) == 64
+        assert f"attack config {garbled}: not valid UTF-8 JSON" in capsys.readouterr().err
+        cfg.write_text('{"budget": 5')
+        assert main(["attack", "--instance", str(inst_path), "--config", str(cfg)]) == 64
+        assert f"attack config {cfg}: not valid UTF-8 JSON" in capsys.readouterr().err
         assert main(["attack", "--instance", garbled]) == 1
+        # a missing config file stays an i/o failure
+        assert main(["attack", "--instance", str(inst_path), "--config", str(tmp_path / "ghost.json")]) == 2
 
 
 class TestSurface:

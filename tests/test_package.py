@@ -54,6 +54,32 @@ def test_every_export_has_a_user():
     assert sorted(set(losscarto.__all__) - used) == []
 
 
+def _attack_config_keywords(path: Path) -> set[str]:
+    """Keywords of AttackConfig(...) calls, and the --config keys the CLI overrides."""
+    keys = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "AttackConfig":
+                keys.update(kw.arg for kw in node.keywords if kw.arg)
+        elif isinstance(node, ast.Tuple) and len(node.elts) == 2:
+            key, val = node.elts  # ("budget", ns.budget): a flag that overrides a config key
+            if (isinstance(key, ast.Constant) and isinstance(val, ast.Attribute)
+                    and isinstance(val.value, ast.Name) and val.value.id == "ns"
+                    and val.attr == key.value):
+                keys.add(key.value)
+    return keys
+
+
+def test_every_attack_config_field_has_a_setter():
+    # a setting no caller outside the tests sets is a module constant, not a field
+    files = sorted((ROOT / "src" / "losscarto").glob("*.py")) + DEMOS
+    files += sorted((ROOT / "bench").glob("*.py"))
+    set_somewhere = set().union(*map(_attack_config_keywords, files))
+    fields = set(losscarto.AttackConfig.__dataclass_fields__)
+    assert sorted(fields - set_somewhere) == []
+
+
 def test_demos_present():
     assert len(DEMOS) == 5
 
@@ -87,15 +113,17 @@ def test_traced_names_resolve():
 
 
 def test_bench_smoke(tmp_path):
-    # one short traced run of the exact-side workload in a copy of the tree:
-    # it checks the seed-7 sheet digests and the traced names, and asserts no timing
+    # one short traced run of an exact-side and an attack workload in a copy of the
+    # tree: they check the seed-7 sheet digests, the recall references, that traced
+    # stage queries sum to the oracle's count, and the traced names; no timing
     skip = shutil.ignore_patterns("out", "__pycache__")
     for part in ("bench", "src"):
         shutil.copytree(ROOT / part, tmp_path / part, ignore=skip)
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "sheets-shallow", "--seed", "7",
-         "--seconds", "1", "--trace", "1"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+    for workload in ("sheets-shallow", "attack-shallow"):
+        proc = subprocess.run(
+            [sys.executable, "bench/run.py", "--workload", workload, "--seed", "7",
+             "--seconds", "1", "--trace", "1"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, workload + proc.stdout[-2000:] + proc.stderr[-2000:]
+        assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True, workload
