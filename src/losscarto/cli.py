@@ -246,7 +246,7 @@ def _cmd_attack(ns) -> int:
     overrides = {key: val for key, val in (("budget", ns.budget), ("seed", ns.seed)) if val is not None}
     try:
         cfg = AttackConfig.from_json({**raw, **overrides})
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc))
 
     inst = load_instance(ns.instance)
