@@ -51,7 +51,6 @@ from .instances import (
 )
 from .network import (
     ActivationSet,
-    ForwardTrace,
     NetworkShape,
     TrainingSample,
     as_fraction,
@@ -59,7 +58,6 @@ from .network import (
     forward,
     loss,
     make_loss_fn,
-    strict_activation_set,
 )
 from .polyalg import Poly, layerwise_degree
 from .surface import (
@@ -91,7 +89,6 @@ __all__ = [
     "EnumerationBudgetError",
     "ExtractedDirection",
     "Factorization",
-    "ForwardTrace",
     "HarvestError",
     "Instance",
     "InstanceError",
@@ -138,7 +135,6 @@ __all__ = [
     "sample_independent_sheets",
     "save_instance",
     "sheet_report",
-    "strict_activation_set",
     "virtual_polynomial",
     "wall_between",
 ]

@@ -131,7 +131,6 @@ class KinkPoint:
     line: tuple[tuple[float, ...], tuple[float, ...]]  # (base, direction)
     jump_magnitude: float
     curvature_jump: float
-    refined: bool
 
 
 def refine_kink(
@@ -216,7 +215,6 @@ def refine_kink(
         line=(tuple(float(v) for v in base), tuple(float(v) for v in direction)),
         jump_magnitude=float(jump),
         curvature_jump=float(jump2),
-        refined=True,
     )
 
 
@@ -390,7 +388,7 @@ def fit_hyperplane(points) -> tuple[np.ndarray, float]:
         )
     normal = vt[-1]
     normal = _sign_normalize(normal / np.linalg.norm(normal))
-    residual = float(np.sqrt(np.mean((centered @ normal) ** 2)))
+    residual = float(np.sqrt(np.mean(np.dot(centered, normal) ** 2)))
     return normal, residual
 
 
@@ -414,8 +412,6 @@ class ExtractedDirection:
     kind: str
     direction: tuple[float, ...] | None = None
     node: int | None = None
-    variable: int | None = None
-    support: tuple[int, ...] = ()
 
 
 def aligned_input_direction(normal, input_dim: int) -> ExtractedDirection:
@@ -433,7 +429,7 @@ def aligned_input_direction(normal, input_dim: int) -> ExtractedDirection:
         raise DegeneracyError("zero normal")
     support = tuple(int(v) for v in np.flatnonzero(np.abs(normal) > SUPPORT_TOL * amax))
     if len(support) == 1:
-        return ExtractedDirection("weight-parameter", variable=support[0], support=support)
+        return ExtractedDirection("weight-parameter")
     windows = {v // input_dim for v in support}
     if len(windows) == 1:
         q = windows.pop()
@@ -445,9 +441,8 @@ def aligned_input_direction(normal, input_dim: int) -> ExtractedDirection:
             "input-direction",
             direction=tuple(float(c) for c in coeffs),
             node=q + 1,
-            support=support,
         )
-    return ExtractedDirection("nonlinear", support=support)
+    return ExtractedDirection("nonlinear")
 
 
 # architecture recovery from exact sheet sets
@@ -599,7 +594,7 @@ class ReconstructionReport:
     matches: list[DirectionMatch] = field(default_factory=list)
     architecture: tuple[int, ...] | str = "not attempted"
     oracle_queries: int = 0
-    kinks: list[tuple[int, float, float, bool]] = field(default_factory=list)
+    kinks: list[tuple[int, float, float]] = field(default_factory=list)
     weight_sheets: int = 0
     rejected_sheets: int = 0
     budget: int | None = None
@@ -640,9 +635,9 @@ class ReconstructionReport:
         }
 
     def kink_csv(self) -> str:
-        lines = ["line_id,t,jump,refined"]
-        for line_id, t, jump, refined in self.kinks:
-            lines.append(f"{line_id},{t!r},{jump!r},{str(refined).lower()}")
+        lines = ["line_id,t,jump,refined"]  # every kink is refined; the column keeps the format
+        for line_id, t, jump in self.kinks:
+            lines.append(f"{line_id},{t!r},{jump!r},true")
         return "\n".join(lines) + "\n"
 
 
@@ -658,9 +653,9 @@ def _match_directions(
             na = float(np.linalg.norm(a))
             if na == 0.0:
                 continue
-            cos = abs(float(a @ v)) / (na * float(np.linalg.norm(v)))
+            cos = abs(float(np.dot(a, v))) / (na * float(np.linalg.norm(v)))
             if best is None or cos > best[1]:
-                scale = float(a @ v) / float(v @ v)
+                scale = float(np.dot(a, v)) / float(np.dot(v, v))
                 best = (si, cos, scale)
         if best is not None:
             matches.append(DirectionMatch(di, best[0], best[1], best[2]))
@@ -699,7 +694,7 @@ def run_attack(
                 counted, base, direction, T_RANGE, GRID, max_kinks=MAX_KINKS_PER_LINE
             )
             for kink in kinks:
-                report.kinks.append((line_id, kink.t, kink.jump_magnitude, kink.refined))
+                report.kinks.append((line_id, kink.t, kink.jump_magnitude))
             for kink in kinks:
                 radius = RADIUS_SCALE * max(1.0, float(np.linalg.norm(kink.location)))
                 try:
@@ -732,7 +727,7 @@ def run_attack(
         dup = False
         for idx, kept in enumerate(report.directions):
             u = np.asarray(kept.direction)
-            cos = abs(float(u @ v)) / (np.linalg.norm(u) * np.linalg.norm(v))
+            cos = abs(float(np.dot(u, v))) / (np.linalg.norm(u) * np.linalg.norm(v))
             if cos >= 1.0 - DEDUP_TOL:
                 if cand.residual < kept.residual:
                     report.directions[idx] = cand

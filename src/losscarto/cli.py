@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -72,9 +73,12 @@ def _parse_widths(text: str) -> tuple[int, ...]:
 
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(","))
+        values = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"{what} expects comma-separated numbers, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{what} needs finite numbers, got {text!r}")
+    return values
 
 
 def build_parser() -> _Parser:
@@ -292,6 +296,8 @@ def _cmd_surface(ns) -> int:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         raise UsageError(f"--t-range expects LO:HI, got {ns.t_range!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"--t-range needs finite ends, got {ns.t_range!r}")
     if not hi > lo:
         raise UsageError("--t-range needs LO < HI")
     direction = None if ns.direction is None else np.array(_parse_floats(ns.direction, "--direction"))

@@ -100,8 +100,11 @@ def _as_number_list(val, what: str) -> list[float]:
     out = []
     for v in val:
         _require(isinstance(v, (int, float)) and not isinstance(v, bool), f"{what} entries must be numbers")
-        _require(math.isfinite(float(v)), f"{what} entries must be finite")
-        out.append(float(v))
+        try:
+            out.append(float(v))
+        except OverflowError:  # an integer beyond the double range
+            raise InstanceError(f"{what} entries must be finite doubles") from None
+        _require(math.isfinite(out[-1]), f"{what} entries must be finite doubles")
     return out
 
 

@@ -14,11 +14,14 @@ Conventions used everywhere in this package:
   (k, i, j) are 1-based with i the source node and j the target node.
   Consequently the block for weight layer k, reshaped to (d_{k+1}, d_k)
   row-major, is the usual matrix W_k acting by W_k @ x.
-* forward, loss and the activation sets compute with fractions.Fraction
-  throughout (floats are converted exactly, so every float is treated as
-  the dyadic rational it is); make_loss_fn is the double-precision loss,
-  batch-capable: it evaluates one weight vector or a (Q, N) stack of them
-  in one forward pass.
+* There is one forward pass, _pre_outputs: each layer is
+  W[layer_slice(k)].reshape(d_{k+1}, d_k) @ H over all samples at once,
+  and it runs at two dtypes.  make_loss_fn runs it on float arrays, for one
+  weight vector or a (Q, N) stack of them.  forward runs it on object
+  arrays of fractions.Fraction (floats are converted exactly, so every
+  float is treated as the dyadic rational it is), and loss and region_of
+  read forward.  The ReLU clamps with the integer 0, not 0.0: on Fractions
+  a float 0.0 would turn every later product into a float.
 
 All types here are immutable; functions are pure.
 """
@@ -31,7 +34,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BoundaryError, ShapeError
+from .errors import ShapeError
 
 Scalar = int | float | Fraction
 
@@ -40,9 +43,7 @@ def as_fraction(x: Scalar | str) -> Fraction:
     """Exact conversion; floats map to the dyadic rational they denote."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (int, float, str)):
         return Fraction(x)
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
 
@@ -143,19 +144,6 @@ class NetworkShape:
         if len(x) != self.widths[0]:
             raise ShapeError(f"input has length {len(x)}, expected {self.widths[0]}")
 
-    def as_fraction_matrices(self, w: Sequence[Scalar]) -> list[list[list[Fraction]]]:
-        """Exact weight matrices as nested lists of Fractions."""
-        self.check_weights(w)
-        mats = []
-        for k in range(1, self.depth):
-            rows = []
-            for j in range(1, self.widths[k] + 1):
-                rows.append(
-                    [as_fraction(w[self.index_of(k, i, j)]) for i in range(1, self.widths[k - 1] + 1)]
-                )
-            mats.append(rows)
-        return mats
-
 
 @dataclass(frozen=True)
 class ActivationSet:
@@ -202,13 +190,6 @@ class ActivationSet:
             raise IndexError(f"node {i} out of range for layer {k}")
         return self.flags[k - 2][i - 1]
 
-    def flipped(self, i: int, k: int) -> "ActivationSet":
-        """Copy with the flag of node (i,k) toggled."""
-        self.is_active(i, k)  # bounds check
-        rows = [list(row) for row in self.flags]
-        rows[k - 2][i - 1] = not rows[k - 2][i - 1]
-        return ActivationSet(self.widths, tuple(tuple(r) for r in rows))
-
     def active_in_layer(self, k: int) -> tuple[int, ...]:
         """1-based ids of active nodes in hidden layer k."""
         return tuple(
@@ -236,63 +217,52 @@ def check_samples(shape: NetworkShape, samples: Sequence[TrainingSample]) -> Non
             raise ShapeError(f"sample {idx}: output length {len(s.output)} != d_L {shape.widths[-1]}")
 
 
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Pre- and post-activation values for one forward pass.
+def _pre_outputs(shape: NetworkShape, W: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
+    """z^(2..L) of the stacked inputs X (d_1, M) under W, (N,) or (Q, N).
 
-    pre[k-2] is z^{(k)} for layers k = 2..L; post[k-1] is x^{(k)} for
-    layers k = 1..L, with x^{(1)} the input and x^{(L)} = z^{(L)} (no
-    output ReLU).
+    The package's only forward pass, for float and for Fraction (object)
+    arrays alike; ReLU on hidden layers only, clamping with the integer 0
+    so that Fractions stay Fractions.
     """
+    lead = W.shape[:-1]
+    d, off = shape.widths, shape._offsets
+    zs = []
+    H = X
+    for k in range(1, len(d)):
+        Z = W[..., off[k - 1]:off[k]].reshape(*lead, d[k], d[k - 1]) @ H
+        zs.append(Z)
+        if k < len(d) - 1:
+            H = np.maximum(Z, 0)
+    return zs
 
-    pre: tuple[tuple[Scalar, ...], ...]
-    post: tuple[tuple[Scalar, ...], ...]
 
-    @property
-    def output(self) -> tuple[Scalar, ...]:
-        return self.post[-1]
+def _fraction_columns(rows: Sequence[Sequence[Scalar]], width: int) -> np.ndarray:
+    """(width, M) object array of Fractions whose column p is rows[p]."""
+    cols = np.array([[as_fraction(v) for v in r] for r in rows], dtype=object)
+    return cols.reshape(len(rows), width).T
 
 
-def forward(shape: NetworkShape, w: Sequence[Scalar], x: Sequence[Scalar]) -> ForwardTrace:
-    """Run the network in Fraction arithmetic; ReLU on hidden layers only."""
+def forward(
+    shape: NetworkShape, w: Sequence[Scalar], inputs: Sequence[Sequence[Scalar]]
+) -> list[np.ndarray]:
+    """Exact pre-outputs z^(2..L) of every input, in Fraction arithmetic.
+
+    Entry k-2 is the object array z^(k) of shape (d_k, M): column p holds
+    the pre-outputs of inputs[p], and z^(L) is the network output.
+    """
     shape.check_weights(w)
-    shape.check_input(x)
-    mats = shape.as_fraction_matrices(w)
-    cur: list[Fraction] = [as_fraction(v) for v in x]
-    pre = []
-    post = [tuple(cur)]
-    for k in range(2, shape.depth + 1):
-        z = [sum((wij * xi for wij, xi in zip(row, cur)), Fraction(0)) for row in mats[k - 2]]
-        pre.append(tuple(z))
-        cur = [v if v > 0 else Fraction(0) for v in z] if k < shape.depth else z
-        post.append(tuple(cur))
-    return ForwardTrace(pre=tuple(pre), post=tuple(post))
+    for x in inputs:
+        shape.check_input(x)
+    W = np.array([as_fraction(v) for v in w], dtype=object)
+    return _pre_outputs(shape, W, _fraction_columns(inputs, shape.widths[0]))
 
 
 def loss(shape: NetworkShape, w: Sequence[Scalar], samples: Sequence[TrainingSample]) -> Fraction:
     """E(w) = sum_p (1/2) * || b_p - F_w(a_p) ||^2, exactly."""
     check_samples(shape, samples)
-    total = Fraction(0)
-    for s in samples:
-        out = forward(shape, w, s.input).output
-        for b, f in zip(s.output, out):
-            r = as_fraction(b) - f
-            total += Fraction(1, 2) * r * r
-    return total
-
-
-def strict_activation_set(
-    shape: NetworkShape, w: Sequence[Scalar], x: Sequence[Scalar]
-) -> ActivationSet:
-    """Flags realized at (w, x), active iff z > 0; refuses boundary points (some z == 0)."""
-    trace = forward(shape, w, x)
-    rows = []
-    for k in range(2, shape.depth):
-        z = trace.pre[k - 2]
-        if any(v == 0 for v in z):
-            raise BoundaryError(f"pre-output exactly zero in layer {k}: walls touch this point")
-        rows.append(tuple(bool(v > 0) for v in z))
-    return ActivationSet(shape.widths, tuple(rows))
+    out = forward(shape, w, [s.input for s in samples])[-1]
+    R = _fraction_columns([s.output for s in samples], shape.widths[-1]) - out
+    return Fraction(1, 2) * sum((R * R).ravel(), Fraction(0))
 
 
 def make_loss_fn(
@@ -308,23 +278,15 @@ def make_loss_fn(
     check_samples(shape, samples)
     X = np.asarray([s.input for s in samples], dtype=float).T  # (d_1, M)
     B = np.asarray([s.output for s in samples], dtype=float).T  # (d_L, M)
-    depth = shape.depth
-    slices = [shape.layer_slice(k) for k in range(1, depth)]
-    dims = shape.widths
     n = shape.weight_count
 
     def E(w: np.ndarray) -> float | np.ndarray:
         W = np.asarray(w, dtype=float)
         if W.ndim not in (1, 2) or W.shape[-1] != n:
             raise ShapeError(f"weight array has shape {W.shape}, expected ({n},) or (Q, {n})")
-        lead = W.shape[:-1]
-        H = X
-        for k in range(1, depth):
-            Z = W[..., slices[k - 1]].reshape(*lead, dims[k], dims[k - 1]) @ H
-            H = Z if k == depth - 1 else np.maximum(Z, 0.0)
-        R = B - H
+        R = B - _pre_outputs(shape, W, X)[-1]
         total = 0.5 * np.sum(R * R, axis=(-2, -1))
-        return float(total) if not lead else total
+        return float(total) if W.ndim == 1 else total
 
     E.batched = True
     return E

@@ -36,7 +36,7 @@ from .network import (
     TrainingSample,
     as_fraction,
     check_samples,
-    strict_activation_set,
+    forward,
 )
 from .polyalg import Poly
 from .virtual import factorize, virtual_polynomial
@@ -55,13 +55,6 @@ class Region:
     def key(self) -> RegionKey:
         return tuple(p.flags for p in self.activation_sets)
 
-    def flipped(self, sample_index: int, node: tuple[int, int]) -> "Region":
-        """Formal neighbor across one wall (witness kept, only flags flip)."""
-        sets = list(self.activation_sets)
-        i, k = node
-        sets[sample_index] = sets[sample_index].flipped(i, k)
-        return Region(tuple(sets), self.witness)
-
 
 def region_of(
     shape: NetworkShape,
@@ -70,9 +63,14 @@ def region_of(
 ) -> Region:
     """Region containing w; BoundaryError when any pre-output is exactly zero."""
     check_samples(shape, samples)
-    shape.check_weights(w)
+    hidden = forward(shape, w, [s.input for s in samples])[:-1]
+    for k, z in enumerate(hidden, start=2):
+        if (z == 0).any():
+            raise BoundaryError(f"pre-output exactly zero in layer {k}: walls touch this point")
+    per_layer = [(z > 0).T.tolist() for z in hidden]  # [layer][sample][node]
     sets = tuple(
-        strict_activation_set(shape, w, s.input) for s in samples
+        ActivationSet(shape.widths, tuple(tuple(rows[p]) for rows in per_layer))
+        for p in range(len(samples))
     )
     return Region(sets, tuple(w))
 

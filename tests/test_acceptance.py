@@ -168,6 +168,14 @@ def test_criterion_6_singularity_classification():
     fn = make_loss_fn(s, samples)
     rng = random.Random(5)
 
+    def flipped_key(r, node):
+        # key of the region across node's wall: the one sample's flag of node toggled
+        (flags,) = r.key
+        i, k = node
+        rows = [list(row) for row in flags]
+        rows[k - 2][i - 1] = not rows[k - 2][i - 1]
+        return (tuple(map(tuple, rows)),)
+
     # witnesses for all four regions
     witnesses = {}
     while len(witnesses) < 4:
@@ -183,7 +191,7 @@ def test_criterion_6_singularity_classification():
     seen_pairs = set()
     for r in witnesses.values():
         for node in ((1, 2), (2, 2)):
-            r2 = witnesses[r.flipped(0, node).key]
+            r2 = witnesses[flipped_key(r, node)]
             pair = frozenset((r.key, r2.key))
             if pair in seen_pairs:
                 continue
@@ -214,7 +222,7 @@ def test_criterion_6_singularity_classification():
             continue
         a = r.activation_sets[0]
         if a.active_in_layer(3) == () and a.is_active(1, 2):
-            flipped_key = r.flipped(0, (1, 2)).key
+            across = flipped_key(r, (1, 2))
             w2 = None
             for _ in range(4000):
                 cand = list(w)
@@ -224,7 +232,7 @@ def test_criterion_6_singularity_classification():
                     r2 = region_of(s2, samples2, tuple(cand))
                 except BoundaryError:
                     continue
-                if r2.key == flipped_key:
+                if r2.key == across:
                     w2 = r2
                     break
             if w2 is not None:

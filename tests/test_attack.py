@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from losscarto import (
     AttackConfig,
     DegeneracyError,
+    ExtractedDirection,
     HarvestError,
     LossOracle,
     NetworkShape,
@@ -344,7 +345,7 @@ class TestExtraction:
         normal = np.zeros(s.weight_count)
         normal[17] = -1.0
         ext = aligned_input_direction(normal, s.width(1))
-        assert ext.kind == "weight-parameter" and ext.variable == 17
+        assert ext == ExtractedDirection("weight-parameter")
 
     def test_mixed_support_is_nonlinear(self):
         s = NetworkShape([3, 4, 2])

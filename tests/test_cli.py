@@ -62,6 +62,12 @@ class TestVerify:
         assert main(["verify", "--instance", str(path)]) == 1
         assert main(["verify", "--instance", str(non_utf8_file(tmp_path))]) == 1
         assert "not valid UTF-8 JSON" in capsys.readouterr().err
+        # an integer beyond the double range is an invalid instance, not a traceback
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"widths": [2, 2, 1], "samples": [{"input": [10**400, 1], "output": [1]}], "seed": 0}))
+        for command in ("verify", "attack"):
+            assert main([command, "--instance", str(huge)]) == 1
+            assert "invalid instance:" in capsys.readouterr().err
 
 
 class TestAttack:
@@ -174,10 +180,19 @@ class TestSurface:
         ghost = str(tmp_path / "ghost.json")
         assert main(["surface", "--instance", ghost, "--out", out, "--probes", "0"]) == 64
         assert main(["surface", "--instance", ghost, "--out", out, "--direction", "a,b"]) == 64
+        # a non-finite end would fill the slice with nan rows
+        for bad in ("--t-range=-inf:inf", "--t-range=0:inf", "--t-range=nan:1"):
+            assert main(["surface", "--instance", str(inst_path), "--out", out, bad]) == 64
+            assert main(["surface", "--instance", ghost, "--out", out, bad]) == 64
 
     def test_direction_length_validated(self, inst_path, tmp_path):
         out = str(tmp_path / "surf")
         assert main(["surface", "--instance", str(inst_path), "--out", out, "--direction", "1,0"]) == 1
+        # a non-finite entry is a usage error, found before the instance is read
+        ghost = str(tmp_path / "ghost.json")
+        for bad in ("nan,1,1,1,1,1", "1,1,inf,1,1,1"):
+            assert main(["surface", "--instance", str(inst_path), "--out", out, "--direction", bad]) == 64
+            assert main(["surface", "--instance", ghost, "--out", out, "--direction", bad]) == 64
         assert main(["surface", "--instance", str(non_utf8_file(tmp_path)), "--out", out]) == 1
 
 

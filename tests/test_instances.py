@@ -92,6 +92,15 @@ class TestJson:
                     "seed": 0,
                 }
             )
+        # integers beyond the double range, as a JSON file can hold them
+        with pytest.raises(InstanceError):
+            instance_from_json(
+                {"widths": [2, 1], "samples": [{"input": [10**400, 1], "output": [1]}], "seed": 0}
+            )
+        with pytest.raises(InstanceError):
+            instance_from_json(
+                {"widths": [2, 1], "samples": [{"input": [1, 2], "output": [1]}], "weights": [1, -(10**400)]}
+            )
 
     def test_bad_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from losscarto import (
@@ -17,7 +17,7 @@ from losscarto import (
     forward,
     loss,
     make_loss_fn,
-    strict_activation_set,
+    region_of,
 )
 
 shapes = st.lists(st.integers(1, 4), min_size=2, max_size=4).map(NetworkShape)
@@ -79,16 +79,73 @@ class TestIndexing:
             NetworkShape([2, 0, 1])
 
     def test_as_matrices_agrees_with_index_of(self):
+        # the forward pass reads weight layer k as its slice reshaped to (d_{k+1}, d_k)
         s = NetworkShape([3, 4, 2])
-        w = list(range(s.weight_count))
-        mats = s.as_fraction_matrices(w)
+        w = np.arange(s.weight_count)
         for k in range(1, s.depth):
+            mat = w[s.layer_slice(k)].reshape(s.width(k + 1), s.width(k))
             for j in range(1, s.width(k + 1) + 1):
                 for i in range(1, s.width(k) + 1):
-                    assert mats[k - 1][j - 1][i - 1] == w[s.index_of(k, i, j)]
+                    assert mat[j - 1, i - 1] == s.index_of(k, i, j)
+
+
+def reference_pre_outputs(shape, w, x):
+    """z^(2..L) of one input by a Python loop over index_of: the reference."""
+    cur = [as_fraction(v) for v in x]
+    pre = []
+    for k in range(1, shape.depth):
+        z = [
+            sum(
+                (as_fraction(w[shape.index_of(k, i, j)]) * cur[i - 1] for i in range(1, shape.width(k) + 1)),
+                Fraction(0),
+            )
+            for j in range(1, shape.width(k + 1) + 1)
+        ]
+        pre.append(tuple(z))
+        cur = [v if v > 0 else Fraction(0) for v in z]
+    return pre
 
 
 class TestForward:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 4), min_size=2, max_size=5),
+        n_samples=st.integers(1, 6),
+        integral=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_forward_loss_and_region_match_reference(self, widths, n_samples, integral, seed):
+        s = NetworkShape(widths)
+        rng = random.Random(seed)
+
+        def draw(n):  # integral draws put exact zeros on the ReLU
+            return [rng.randint(-2, 2) if integral else rng.uniform(-2, 2) for _ in range(n)]
+
+        w = draw(s.weight_count)
+        samples = [TrainingSample(draw(widths[0]), draw(widths[-1])) for _ in range(n_samples)]
+        pre = forward(s, w, [smp.input for smp in samples])
+        ref = [reference_pre_outputs(s, w, smp.input) for smp in samples]
+        assert [z.shape for z in pre] == [(d, n_samples) for d in widths[1:]]
+        for k, z in enumerate(pre):
+            for p in range(n_samples):
+                assert all(type(v) is Fraction for v in z[:, p])
+                assert tuple(z[:, p]) == ref[p][k]
+
+        want = sum(
+            (Fraction(1, 2) * (as_fraction(b) - f) ** 2
+             for smp, r in zip(samples, ref) for b, f in zip(smp.output, r[-1])),
+            Fraction(0),
+        )
+        got = loss(s, w, samples)
+        assert type(got) is Fraction and got == want
+
+        if any(v == 0 for r in ref for z in r[:-1] for v in z):
+            with pytest.raises(BoundaryError):
+                region_of(s, samples, w)
+        else:
+            key = tuple(tuple(tuple(v > 0 for v in z) for z in r[:-1]) for r in ref)
+            assert region_of(s, samples, w).key == key
+
     def test_hand_computed_loss(self):
         # [2,1,1], w = (1,1,2): hidden = 1*1 + 1*2 = 3 (active), out = 2*3 = 6
         s = NetworkShape([2, 1, 1])
@@ -98,10 +155,9 @@ class TestForward:
     def test_relu_masks_hidden_only(self):
         # negative hidden pre-output is clamped; a negative *output* is not
         s = NetworkShape([2, 1, 1])
-        tr = forward(s, (-1, -1, 5), (1, 1))
-        assert tr.pre[0][0] == -2 and tr.post[1][0] == 0
-        tr2 = forward(s, (1, 1, -5), (1, 1))
-        assert tr2.output == (-10,)
+        hidden, out = forward(s, (-1, -1, 5), [(1, 1)])
+        assert hidden[0, 0] == -2 and out[0, 0] == 0
+        assert forward(s, (1, 1, -5), [(1, 1)])[-1][0, 0] == -10
 
     def test_exact_vs_float(self):
         s = NetworkShape([2, 3, 2])
@@ -109,12 +165,12 @@ class TestForward:
         for _ in range(20):
             w = [rng.uniform(-1, 1) for _ in range(s.weight_count)]
             x = [rng.uniform(-1, 1) for _ in range(2)]
-            exact = forward(s, [as_fraction(v) for v in w], [as_fraction(v) for v in x])
+            exact = forward(s, [as_fraction(v) for v in w], [[as_fraction(v) for v in x]])[-1][:, 0]
             # double-precision reference: W_k is the layer-k block, row-major (d_{k+1}, d_k)
             w1 = np.array(w[:6]).reshape(3, 2)
             w2 = np.array(w[6:]).reshape(2, 3)
             approx = w2 @ np.maximum(w1 @ np.array(x), 0.0)
-            for zf, za in zip(exact.output, approx):
+            for zf, za in zip(exact, approx):
                 assert float(zf) == pytest.approx(za, abs=1e-12)
 
     def test_make_loss_fn_matches_loss(self):
@@ -173,10 +229,10 @@ class TestActivationSets:
     def test_tie_counts_as_negative(self):
         s = NetworkShape([2, 1, 1])
         # hidden pre-output is exactly zero at w = (1, -1, 1), x = (1, 1)
-        tr = forward(s, (1, -1, 1), (1, 1))
-        assert tr.pre[0][0] == 0 and tr.post[1][0] == 0
+        hidden, out = forward(s, (1, -1, 1), [(1, 1)])
+        assert hidden[0, 0] == 0 and out[0, 0] == 0
         with pytest.raises(BoundaryError):
-            strict_activation_set(s, (1, -1, 1), (1, 1))
+            region_of(s, [TrainingSample((1, 1), (0,))], (1, -1, 1))
 
     def test_from_mapping_defaults_active(self):
         s = NetworkShape([2, 2, 2, 1])
@@ -185,13 +241,6 @@ class TestActivationSets:
         assert act.is_active(1, 3) and not act.is_active(2, 3)
         with pytest.raises(IndexError):
             ActivationSet.from_mapping(s, {(1, 4): False})  # output has no flag
-
-    def test_flipped(self):
-        s = NetworkShape([2, 2, 1])
-        act = ActivationSet.all_active(s)
-        flipped = act.flipped(2, 2)
-        assert not flipped.is_active(2, 2) and flipped.is_active(1, 2)
-        assert flipped.flipped(2, 2) == act
 
 
 class TestSamples:

@@ -80,6 +80,27 @@ def test_every_attack_config_field_has_a_setter():
     assert sorted(fields - set_somewhere) == []
 
 
+def test_one_forward_pass():
+    # every loss value, region and wall comes from network._pre_outputs at float or
+    # Fraction dtype; a matrix product anywhere else would start a second forward pass
+    inside, outside = 0, []
+    for path in sorted((ROOT / "src" / "losscarto").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        shared = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) == ("network.py", "_pre_outputs")
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                if id(node) in shared:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert outside == [] and inside == 1
+
+
 def test_demos_present():
     assert len(DEMOS) == 5
 

@@ -36,6 +36,21 @@ def sample_221():
     return [TrainingSample((F(1), F(2)), (F(1),))]
 
 
+def toggled(P, node):
+    """P with the flag of hidden node (i, k) toggled."""
+    i, k = node
+    rows = [list(row) for row in P.flags]
+    rows[k - 2][i - 1] = not rows[k - 2][i - 1]
+    return ActivationSet(P.widths, tuple(map(tuple, rows)))
+
+
+def across(region, p, node):
+    """The formal neighbor of region across node's wall for sample p: same witness."""
+    sets = list(region.activation_sets)
+    sets[p] = toggled(sets[p], node)
+    return Region(tuple(sets), region.witness)
+
+
 class TestRegions:
     def test_region_of_matches_signs(self):
         s = NetworkShape([2, 2, 1])
@@ -96,7 +111,7 @@ class TestWalls:
         s = NetworkShape([2, 2, 1])
         samples = sample_221()
         r = self._region(s, samples, (F(1), F(1), F(1), F(1), F(1), F(1)))
-        sheet = wall_between(s, samples, r, r.flipped(0, (1, 2)))
+        sheet = wall_between(s, samples, r, across(r, 0, (1, 2)))
         assert sheet.poly == (V(0) + 2 * V(1)).normalized()
         assert sheet.sample_index == 0
         assert sheet.singular
@@ -107,7 +122,7 @@ class TestWalls:
         r = self._region(s, samples, (F(1), F(1), F(1), F(1), F(1), F(1)))
         with pytest.raises(AdjacencyError):
             wall_between(s, samples, r, r)
-        r2 = r.flipped(0, (1, 2)).flipped(0, (2, 2))
+        r2 = across(across(r, 0, (1, 2)), 0, (2, 2))
         with pytest.raises(AdjacencyError):
             wall_between(s, samples, r, r2)
 
@@ -119,7 +134,7 @@ class TestWalls:
         w = tuple(F(1) for _ in range(s.weight_count))
         act = ActivationSet.from_mapping(s, {(1, 3): False, (2, 3): False})
         r1 = Region((act,), w)
-        r2 = r1.flipped(0, (1, 2))
+        r2 = across(r1, 0, (1, 2))
         sheet = wall_between(s, samples, r1, r2)
         assert not sheet.singular
         assert sheet.poly == (V(0) + 2 * V(1)).normalized()
@@ -131,7 +146,7 @@ class TestWalls:
         act = ActivationSet.from_mapping(s, {(1, 2): False, (2, 2): False})
         r1 = Region((act,), tuple(F(1) for _ in range(s.weight_count)))
         with pytest.raises(AdjacencyError):
-            wall_between(s, samples, r1, r1.flipped(0, (1, 3)))
+            wall_between(s, samples, r1, across(r1, 0, (1, 3)))
 
 
 class TestSingularBit:
@@ -157,7 +172,7 @@ class TestSingularBit:
         for i, k in s.hidden_nodes():
             if virtual_polynomial(s, sample.input, P, (i, k)).is_zero():
                 continue
-            differs = piece != _sample_piece(s, sample, P.flipped(i, k))
+            differs = piece != _sample_piece(s, sample, toggled(P, (i, k)))
             assert _wall_is_singular(s, P, k) == differs, (widths, P.flags, (i, k))
 
 

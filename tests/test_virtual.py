@@ -106,14 +106,14 @@ class TestVirtualPolynomial:
         rng = random.Random(seed)
         w = [F(rng.randint(-64, 64), 16) for _ in range(s.weight_count)]
         x = tuple(F(rng.randint(-8, 8), 4) for _ in range(s.width(1)))
-        trace = forward(s, w, x)
+        pre = [z[:, 0] for z in forward(s, w, [x])]
         realized = ActivationSet(
-            s.widths, tuple(tuple(z > 0 for z in trace.pre[k - 2]) for k in range(2, s.depth))
+            s.widths, tuple(tuple(z > 0 for z in pre[k - 2]) for k in range(2, s.depth))
         )
         for k in range(2, s.depth + 1):
             for i in range(1, s.width(k) + 1):
                 u = virtual_polynomial(s, x, realized, (i, k))
-                assert u.evaluate(w) == trace.pre[k - 2][i - 1], (widths, (i, k))
+                assert u.evaluate(w) == pre[k - 2][i - 1], (widths, (i, k))
 
     def test_input_enters_exactly(self):
         s = NetworkShape([2, 1, 1])
