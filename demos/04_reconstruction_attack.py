@@ -2,8 +2,9 @@
 
 The attacker can evaluate E(w) at weight vectors of their choosing and knows
 nothing else: no gradients, no training data, no weights. Kinks of E along
-random lines are located by bisection, the wall through each kink is fitted
-as a hyperplane, and first-layer walls hand back training inputs up to a
+random lines are located by bisection, finite differences on both sides of
+each kink give the jump of the gradient, which is the normal of the wall
+through the kink, and first-layer walls hand back training inputs up to a
 scalar multiple.
 """
 

@@ -3,10 +3,20 @@
 The pipeline mirrors how the loss surface is built: training inputs show
 up as the coefficient vectors of the linear walls, so the attack scans
 lines for kinks, refines each kink by bisection against left/right local
-polynomial models, harvests N+1 nearby points of the same sheet, fits a
-hyperplane through them (smallest principal direction), and reads the
-input direction off the normal's support.  A kink whose harvest loses
-the sheet is rejected, as is one whose fit is degenerate or curved.
+polynomial models, measures the wall normal, gates it and reads the input
+direction off the normal's support.
+
+The normal is the kink's gradient jump.  Across a first-layer wall
+u = w_1j . x the loss pieces differ by u * G, so on the wall the gradient
+jumps by G * grad u: the input x, placed in aligned window j, times a
+scalar.  refine_kink measures that jump with one oracle batch of
+central differences on both sides of the wall (Richardson-extrapolated
+over two offsets), and run_attack rejects a jump whose two offsets
+disagree in direction (the jump gate).  Only a flat kink, one whose
+slope does not jump, falls back to harvesting N+1 nearby points of the
+same sheet and fitting a hyperplane through them (smallest principal
+direction); a kink whose harvest loses the sheet is rejected, as is one
+whose fit is degenerate or curved.
 
 Everything here is double precision; exact algebra stays in polyalg.
 run_attack is black-box: it sees only the oracle, the parameter count N
@@ -16,14 +26,16 @@ The oracle is any callable w -> E(w).  LossOracle counts its queries,
 enforces the budget and raises NonFiniteLossError on a NaN or infinite
 value, so no such value reaches a fit or a median.  A batch-capable
 oracle (one with a true ``batched`` attribute, as make_loss_fn returns)
-gets each scan grid and each refine stencil as one (Q, N) array through
-LossOracle.many; bisection steps stay single queries.  Any other callable
-is asked one row at a time, with the same queries, counts and results.
+gets each scan grid, each refine stencil and each gradient-jump batch as
+one (Q, N) array through LossOracle.many; bisection steps stay single
+queries.  Any other callable is asked one row at a time, with the same
+queries, counts and results.
 
 AttackConfig holds what a caller sets: the query budget, the number of
-scan lines and the seed.  How fine the scan is, how close the harvested
-points sit and how strict the fit is are fixed heuristics, the module
-constants below; the functions read them at call time.
+scan lines and the seed.  The fineness of the scan, the reach of the
+jump stencil and the strictness of the gate and the fit are fixed
+heuristics, the module constants below; the functions read them at call
+time.
 """
 
 from __future__ import annotations
@@ -55,6 +67,9 @@ DEGREE = 4  # degree of refine_kink's one-sided models: a depth-3 loss is quarti
 REFINE_TOL = 1e-9  # bracket width at which bisection stops, near float noise on t
 REFINE_BUDGET = 200  # queries one kink's refinement may spend before it is skipped
 SPURIOUS_TOL = 1e-7  # refine_kink's jump noise floors, relative to the loss scale
+JUMP_STEP = 1e-6  # central-difference step h of the gradient-jump batch
+JUMP_OFFSET = 1e-4  # distance s of the jump's gradients from the wall; also taken at s / 2
+JUMP_GATE = 0.999  # heuristic (so labelled in reports): least |cos(J(s), J(s/2))| accepted
 RADIUS_SCALE = 1e-3  # harvest radius relative to the kink's norm: close, yet above noise
 RETRIES = 3  # extra rescans, at halved offsets, before a harvest loses the sheet
 HARVEST_WINDOW_GRID = 33  # grid points of each rescan window in harvest_sheet_points
@@ -124,6 +139,11 @@ class KinkPoint:
     noise for a second-order kink (curvature jump only), which is how the
     loss behaves across a wall where the residual happens to vanish; the
     curvature jump is then the signal.
+
+    gradient_jump is the Richardson jump J = 2 J(s/2) - J(s) of the loss
+    gradient across the kink, and jump_agreement is |cos(J(s), J(s/2))|
+    (see refine_kink).  Both are None for a flat kink, or when the jump
+    was not asked for.
     """
 
     t: float
@@ -131,6 +151,31 @@ class KinkPoint:
     line: tuple[tuple[float, ...], tuple[float, ...]]  # (base, direction)
     jump_magnitude: float
     curvature_jump: float
+    gradient_jump: tuple[float, ...] | None = None
+    jump_agreement: float | None = None
+
+
+def _gradient_jump(oracle: LossOracle, point: np.ndarray, direction: np.ndarray):
+    """(J, |cos(J(s), J(s/2))|) across the wall at point, from one 8N-row batch.
+
+    J(r) is the central-difference gradient (step JUMP_STEP) at
+    point + r*d minus the one at point - r*d, d the unit line direction.
+    J(r) = jump + r * (H+ + H-) d + O(r^2), so J = 2 J(s/2) - J(s) cancels
+    the first-order spill of the one-sided Hessians H+-, s = JUMP_OFFSET.
+    The agreement is 0 when either jump is zero.
+    """
+    n = len(point)
+    h, s = JUMP_STEP, JUMP_OFFSET
+    unit = direction / float(np.linalg.norm(direction))
+    centers = point + np.array([s, -s, s / 2, -s / 2])[:, None] * unit  # (4, N)
+    steps = np.concatenate([h * np.eye(n), -h * np.eye(n)])  # (2N, N)
+    ys = oracle.many((centers[:, None, :] + steps[None, :, :]).reshape(-1, n))
+    ys = ys.reshape(4, 2, n)
+    grads = (ys[:, 0] - ys[:, 1]) / (2.0 * h)  # (4, N): at +s, -s, +s/2, -s/2
+    jump_s, jump_half = grads[0] - grads[1], grads[2] - grads[3]
+    norms = float(np.linalg.norm(jump_s)) * float(np.linalg.norm(jump_half))
+    agreement = abs(float(np.dot(jump_s, jump_half))) / norms if norms > 0.0 else 0.0
+    return 2.0 * jump_half - jump_s, agreement
 
 
 def refine_kink(
@@ -138,6 +183,8 @@ def refine_kink(
     base,
     direction,
     bracket: tuple[float, float],
+    *,
+    measure_jump: bool = True,
 ) -> KinkPoint:
     """Bisect a bracketed kink against left/right local polynomial models.
 
@@ -151,9 +198,14 @@ def refine_kink(
     jump of the two models sit below their noise floors held no kink.
     The models have degree DEGREE and bisection stops at width REFINE_TOL.
     The 2 * (DEGREE + 1) interpolation points are one oracle batch; all
-    queries count against REFINE_BUDGET, and running past it raises
-    RefineBudgetExceeded (the oracle's own budget raises
+    of these queries count against REFINE_BUDGET, and running past it
+    raises RefineBudgetExceeded (the oracle's own budget raises
     QueryBudgetExceeded, as everywhere).
+
+    With measure_jump, a kink whose slope jump clears its noise floor
+    then gets its gradient jump (_gradient_jump): one more batch of
+    8N queries, which only the oracle's own budget caps.  A flat kink
+    gets none.
     """
     oracle = _as_oracle(oracle)
     base = np.asarray(base, dtype=float)
@@ -209,12 +261,18 @@ def refine_kink(
             "no kink in bracket"
         )
     loc = base + t_star * direction
+    gradient_jump = agreement = None
+    if measure_jump and jump > slope_floor:
+        J, agreement = _gradient_jump(oracle, loc, direction)
+        gradient_jump = tuple(float(v) for v in J)
     return KinkPoint(
         t=t_star,
         location=tuple(float(v) for v in loc),
         line=(tuple(float(v) for v in base), tuple(float(v) for v in direction)),
         jump_magnitude=float(jump),
         curvature_jump=float(jump2),
+        gradient_jump=gradient_jump,
+        jump_agreement=agreement,
     )
 
 
@@ -242,6 +300,7 @@ def detect_kinks_on_line(
     grid: int,
     *,
     max_kinks: int | None = None,
+    measure_jump: bool = True,
 ) -> list[KinkPoint]:
     """Scan a line for nonsmooth points of the loss.
 
@@ -260,6 +319,7 @@ def detect_kinks_on_line(
     skipped; the oracle's own budget running out ends the scan.  Kinks
     closer together than a few grid cells can merge or shadow each
     other; the caller controls recall through grid and t_range.
+    measure_jump goes to refine_kink.
     """
     oracle = _as_oracle(oracle)
     base = np.asarray(base, dtype=float)
@@ -302,7 +362,7 @@ def detect_kinks_on_line(
         center = cell + 2
         lo_t, hi_t = float(ts[center - 1]), float(ts[center + 1])
         try:
-            kink = refine_kink(oracle, base, direction, (lo_t, hi_t))
+            kink = refine_kink(oracle, base, direction, (lo_t, hi_t), measure_jump=measure_jump)
         except (SpuriousKinkError, RefineBudgetExceeded):
             continue
         if any(abs(kink.t - prev.t) <= h for prev in out):
@@ -326,6 +386,7 @@ def harvest_sheet_points(
     norm at most radius, rescanning a short window around the seed t and
     refining the nearest kink.  A lost or drifted kink is retried with a
     fresh, smaller offset up to RETRIES extra times, then HarvestError.
+    Only locations are needed, so the rescans measure no gradient jumps.
     """
     base = np.asarray(kink.line[0], dtype=float)
     direction = np.asarray(kink.line[1], dtype=float)
@@ -347,6 +408,7 @@ def harvest_sheet_points(
                 (kink.t - window, kink.t + window),
                 HARVEST_WINDOW_GRID,
                 max_kinks=3,
+                measure_jump=False,
             )
             if not kinks:
                 continue
@@ -548,10 +610,11 @@ class AttackConfig:
     """What a run_attack caller sets: query budget, scan lines and seed.
 
     The seed draws each line's base and direction.  Every other setting
-    is a module constant.  RESIDUAL_TOL among them is an artifact
-    heuristic (flagged as such in reports): a harvested sheet whose
-    hyperplane residual exceeds it is treated as curved and dropped rather
-    than classified.
+    is a module constant.  JUMP_GATE and RESIDUAL_TOL among them are
+    artifact heuristics (flagged as such in reports): a gradient jump
+    whose two offsets agree in direction below JUMP_GATE is dropped, and
+    so is a harvested sheet whose hyperplane residual exceeds
+    RESIDUAL_TOL, rather than classified.
     """
 
     budget: int = 200_000
@@ -576,8 +639,10 @@ class AttackConfig:
 class RecoveredDirection:
     direction: tuple[float, ...]
     node: int | None
+    # 'gradient-jump' (the kink's gradient jump; residual 1 - |cos(J(s), J(s/2))|)
+    # or 'hyperplane' (a flat kink's fitted normal; residual the fit's RMS distance)
     residual: float
-    provenance: str  # always 'hyperplane': the wall's fitted normal
+    provenance: str
 
 
 @dataclass(frozen=True)
@@ -588,6 +653,9 @@ class DirectionMatch:
     scale: float
 
 
+REJECTION_REASONS = ("jump-gate", "nonlinear", "harvest-lost", "degenerate", "curved")
+
+
 @dataclass
 class ReconstructionReport:
     directions: list[RecoveredDirection] = field(default_factory=list)
@@ -596,10 +664,18 @@ class ReconstructionReport:
     oracle_queries: int = 0
     kinks: list[tuple[int, float, float]] = field(default_factory=list)
     weight_sheets: int = 0
-    rejected_sheets: int = 0
+    # rejected kinks by reason: the jump gate failed, the normal's support is not
+    # one aligned window, or a flat kink's harvest lost the sheet, or its fit was
+    # degenerate or curved
+    rejections: dict[str, int] = field(default_factory=lambda: dict.fromkeys(REJECTION_REASONS, 0))
     budget: int | None = None
     budget_exhausted: bool = False
+    jump_gate: float | None = None
     residual_tol: float | None = None
+
+    @property
+    def rejected_sheets(self) -> int:
+        return sum(self.rejections.values())
 
     def to_json(self) -> dict:
         return {
@@ -627,9 +703,13 @@ class ReconstructionReport:
             "oracle_queries": self.oracle_queries,
             "weight_sheets": self.weight_sheets,
             "rejected_sheets": self.rejected_sheets,
+            "rejections": dict(self.rejections),
             "kink_count": len(self.kinks),
             "budget": self.budget,
             "budget_exhausted": self.budget_exhausted,
+            "jump_gate": self.jump_gate,
+            "jump_gate_note": "artifact heuristic threshold on |cos(J(s), J(s/2))|, "
+            "not derived from the model",
             "residual_tol": self.residual_tol,
             "residual_tol_note": "artifact heuristic threshold, not derived from the model",
         }
@@ -662,6 +742,22 @@ def _match_directions(
     return matches
 
 
+def _fitted_normal(oracle: LossOracle, kink: KinkPoint, n_weights: int, rng: np.random.Generator):
+    """A flat kink's (normal, residual, 'hyperplane') from a harvest, or why it was rejected."""
+    radius = RADIUS_SCALE * max(1.0, float(np.linalg.norm(kink.location)))
+    try:
+        pts = harvest_sheet_points(oracle, kink, n_weights, radius, rng=rng)
+    except HarvestError:
+        return "harvest-lost"
+    try:
+        normal, resid = fit_hyperplane(pts)
+    except DegeneracyError:
+        return "degenerate"
+    if resid > RESIDUAL_TOL * max(1.0, radius):
+        return "curved"
+    return normal, resid, "hyperplane"
+
+
 def run_attack(
     oracle: Callable[[np.ndarray], float],
     n_weights: int,
@@ -670,8 +766,11 @@ def run_attack(
     *,
     true_inputs: Sequence[Sequence[float]] | None = None,
 ) -> ReconstructionReport:
-    """Black-box reconstruction: scan, refine, harvest, fit, classify.
+    """Black-box reconstruction: scan, refine and jump, gate, classify.
 
+    Each kink's normal is its gradient jump, accepted when the jump's two
+    offsets agree to JUMP_GATE; a flat kink's normal is instead fitted
+    through a harvest of the sheet (harvest, fit, RESIDUAL_TOL).
     Knows only the oracle, the weight count N and the input arity d_1.
     Recovered directions are unit vectors in input space, deduplicated at
     |cos| >= 1 - DEDUP_TOL; when true_inputs is supplied (scoring only,
@@ -680,7 +779,7 @@ def run_attack(
     """
     cfg = config or AttackConfig()
     counted = LossOracle(oracle, budget=cfg.budget)
-    report = ReconstructionReport(budget=cfg.budget, residual_tol=RESIDUAL_TOL)
+    report = ReconstructionReport(budget=cfg.budget, jump_gate=JUMP_GATE, residual_tol=RESIDUAL_TOL)
 
     raw_candidates: list[RecoveredDirection] = []
     try:
@@ -696,29 +795,23 @@ def run_attack(
             for kink in kinks:
                 report.kinks.append((line_id, kink.t, kink.jump_magnitude))
             for kink in kinks:
-                radius = RADIUS_SCALE * max(1.0, float(np.linalg.norm(kink.location)))
-                try:
-                    pts = harvest_sheet_points(counted, kink, n_weights, radius, rng=rng)
-                except HarvestError:
-                    report.rejected_sheets += 1
+                if kink.gradient_jump is None:
+                    outcome = _fitted_normal(counted, kink, n_weights, rng)
+                elif kink.jump_agreement < JUMP_GATE:
+                    outcome = "jump-gate"
+                else:
+                    outcome = (np.asarray(kink.gradient_jump), 1.0 - kink.jump_agreement, "gradient-jump")
+                if isinstance(outcome, str):
+                    report.rejections[outcome] += 1
                     continue
-                try:
-                    normal, resid = fit_hyperplane(pts)
-                except DegeneracyError:
-                    report.rejected_sheets += 1
-                    continue
-                if resid > RESIDUAL_TOL * max(1.0, radius):
-                    report.rejected_sheets += 1
-                    continue
+                normal, resid, provenance = outcome
                 ext = aligned_input_direction(normal, input_dim)
                 if ext.kind == "weight-parameter":
                     report.weight_sheets += 1
                 elif ext.kind == "input-direction":
-                    raw_candidates.append(
-                        RecoveredDirection(ext.direction, ext.node, resid, "hyperplane")
-                    )
+                    raw_candidates.append(RecoveredDirection(ext.direction, ext.node, resid, provenance))
                 else:
-                    report.rejected_sheets += 1
+                    report.rejections["nonlinear"] += 1
     except QueryBudgetExceeded:
         report.budget_exhausted = True
 

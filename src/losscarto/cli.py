@@ -265,7 +265,9 @@ def _cmd_attack(ns) -> int:
     )
     exhausted = "; budget exhausted" if report.budget_exhausted else ""
     print(f"oracle queries: {report.oracle_queries} / {cfg.budget}{exhausted}")
-    print(f"kinks found: {len(report.kinks)}; weight sheets: {report.weight_sheets}; rejected: {report.rejected_sheets}")
+    reasons = ", ".join(f"{why} {n}" for why, n in report.rejections.items() if n)
+    print(f"kinks found: {len(report.kinks)}; weight sheets: {report.weight_sheets}; "
+          f"rejected: {report.rejected_sheets}" + (f" ({reasons})" if reasons else ""))
     for idx, rec in enumerate(report.directions):
         line = f"direction {idx}: node~{rec.node} residual={rec.residual:.2e} [{rec.provenance}]"
         match = next((m for m in report.matches if m.direction_index == idx), None)

@@ -40,11 +40,17 @@ Scalar = int | float | Fraction
 
 
 def as_fraction(x: Scalar | str) -> Fraction:
-    """Exact conversion; floats map to the dyadic rational they denote."""
+    """Exact conversion; floats map to the dyadic rational they denote.
+
+    NumPy integer scalars (an entry of an integer array) convert exactly
+    too, through Python's int.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, float, str)):
         return Fraction(x)
+    if isinstance(x, np.integer):
+        return Fraction(int(x))
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
 
 
@@ -276,8 +282,9 @@ def make_loss_fn(
     row alone.  A single (N,) vector gives a float.
     """
     check_samples(shape, samples)
-    X = np.asarray([s.input for s in samples], dtype=float).T  # (d_1, M)
-    B = np.asarray([s.output for s in samples], dtype=float).T  # (d_L, M)
+    # reshaped so that no samples still give (d_1, 0) and (d_L, 0), and the loss 0
+    X = np.asarray([s.input for s in samples], dtype=float).reshape(-1, shape.widths[0]).T
+    B = np.asarray([s.output for s in samples], dtype=float).reshape(-1, shape.widths[-1]).T
     n = shape.weight_count
 
     def E(w: np.ndarray) -> float | np.ndarray:

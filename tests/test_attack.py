@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -252,6 +253,78 @@ class TestDetectRefine:
             detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257)
         assert not isinstance(info.value, RefineBudgetExceeded)
         assert oracle.query_count == 260
+
+
+def flat_walls(w):
+    """sum_k max(0, w_k)^2 plus a bowl: every wall w_k = 0 is flat (C^1)."""
+    w = np.asarray(w)
+    return np.sum(np.maximum(w, 0.0) ** 2 + 0.1 * w * w, axis=-1)
+
+
+flat_walls.batched = True
+
+
+class TestGradientJump:
+    def test_first_order_kink_costs_bisection_plus_8n(self):
+        n = np.array([1.0, -2.0, 0.5, 1.5, 0.0])
+        direction = np.array([1.0, 0.2, -0.1, 0.3, 0.4])
+        direction /= np.linalg.norm(direction)
+        base = np.array([0.3, 0.4, -0.2, 0.1, 0.7])
+        at = -float(n @ base) / float(n @ direction)
+        bracket = (at - 0.03, at + 0.04)
+        bisection = 2 * (attack_module.DEGREE + 1) + math.ceil(
+            math.log2((bracket[1] - bracket[0]) / attack_module.REFINE_TOL)
+        )
+        f = plane_kink_oracle(n)
+        batches = []
+
+        def spy(W):
+            batches.append(len(np.atleast_2d(W)))
+            return np.apply_along_axis(f, -1, W)
+
+        spy.batched = True
+        oracle = LossOracle(spy)
+        kink = refine_kink(oracle, base, direction, bracket)
+        assert abs(float(n @ np.asarray(kink.location))) < 1e-8
+        assert oracle.query_count == bisection + 8 * len(n)
+        assert batches[-1] == 8 * len(n)  # one batch
+        # |n.w| jumps by 2n; the Richardson jump has no spill off the support
+        J = np.asarray(kink.gradient_jump)
+        assert np.allclose(J, 2 * n if float(J @ n) > 0 else -2 * n, atol=1e-6)
+        assert abs(J[4]) < 1e-6 and kink.jump_agreement > 1.0 - 1e-9
+        without = LossOracle(f)
+        bare = refine_kink(without, base, direction, bracket, measure_jump=False)
+        assert without.query_count == bisection and bare.gradient_jump is None
+        assert bare.t == kink.t
+
+    def test_flat_kink_gets_no_jump(self):
+        direction = np.ones(4) / 2.0
+        oracle = LossOracle(flat_walls)
+        kinks = detect_kinks_on_line(oracle, [1.0, 2.0, 3.0, 4.0], direction, (-9, 0), 257)
+        assert [round(k.t, 5) for k in kinks] == [-8.0, -6.0, -4.0, -2.0]
+        assert all(k.gradient_jump is None for k in kinks)
+        assert all(k.jump_agreement is None for k in kinks)
+
+    @pytest.mark.parametrize("gap,gated", [(0.75, True), (3.0, False)])
+    def test_second_wall_within_offset_fails_the_gate(self, gap, gated):
+        # wall 1 (w0 = c0) carries nearly all the slope jump along the line, so bisection
+        # lands on it; wall 2 (w1 = c1), orthogonal to it, crosses the line gap * s
+        # further on.  Within s, its jump adds to J(s) in full and to J(s/2) barely.
+        s = attack_module.JUMP_OFFSET
+        direction = np.array([0.6, 0.01, 0.0, 0.8])
+        direction /= np.linalg.norm(direction)
+        t1 = 0.3
+        c0, c1 = direction[0] * t1, direction[1] * (t1 + gap * s)
+
+        def two_walls(w):
+            w = np.asarray(w)
+            return abs(w[0] - c0) + abs(w[1] - c1) + 0.1 * float(w @ w)
+
+        kinks = detect_kinks_on_line(LossOracle(two_walls), np.zeros(4), direction, (-4, 4), 257)
+        assert len(kinks) == 1 and abs(kinks[0].t - t1) < 1e-5
+        assert (kinks[0].jump_agreement < attack_module.JUMP_GATE) is gated
+        if not gated:
+            assert aligned_input_direction(kinks[0].gradient_jump, 4).kind == "weight-parameter"
 
 
 def plane_kink_oracle(normal, smooth_scale=0.1):
@@ -529,21 +602,67 @@ class TestAttackPipeline:
         assert report.oracle_queries == 260
 
     def test_lost_harvest_rejects_the_kink_once(self, monkeypatch):
-        # a harvest that loses the sheet costs one call and one rejection; no retry
+        # only a flat kink is harvested; a harvest that loses the sheet costs one
+        # call and one rejection, and is not retried
         calls = []
 
         def lost(oracle, kink, *args, **kwargs):
-            calls.append(kink.t)
+            calls.append(kink)
             raise HarvestError("sheet lost")
 
         monkeypatch.setattr(attack_module, "harvest_sheet_points", lost)
         monkeypatch.setattr(attack_module, "MAX_KINKS_PER_LINE", 1)
-        inst = gen_instance([3, 4, 2], 5, 7)
-        cfg = AttackConfig(n_lines=1)
-        report = run_attack(make_oracle(inst), inst.shape.weight_count, 3, cfg)
+        report = run_attack(flat_walls, 6, 2, AttackConfig(n_lines=1))
         assert len(report.kinks) == 1
-        assert calls == [report.kinks[0][1]]
-        assert report.rejected_sheets == 1 and not report.directions
+        assert [k.t for k in calls] == [report.kinks[0][1]]
+        assert calls[0].gradient_jump is None and calls[0].curvature_jump > 0.1
+        assert report.rejections["harvest-lost"] == 1 == report.rejected_sheets
+        assert not report.directions
+
+    @pytest.mark.parametrize("widths,samples", [((3, 4, 2), 5), ((4, 6, 3), 6)])
+    @pytest.mark.parametrize("seed", [7, 107, 207])
+    def test_gradient_jump_directions_are_true_inputs(self, widths, samples, seed):
+        inst = gen_instance(list(widths), samples, seed)
+        true_inputs = [tuple(float(v) for v in s.input) for s in inst.samples]
+        report = run_attack(make_oracle(inst), inst.shape.weight_count, widths[0],
+                            AttackConfig(), true_inputs=true_inputs)
+        jumps = [i for i, d in enumerate(report.directions) if d.provenance == "gradient-jump"]
+        assert jumps and len(jumps) == len(report.directions)
+        cosine = {m.direction_index: m.cosine for m in report.matches}
+        assert all(cosine[i] >= 1.0 - 1e-9 for i in jumps)
+
+    def test_rejections_by_reason(self, monkeypatch):
+        inst = gen_instance([3, 4, 4, 2], 5, 7)
+        report = run_attack(make_oracle(inst), inst.shape.weight_count, 3, AttackConfig())
+        data = report.to_json()
+        assert set(data["rejections"]) == {"jump-gate", "nonlinear", "harvest-lost", "degenerate", "curved"}
+        assert sum(data["rejections"].values()) == data["rejected_sheets"] == report.rejected_sheets > 0
+        assert data["jump_gate"] == attack_module.JUMP_GATE and "heuristic" in data["jump_gate_note"]
+        # a gate no jump can pass rejects every kink as jump-gate, at no query cost
+        monkeypatch.setattr(attack_module, "JUMP_GATE", 2.0)
+        gated = run_attack(make_oracle(inst), inst.shape.weight_count, 3, AttackConfig())
+        assert gated.rejections["jump-gate"] == len(gated.kinks) == gated.rejected_sheets
+        assert gated.oracle_queries == report.oracle_queries and not gated.directions
+
+    def test_oracle_budget_inside_jump_batch_sets_exhausted(self):
+        inst = gen_instance([3, 4, 2], 5, 7)
+        n = inst.shape.weight_count
+        E = make_oracle(inst)
+        batches = []
+
+        def spy(W):
+            batches.append(len(np.atleast_2d(W)))
+            return E(W)
+
+        spy.batched = True
+        run_attack(spy, n, 3, AttackConfig(n_lines=1))
+        first_jump = batches.index(8 * n)
+        budget = sum(batches[:first_jump]) + 5
+        batches.clear()
+        report = run_attack(spy, n, 3, AttackConfig(budget=budget))
+        assert batches[-1] == 5  # the jump batch is cut to the rows that fit
+        assert report.budget_exhausted
+        assert report.oracle_queries == budget
 
     def test_report_round_trip(self):
         inst = gen_instance([2, 2, 1], 1, seed=2)
@@ -553,7 +672,8 @@ class TestAttackPipeline:
         data = report.to_json()
         assert data["oracle_queries"] == report.oracle_queries
         assert not report.budget_exhausted and data["budget_exhausted"] is False
-        assert "residual_tol_note" in data
+        assert "residual_tol_note" in data and "jump_gate_note" in data
+        assert all(d["provenance"] == "gradient-jump" for d in data["directions"])
         csv = report.kink_csv()
         assert csv.splitlines()[0] == "line_id,t,jump,refined"
         assert len(csv.splitlines()) == len(report.kinks) + 1

@@ -90,6 +90,7 @@ class TestAttack:
         assert code == 0
         data = json.loads(report.read_text())
         assert data["oracle_queries"] <= 120000
+        assert sum(data["rejections"].values()) == data["rejected_sheets"]
         assert data["directions"]
         assert any(m["cosine"] >= 0.999 for m in data["matches"])
         assert kinks.read_text().splitlines()[0] == "line_id,t,jump,refined"

@@ -217,6 +217,23 @@ class TestForward:
         assert all(type(v) is float for v in rows)
         assert batch.tolist() == rows
 
+    def test_no_samples_give_zero_loss(self):
+        s = NetworkShape([2, 2, 1])
+        fn = make_loss_fn(s, [])
+        assert loss(s, np.zeros(6), []) == 0
+        assert fn(np.arange(6.0)) == 0.0 and type(fn(np.zeros(6))) is float
+        assert fn(np.ones((3, 6))).tolist() == [0.0, 0.0, 0.0]
+
+    def test_numpy_integers_convert_exactly(self):
+        s = NetworkShape([2, 2, 1])
+        sample = TrainingSample((1, 2), (1,))
+        want = loss(s, list(range(6)), [sample])
+        assert loss(s, np.arange(6), [sample]) == want
+        assert loss(s, np.arange(6), [TrainingSample(np.array([1, 2]), np.array([1]))]) == want
+        big = np.int64(2**62 + 1)  # not a double: a float detour would round it
+        assert as_fraction(big) == Fraction(2**62 + 1) and type(as_fraction(big)) is Fraction
+        assert as_fraction(np.uint8(255)) == 255 and as_fraction(np.int32(-7)) == -7
+
     def test_make_loss_fn_rejects_bad_shapes(self):
         s = NetworkShape([2, 2, 1])
         fn = make_loss_fn(s, [TrainingSample((1, 2), (1,))])
