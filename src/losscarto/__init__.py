@@ -35,7 +35,6 @@ from .errors import (
     NonFiniteLossError,
     QueryBudgetExceeded,
     RecoveryError,
-    RefineBudgetExceeded,
     SamplingError,
     ShapeError,
     SpuriousKinkError,
@@ -101,7 +100,6 @@ __all__ = [
     "QueryBudgetExceeded",
     "ReconstructionReport",
     "RecoveryError",
-    "RefineBudgetExceeded",
     "Region",
     "SamplingError",
     "ShapeError",

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,7 +54,6 @@ from .errors import (
     NonFiniteLossError,
     QueryBudgetExceeded,
     RecoveryError,
-    RefineBudgetExceeded,
     SpuriousKinkError,
 )
 from .polyalg import Poly
@@ -65,7 +64,6 @@ MAX_KINKS_PER_LINE = 3  # strongest flagged cells refined per scan line
 DETECT_TOL = 12.0  # fourth difference over its rolling-median scale that flags a cell
 DEGREE = 4  # degree of refine_kink's one-sided models: a depth-3 loss is quartic on a line
 REFINE_TOL = 1e-9  # bracket width at which bisection stops, near float noise on t
-REFINE_BUDGET = 200  # queries one kink's refinement may spend before it is skipped
 SPURIOUS_TOL = 1e-7  # refine_kink's jump noise floors, relative to the loss scale
 JUMP_STEP = 1e-6  # central-difference step h of the gradient-jump batch
 JUMP_OFFSET = 1e-4  # distance s of the jump's gradients from the wall; also taken at s / 2
@@ -196,16 +194,17 @@ def refine_kink(
     bracket can only shrink inside the noise ball, so the answer lands
     within it.  A bracket where both the slope jump and the curvature
     jump of the two models sit below their noise floors held no kink.
-    The models have degree DEGREE and bisection stops at width REFINE_TOL.
-    The 2 * (DEGREE + 1) interpolation points are one oracle batch; all
-    of these queries count against REFINE_BUDGET, and running past it
-    raises RefineBudgetExceeded (the oracle's own budget raises
-    QueryBudgetExceeded, as everywhere).
+    The models have degree DEGREE; their 2 * (DEGREE + 1) interpolation
+    points are one oracle batch.  Bisection stops at width REFINE_TOL, or
+    earlier where the midpoint rounds to an end of the bracket (far out
+    on the line, where neighbouring doubles lie more than REFINE_TOL
+    apart), so a refine costs 2 * (DEGREE + 1) + ceil(log2(width /
+    REFINE_TOL)) queries, or fewer when float resolution ends the split.
+    Only the oracle's budget caps them (QueryBudgetExceeded).
 
     With measure_jump, a kink whose slope jump clears its noise floor
     then gets its gradient jump (_gradient_jump): one more batch of
-    8N queries, which only the oracle's own budget caps.  A flat kink
-    gets none.
+    8N queries.  A flat kink gets none.
     """
     oracle = _as_oracle(oracle)
     base = np.asarray(base, dtype=float)
@@ -214,40 +213,27 @@ def refine_kink(
     if not hi > lo:
         raise ValueError(f"empty bracket {bracket}")
     width0 = hi - lo
-    degree, max_queries = DEGREE, REFINE_BUDGET
-
-    spent = f"refine budget of {max_queries} queries exhausted"
-    h = width0 / degree
-    left_ts = [lo - j * h for j in range(degree + 1)]
-    right_ts = [hi + j * h for j in range(degree + 1)]
-    stencil = np.array(left_ts + right_ts)
-    queries = min(len(stencil), max_queries)
-    ys = oracle.many(base + stencil[:queries, None] * direction).tolist()
-    if queries < len(stencil):
-        raise RefineBudgetExceeded(spent)
-    left_ys, right_ys = ys[: degree + 1], ys[degree + 1 :]
-
-    def f(t: float) -> float:
-        nonlocal queries
-        if queries >= max_queries:
-            raise RefineBudgetExceeded(spent)
-        queries += 1
-        return oracle(base + t * direction)
+    h = width0 / DEGREE
+    left_ts = [lo - j * h for j in range(DEGREE + 1)]
+    right_ts = [hi + j * h for j in range(DEGREE + 1)]
+    ys = oracle.many(base + np.array(left_ts + right_ts)[:, None] * direction).tolist()
+    left_ys, right_ys = ys[: DEGREE + 1], ys[DEGREE + 1 :]
 
     # exact local polynomial models through the degree + 1 points of each side
-    p_left = np.polynomial.polynomial.Polynomial.fit(left_ts, left_ys, degree)
-    p_right = np.polynomial.polynomial.Polynomial.fit(right_ts, right_ys, degree)
+    p_left = np.polynomial.polynomial.Polynomial.fit(left_ts, left_ys, DEGREE)
+    p_right = np.polynomial.polynomial.Polynomial.fit(right_ts, right_ys, DEGREE)
 
-    while hi - lo > REFINE_TOL:
-        m = 0.5 * (lo + hi)
-        fm = f(m)
+    m = 0.5 * (lo + hi)
+    while hi - lo > REFINE_TOL and lo < m < hi:
+        fm = oracle(base + m * direction)
         err_left = abs(p_left(m) - fm)
         err_right = abs(p_right(m) - fm)
         if err_left <= err_right:
             lo = m  # midpoint still on the left piece: kink is to the right
         else:
             hi = m
-    t_star = 0.5 * (lo + hi)
+        m = 0.5 * (lo + hi)
+    t_star = m
 
     jump = abs(p_left.deriv()(t_star) - p_right.deriv()(t_star))
     jump2 = abs(p_left.deriv(2)(t_star) - p_right.deriv(2)(t_star))
@@ -315,9 +301,12 @@ def detect_kinks_on_line(
     cell; each cell's one-spacing bracket is refined by refine_kink, and
     refined kinks landing within one grid spacing of an already-accepted
     one are dropped as duplicates (a kink sitting on a grid point splits
-    its flag run in two).  A bracket that proves spurious or spends REFINE_BUDGET is
-    skipped; the oracle's own budget running out ends the scan.  Kinks
-    closer together than a few grid cells can merge or shadow each
+    its flag run in two).  Each refine costs 2 * (DEGREE + 1) +
+    ceil(log2(width / REFINE_TOL)) queries, or fewer when float
+    resolution ends the split, plus 8N for the gradient jump when
+    measure_jump is set and the kink is not flat.  A bracket that proves
+    spurious is skipped; the oracle's budget running out ends the scan.
+    Kinks closer together than a few grid cells can merge or shadow each
     other; the caller controls recall through grid and t_range.
     measure_jump goes to refine_kink.
     """
@@ -363,7 +352,7 @@ def detect_kinks_on_line(
         lo_t, hi_t = float(ts[center - 1]), float(ts[center + 1])
         try:
             kink = refine_kink(oracle, base, direction, (lo_t, hi_t), measure_jump=measure_jump)
-        except (SpuriousKinkError, RefineBudgetExceeded):
+        except SpuriousKinkError:
             continue
         if any(abs(kink.t - prev.t) <= h for prev in out):
             continue
@@ -670,8 +659,6 @@ class ReconstructionReport:
     rejections: dict[str, int] = field(default_factory=lambda: dict.fromkeys(REJECTION_REASONS, 0))
     budget: int | None = None
     budget_exhausted: bool = False
-    jump_gate: float | None = None
-    residual_tol: float | None = None
 
     @property
     def rejected_sheets(self) -> int:
@@ -679,24 +666,8 @@ class ReconstructionReport:
 
     def to_json(self) -> dict:
         return {
-            "directions": [
-                {
-                    "direction": list(d.direction),
-                    "node": d.node,
-                    "residual": d.residual,
-                    "provenance": d.provenance,
-                }
-                for d in self.directions
-            ],
-            "matches": [
-                {
-                    "direction_index": m.direction_index,
-                    "sample_index": m.sample_index,
-                    "cosine": m.cosine,
-                    "scale": m.scale,
-                }
-                for m in self.matches
-            ],
+            "directions": [asdict(d) | {"direction": list(d.direction)} for d in self.directions],
+            "matches": [asdict(m) for m in self.matches],
             "architecture": list(self.architecture)
             if isinstance(self.architecture, tuple)
             else self.architecture,
@@ -707,10 +678,10 @@ class ReconstructionReport:
             "kink_count": len(self.kinks),
             "budget": self.budget,
             "budget_exhausted": self.budget_exhausted,
-            "jump_gate": self.jump_gate,
+            "jump_gate": JUMP_GATE,
             "jump_gate_note": "artifact heuristic threshold on |cos(J(s), J(s/2))|, "
             "not derived from the model",
-            "residual_tol": self.residual_tol,
+            "residual_tol": RESIDUAL_TOL,
             "residual_tol_note": "artifact heuristic threshold, not derived from the model",
         }
 
@@ -779,7 +750,7 @@ def run_attack(
     """
     cfg = config or AttackConfig()
     counted = LossOracle(oracle, budget=cfg.budget)
-    report = ReconstructionReport(budget=cfg.budget, jump_gate=JUMP_GATE, residual_tol=RESIDUAL_TOL)
+    report = ReconstructionReport(budget=cfg.budget)
 
     raw_candidates: list[RecoveredDirection] = []
     try:

@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .instances import (
 from .network import ActivationSet, loss
 from .polyalg import layerwise_degree
 from .surface import (
+    _random_dyadic_weights,
     enumerate_singular_sheets,
     region_loss_polynomial,
     region_of,
@@ -159,7 +159,7 @@ def _check_piecewise(inst: Instance, probes: int, rng) -> tuple[int, int]:
     attempts = 0
     while done < probes and attempts < 20 * probes:
         attempts += 1
-        w = tuple(Fraction(rng.randint(-(2**20), 2**20), 2**20) for _ in range(shape.weight_count))
+        w = _random_dyadic_weights(shape, rng)
         try:
             region = region_of(shape, inst.samples, w)
         except BoundaryError:
@@ -212,6 +212,8 @@ def _cmd_gen(ns) -> int:
 
 def _cmd_verify(ns) -> int:
     names = tuple(part.strip() for part in ns.checks.split(",") if part.strip())
+    if not names:
+        raise UsageError("--checks names no check")
     if names == ("all",):
         names = tuple(_CHECKS)
     for name in names:
@@ -293,6 +295,8 @@ def _cmd_surface(ns) -> int:
         raise UsageError("--grid must be at least 2")
     if ns.probes < 1:
         raise UsageError("--probes must be positive")
+    if ns.seed < 0:
+        raise UsageError("--seed must be non-negative")
     try:
         lo_s, hi_s = ns.t_range.split(":")
         lo, hi = float(lo_s), float(hi_s)

@@ -57,10 +57,6 @@ class QueryBudgetExceeded(LosscartoError, RuntimeError):
     """Loss oracle refused a query past the configured budget."""
 
 
-class RefineBudgetExceeded(QueryBudgetExceeded):
-    """One kink's refinement spent its own query cap; the oracle budget may remain."""
-
-
 class NonFiniteLossError(LosscartoError, RuntimeError):
     """Loss oracle returned NaN or an infinity."""
 

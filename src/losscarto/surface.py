@@ -148,8 +148,9 @@ def wall_between(
 ) -> Sheet:
     """Sheet separating two regions that differ in exactly one node flag.
 
-    The sheet polynomial is the flipped node's virtual polynomial under
-    the shared flags (its own flag is irrelevant to its pre-output), and
+    The sheet polynomial is the flipped node's wall from _node_components:
+    its virtual polynomial under the shared flags (its own flag is
+    irrelevant to its pre-output), as enumeration records it, and
     the singular bit asks whether every hidden layer above the node keeps
     an active node, which is when the two exact pieces differ.
     """
@@ -163,14 +164,14 @@ def wall_between(
     if len(diffs) != 1:
         raise AdjacencyError(f"regions differ in {len(diffs)} flags, expected exactly 1")
     p, (i, k) = diffs[0]
-    u = virtual_polynomial(shape, samples[p].input, r1.activation_sets[p], (i, k))
-    if u.is_zero():
+    P = r1.activation_sets[p]
+    components = _node_components(shape, samples[p].input, P, (i, k))
+    if not components:
         raise AdjacencyError(
             f"no wall: node ({i},{k}) has identically zero pre-output here"
         )
-    singular = _wall_is_singular(shape, r1.activation_sets[p], k)
-    sample_index = None if _is_sample_independent(u, shape) else p
-    return Sheet(poly=u.normalized(), sample_index=sample_index, singular=singular)
+    wall, independent = components[0]
+    return Sheet(wall, None if independent else p, _wall_is_singular(shape, P, k))
 
 
 def _node_components(
@@ -282,9 +283,7 @@ def sample_independent_sheets(
         sheets = enumerate_singular_sheets(
             shape, samples, probe_budget, seed=seed + idx
         )
-        runs.append(
-            {s.poly for s in sheets if _is_sample_independent(s.poly, shape)}
-        )
+        runs.append({s.poly for s in sheets if s.sample_index is None})
     return sorted(runs[0] & runs[1], key=lambda q: q.terms, reverse=True)
 
 

@@ -50,8 +50,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "check homogeneity" in out and "check piecewise" in out and "check factorization" in out
 
-    def test_unknown_check(self, inst_path):
-        assert main(["verify", "--instance", str(inst_path), "--checks", "telepathy"]) == 64
+    def test_unknown_check(self, inst_path, tmp_path, capsys):
+        # a list that names no check would check nothing and report success
+        for checks in ("telepathy", ",", ""):
+            assert main(["verify", "--instance", str(inst_path), "--checks", checks]) == 64, checks
+            assert main(["verify", "--instance", str(tmp_path / "ghost.json"), "--checks", checks]) == 64
+        assert capsys.readouterr().out == ""
 
     def test_missing_file(self, tmp_path):
         assert main(["verify", "--instance", str(tmp_path / "ghost.json")]) == 2
@@ -185,6 +189,15 @@ class TestSurface:
         for bad in ("--t-range=-inf:inf", "--t-range=0:inf", "--t-range=nan:1"):
             assert main(["surface", "--instance", str(inst_path), "--out", out, bad]) == 64
             assert main(["surface", "--instance", ghost, "--out", out, bad]) == 64
+
+    def test_negative_seed(self, inst_path, tmp_path, capsys):
+        out = str(tmp_path / "surf")
+        assert main(["surface", "--instance", str(inst_path), "--out", out, "--seed", "-1"]) == 64
+        assert "--seed" in capsys.readouterr().err
+        # checked before the instance is read, as attack does
+        ghost = str(tmp_path / "ghost.json")
+        assert main(["surface", "--instance", ghost, "--out", out, "--seed", "-1"]) == 64
+        assert not (tmp_path / "surf.csv").exists()
 
     def test_direction_length_validated(self, inst_path, tmp_path):
         out = str(tmp_path / "surf")

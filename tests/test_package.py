@@ -101,6 +101,34 @@ def test_one_forward_pass():
     assert outside == [] and inside == 1
 
 
+def test_one_query_budget():
+    # the oracle's budget is the attack's only one: QueryBudgetExceeded, or a subclass
+    # of it, is raised inside LossOracle and nowhere else in the package
+    budget_errors = {
+        name for name, obj in vars(losscarto.errors).items()
+        if isinstance(obj, type) and issubclass(obj, losscarto.QueryBudgetExceeded)
+    }
+    inside, outside = 0, []
+    for path in sorted((ROOT / "src" / "losscarto").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        oracle = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and (path.name, cls.name) == ("attack.py", "LossOracle")
+            for node in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) in budget_errors:
+                if id(node) in oracle:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert outside == [] and inside > 0
+
+
 def test_demos_present():
     assert len(DEMOS) == 5
 
