@@ -16,12 +16,16 @@ Conventions used everywhere in this package:
   row-major, is the usual matrix W_k acting by W_k @ x.
 * There is one forward pass, _pre_outputs: each layer is
   W[layer_slice(k)].reshape(d_{k+1}, d_k) @ H over all samples at once,
-  and it runs at two dtypes.  make_loss_fn runs it on float arrays, for one
-  weight vector or a (Q, N) stack of them.  forward runs it on object
+  and it runs at three dtypes.  make_loss_fn runs it on float arrays, for
+  one weight vector or a (Q, N) stack of them.  forward runs it on object
   arrays of fractions.Fraction (floats are converted exactly, so every
-  float is treated as the dyadic rational it is), and loss and region_of
-  read forward.  The ReLU clamps with the integer 0, not 0.0: on Fractions
-  a float 0.0 would turn every later product into a float.
+  float is treated as the dyadic rational it is), and loss reads forward.
+  Region classification (surface.region_of and sheet enumeration) runs it
+  on object arrays of Python ints: each weight layer and each input is
+  scaled by the lcm of its denominators, a positive scaling that keeps
+  every pre-output's sign and every exact zero.  The ReLU clamps with the
+  integer 0, not 0.0: on exact values a float 0.0 would turn every later
+  product into a float.
 
 All types here are immutable; functions are pure.
 """
@@ -226,9 +230,9 @@ def check_samples(shape: NetworkShape, samples: Sequence[TrainingSample]) -> Non
 def _pre_outputs(shape: NetworkShape, W: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
     """z^(2..L) of the stacked inputs X (d_1, M) under W, (N,) or (Q, N).
 
-    The package's only forward pass, for float and for Fraction (object)
+    The package's only forward pass, for float, Fraction and int (object)
     arrays alike; ReLU on hidden layers only, clamping with the integer 0
-    so that Fractions stay Fractions.
+    so that exact values stay exact.
     """
     lead = W.shape[:-1]
     d, off = shape.widths, shape._offsets

@@ -46,7 +46,7 @@ def _merge_keys(a: TermKey, b: TermKey) -> TermKey:
 class Poly:
     """Immutable exact polynomial; supports +, -, * and scalar ops."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[TermKey, Scalar] | Iterable[tuple[TermKey, Scalar]] = ()):
         if isinstance(terms, Mapping):
@@ -132,12 +132,17 @@ class Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == Poly.constant(other)._terms
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        # computed once: hashing every Fraction coefficient takes a modular
+        # inverse each, and sheet enumeration looks polys up repeatedly
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._terms)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __neg__(self) -> "Poly":
         return Poly._canonical({k: -c for k, c in self._terms})

@@ -21,10 +21,13 @@ the layers above and is decided per region.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     AdjacencyError, BoundaryError, SamplingError, ShapeError, ZeroVirtualPolynomialError,
@@ -34,9 +37,9 @@ from .network import (
     NetworkShape,
     Scalar,
     TrainingSample,
+    _pre_outputs,
     as_fraction,
     check_samples,
-    forward,
 )
 from .polyalg import Poly
 from .virtual import factorize, virtual_polynomial
@@ -56,6 +59,58 @@ class Region:
         return tuple(p.flags for p in self.activation_sets)
 
 
+def _scaled_by_lcm(values: Sequence[Scalar]) -> list[int]:
+    """values times the lcm of their denominators: Python ints, same signs."""
+    fs = [as_fraction(v) for v in values]
+    m = math.lcm(*(f.denominator for f in fs))
+    return [f.numerator * (m // f.denominator) for f in fs]
+
+
+def _integer_inputs(shape: NetworkShape, samples: Sequence[TrainingSample]) -> np.ndarray:
+    """(d_1, M) object array of ints: column p is sample p's input, scaled up to integers."""
+    cols = [_scaled_by_lcm(s.input) for s in samples]
+    return np.array(cols, dtype=object).reshape(len(samples), shape.widths[0]).T
+
+
+def _integer_weights(shape: NetworkShape, w: Sequence[Scalar]) -> list[int]:
+    """w with each weight layer scaled up to integers by its own lcm."""
+    return [
+        v for k in range(1, shape.depth) for v in _scaled_by_lcm(w[shape.layer_slice(k)])
+    ]
+
+
+def _region_keys(shape: NetworkShape, X: np.ndarray, W: np.ndarray) -> list[RegionKey | int]:
+    """Region key of each row of the (Q, N) weights W, inputs X (d_1, M).
+
+    An entry is the layer k of the first exactly-zero hidden pre-output
+    instead, when the row sits on a wall.  W and X hold Python ints, the
+    rational weights and inputs scaled up: scaling a weight layer or an
+    input column by a positive constant scales every later pre-output
+    positively, keeping each sign and each exact zero, so the one forward
+    pass in integer arithmetic decides what the Fraction pass would,
+    without normalizing a Fraction.  The output layer has no flags, so
+    the pass stops below it.
+    """
+    Q, M = W.shape[0], X.shape[1]
+    if shape.depth == 2:
+        return [((),) * M] * Q
+    below = NetworkShape(shape.widths[:-1])
+    hidden = _pre_outputs(below, W[:, : below.weight_count], X)  # (Q, d_k, M) each
+    zero_layer = [0] * Q
+    for k in range(len(hidden) + 1, 1, -1):  # shallowest layer wins
+        for q in np.flatnonzero((hidden[k - 2] == 0).reshape(Q, -1).any(axis=1)):
+            zero_layer[q] = k
+    signs = [(z > 0).transpose(0, 2, 1).tolist() for z in hidden]  # [layer][q][p][node]
+    return [
+        zero_layer[q] or tuple(tuple(tuple(s[q][p]) for s in signs) for p in range(M))
+        for q in range(Q)
+    ]
+
+
+def _region(shape: NetworkShape, key: RegionKey, w: Sequence[Scalar]) -> Region:
+    return Region(tuple(ActivationSet(shape.widths, flags) for flags in key), tuple(w))
+
+
 def region_of(
     shape: NetworkShape,
     samples: Sequence[TrainingSample],
@@ -63,16 +118,12 @@ def region_of(
 ) -> Region:
     """Region containing w; BoundaryError when any pre-output is exactly zero."""
     check_samples(shape, samples)
-    hidden = forward(shape, w, [s.input for s in samples])[:-1]
-    for k, z in enumerate(hidden, start=2):
-        if (z == 0).any():
-            raise BoundaryError(f"pre-output exactly zero in layer {k}: walls touch this point")
-    per_layer = [(z > 0).T.tolist() for z in hidden]  # [layer][sample][node]
-    sets = tuple(
-        ActivationSet(shape.widths, tuple(tuple(rows[p]) for rows in per_layer))
-        for p in range(len(samples))
-    )
-    return Region(sets, tuple(w))
+    shape.check_weights(w)
+    W = np.array([_integer_weights(shape, w)], dtype=object)
+    key = _region_keys(shape, _integer_inputs(shape, samples), W)[0]
+    if isinstance(key, int):
+        raise BoundaryError(f"pre-output exactly zero in layer {key}: walls touch this point")
+    return _region(shape, key, w)
 
 
 def region_loss_polynomial(
@@ -193,11 +244,43 @@ def _node_components(
     return tuple((g, _is_sample_independent(g, shape)) for g in norms)
 
 
+# probe weights are n / _PROBE_SCALE for integers |n| <= _PROBE_SCALE
+_PROBE_SCALE = 1 << 20
+# enumerate_singular_sheets classifies its probes this many at a time
+_PROBE_CHUNK = 256
+
+
+def _random_numerators(shape: NetworkShape, rng: random.Random) -> list[int]:
+    return [rng.randint(-_PROBE_SCALE, _PROBE_SCALE) for _ in range(shape.weight_count)]
+
+
 def _random_dyadic_weights(shape: NetworkShape, rng: random.Random) -> list[Fraction]:
-    scale = 1 << 20
-    return [
-        Fraction(rng.randint(-scale, scale), scale) for _ in range(shape.weight_count)
-    ]
+    return [Fraction(n, _PROBE_SCALE) for n in _random_numerators(shape, rng)]
+
+
+def _sample_regions(
+    shape: NetworkShape, samples: Sequence[TrainingSample], probe_budget: int, seed: int
+) -> dict[RegionKey, Region]:
+    """Regions hit by probe_budget random probes, each witnessed by its first probe.
+
+    The probes are those of a loop of _random_dyadic_weights and region_of
+    on random.Random(seed), classified _PROBE_CHUNK at a time; probes on a
+    wall are skipped.
+    """
+    rng = random.Random(seed)
+    X = _integer_inputs(shape, samples)
+    regions: dict[RegionKey, Region] = {}
+    for start in range(0, probe_budget, _PROBE_CHUNK):
+        # every probe weight shares the denominator _PROBE_SCALE, so the
+        # numerators are already a positive rescaling of each weight layer
+        rows = [
+            _random_numerators(shape, rng)
+            for _ in range(min(_PROBE_CHUNK, probe_budget - start))
+        ]
+        for nums, key in zip(rows, _region_keys(shape, X, np.array(rows, dtype=object))):
+            if not isinstance(key, int) and key not in regions:
+                regions[key] = _region(shape, key, [Fraction(n, _PROBE_SCALE) for n in nums])
+    return regions
 
 
 def enumerate_singular_sheets(
@@ -226,15 +309,7 @@ def enumerate_singular_sheets(
     check_samples(shape, samples)
     if probe_budget < 1:
         raise SamplingError("probe budget must be at least 1")
-    rng = random.Random(seed)
-    regions: dict[RegionKey, Region] = {}
-    for _ in range(probe_budget):
-        w = _random_dyadic_weights(shape, rng)
-        try:
-            r = region_of(shape, samples, w)
-        except BoundaryError:
-            continue
-        regions.setdefault(r.key, r)
+    regions = _sample_regions(shape, samples, probe_budget, seed)
     if not regions:
         raise SamplingError(f"no realizable region found in {probe_budget} probes")
 

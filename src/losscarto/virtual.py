@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .errors import EnumerationBudgetError, ShapeError, ZeroVirtualPolynomialError
 from .network import ActivationSet, NetworkShape, Scalar, as_fraction
-from .polyalg import Poly, TermKey, _merge_keys
+from .polyalg import Poly, TermKey
 
 # enumerate_virtual_polynomials refuses shapes with more hidden nodes than this
 ENUMERATION_CAP = 16
@@ -53,8 +53,9 @@ def _propagate(
 ) -> list[Poly]:
     """Push polynomial node values from start_layer up to pre-outputs at end_layer.
 
-    start_values are the *outputs* x^(start_layer); masking applies to
-    hidden layers strictly between start and end.  Returns z^(end_layer).
+    start_values are the *outputs* x^(start_layer), constant polynomials;
+    masking applies to hidden layers strictly between start and end.
+    Returns z^(end_layer).
     """
     if tuple(activation_set.widths) != shape.widths:
         raise ShapeError("activation set belongs to a different shape")
@@ -63,13 +64,16 @@ def _propagate(
     for k in range(start_layer, end_layer):
         pre = []
         for j in range(1, shape.width(k + 1) + 1):
-            # z_j = sum_i w_{k,i,j} * x_i
+            # z_j = sum_i w_{k,i,j} * x_i.  Every variable in x_i's keys
+            # belongs to a weight layer below k, so it precedes the edge
+            # variable in the flat order: key + edge is already sorted.
+            # Distinct sources i give distinct edges, so no two terms land
+            # on one monomial and each is written once, never summed.
             acc: dict[TermKey, Fraction] = {}
             for i in range(1, shape.width(k) + 1):
                 edge = ((shape.index_of(k, i, j), 1),)
                 for key, c in cur[i - 1].terms:
-                    mono = _merge_keys(key, edge)
-                    acc[mono] = acc.get(mono, 0) + c
+                    acc[key + edge] = c
             pre.append(Poly._canonical(acc))
         if k + 1 < end_layer:
             if not 2 <= k + 1 <= shape.depth - 1:

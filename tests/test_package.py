@@ -81,8 +81,9 @@ def test_every_attack_config_field_has_a_setter():
 
 
 def test_one_forward_pass():
-    # every loss value, region and wall comes from network._pre_outputs at float or
-    # Fraction dtype; a matrix product anywhere else would start a second forward pass
+    # every loss value, region and wall comes from network._pre_outputs at float,
+    # Fraction or int dtype; a matrix product anywhere else would start a second
+    # forward pass
     inside, outside = 0, []
     for path in sorted((ROOT / "src" / "losscarto").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

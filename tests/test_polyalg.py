@@ -66,6 +66,20 @@ class TestRing:
         assert p.terms == ((((0, 1),), Fraction(1, 2)),)
         assert isinstance(p.terms[0][1], Fraction)
 
+    @given(polys(), polys())
+    def test_equal_polys_hash_equal(self, p, q):
+        # the same polynomial by two routes: ring operations and the public constructor
+        routes = [(p + q) * (p - q), p * p - q * q, Poly(dict((p * p - q * q).terms))]
+        assert all(r == routes[0] and hash(r) == hash(routes[0]) for r in routes)
+        assert len(set(routes)) == 1
+
+    def test_poly_never_equals_a_scalar(self):
+        # a Poly equal to an int would need the int's hash, which a Poly does not have
+        c = Poly.constant(3)
+        assert c != 3 and 3 != c and c != Fraction(3)
+        assert 3 not in {c} and c not in {3}
+        assert c == Poly.constant(Fraction(6, 2)) and hash(c) == hash(Poly({(): 3.0}))
+
     @given(polys())
     def test_normalized_is_scale_invariant(self, p):
         if p.is_zero():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from losscarto import (
     TrainingSample,
     ZeroVirtualPolynomialError,
     enumerate_singular_sheets,
+    forward,
     loss,
     region_loss_polynomial,
     region_of,
@@ -24,7 +26,16 @@ from losscarto import (
     wall_between,
 )
 from losscarto.surface import (
-    Sheet, _is_sample_independent, _random_dyadic_weights, _sample_piece, _wall_is_singular,
+    _PROBE_CHUNK,
+    Sheet,
+    _integer_inputs,
+    _integer_weights,
+    _is_sample_independent,
+    _random_dyadic_weights,
+    _region_keys,
+    _sample_piece,
+    _sample_regions,
+    _wall_is_singular,
 )
 from losscarto.virtual import factorize, virtual_polynomial
 
@@ -101,6 +112,109 @@ class TestRegions:
                 continue
             piece = region_loss_polynomial(s, samples, r)
             assert piece.evaluate(w) == loss(s, w, samples)
+
+
+def fraction_key(shape, samples, w):
+    """Reference classification from the exact Fraction forward: key, or first tie layer."""
+    hidden = forward(shape, w, [smp.input for smp in samples])[:-1]
+    for k, z in enumerate(hidden, start=2):
+        if (z == 0).any():
+            return k
+    return tuple(
+        tuple(tuple(bool(v > 0) for v in z[:, p]) for z in hidden) for p in range(len(samples))
+    )
+
+
+TINY = F(1, 2**50)
+
+
+class TestIntegerClassification:
+    """The scaled-integer region signs against the exact Fraction forward pass."""
+
+    def check(self, shape, samples, weights):
+        # every row one at a time through region_of, and all rows in one batch
+        want = [fraction_key(shape, samples, w) for w in weights]
+        for w, key in zip(weights, want):
+            if isinstance(key, int):
+                with pytest.raises(BoundaryError, match=f"layer {key}"):
+                    region_of(shape, samples, w)
+            else:
+                assert region_of(shape, samples, w).key == key
+        W = np.array([_integer_weights(shape, w) for w in weights], dtype=object)
+        assert _region_keys(shape, _integer_inputs(shape, samples), W) == want
+        return want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 4), min_size=2, max_size=5),
+        n_samples=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_signs_on_random_dyadic_probes(self, widths, n_samples, seed):
+        s = NetworkShape(widths)
+        rng = random.Random(seed)
+        # inputs with mixed denominators, dyadic and not
+        samples = [
+            TrainingSample(
+                [F(rng.randint(-9, 9), rng.choice((1, 3, 4, 1024))) for _ in range(widths[0])],
+                [0] * widths[-1],
+            )
+            for _ in range(n_samples)
+        ]
+        self.check(s, samples, [_random_dyadic_weights(s, rng) for _ in range(6)])
+
+    def test_exact_ties_in_layer_two_and_deeper(self):
+        s = NetworkShape([2, 2, 2, 1])
+        samples = [TrainingSample((F(1, 2), F(3, 4)), (0,))]
+        # layer 2 from input (1/2, 3/4): node 1 is 3/2 * 1/2 - 3/4 = 0, node 2 is 5/4
+        tie2 = [F(3, 2), F(-1), F(1), F(1), F(1), F(1), F(1), F(1), F(1), F(1)]
+        # layer 2 is (5/4, 1/2); layer 3 node 1 is 2/5 * 5/4 - 1/2 = 0
+        tie3 = [F(1), F(1), F(1), F(0), F(2, 5), F(-1), F(1), F(1), F(1), F(1)]
+        # layer 2 is (0, 1/2) and layer 3 node 1 is 0 too: the shallower layer is reported
+        both = [F(3, 2), F(-1), F(1), F(0), F(1), F(0), F(1), F(1), F(1), F(1)]
+        # layer 3 node 1 is 1/2 * 5/4 - 1/2 = 1/8
+        clear = [F(1), F(1), F(1), F(0), F(1, 2), F(-1), F(1), F(1), F(1), F(1)]
+        assert self.check(s, samples, [tie2, tie3, clear, both]) == [
+            2, 3, (((True, True), (True, True)),), 2,
+        ]
+        assert forward(s, both, [samples[0].input])[1][0, 0] == 0
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_near_ties(self, sign):
+        # |z| = 2^-50 beside weights of order 1, in layer 2 and in layer 3
+        s2 = NetworkShape([2, 1, 1])
+        near2 = [F(1), -(1 - sign * TINY), F(1)]
+        s3 = NetworkShape([1, 2, 1, 1])
+        near3 = [F(1), F(1), F(1), -(1 - sign * TINY), F(1)]
+        for s, w in ((s2, near2), (s3, near3)):
+            samples = [TrainingSample((1,) * s.width(1), (0,))]
+            (key,) = self.check(s, samples, [w])
+            assert key[0][-1] == (sign > 0,)
+            # the same near-tie in floats, exact dyadics as well
+            assert region_of(s, samples, [float(v) for v in w]).key == key
+
+    @pytest.mark.parametrize(
+        "budget", [1, _PROBE_CHUNK - 1, _PROBE_CHUNK, _PROBE_CHUNK + 1, 2 * _PROBE_CHUNK + 1]
+    )
+    def test_batches_keep_the_probe_stream(self, budget):
+        s = NetworkShape([2, 3, 2, 1])
+        samples = [
+            TrainingSample((F(1), F(-2)), (0,)),
+            TrainingSample((F(3, 4), F(1, 3)), (0,)),
+            TrainingSample((F(-1), F(5, 2)), (0,)),
+        ]
+        rng = random.Random(11)
+        want: dict = {}
+        for _ in range(budget):
+            w = _random_dyadic_weights(s, rng)
+            try:
+                r = region_of(s, samples, w)
+            except BoundaryError:
+                continue
+            want.setdefault(r.key, r)
+        got = _sample_regions(s, samples, budget, 11)
+        # same regions, first hit in the same order, witnessed by the same probe
+        assert list(got) == list(want) and got == want
 
 
 class TestWalls:
