@@ -2,8 +2,10 @@
 
 h(a) = sum_i 0.5 * max(0, y_i - a*x_i)^2 is smooth except at a = y_i/x_i,
 where the curvature jumps. We only get to *evaluate* h, yet the kink
-locations (and hence the ratios y_i/x_i) fall out of a grid scan plus
-bisection.
+locations (and hence the ratios y_i/x_i) fall out of a grid scan plus a
+refine of each flagged cell: a crossing guess where the quadratic pieces
+on either side meet, a two-query check, and bisection where the check
+fails.
 """
 
 from losscarto import detect_kinks_on_line, one_d_warmup_oracle

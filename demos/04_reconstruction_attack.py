@@ -2,10 +2,11 @@
 
 The attacker can evaluate E(w) at weight vectors of their choosing and knows
 nothing else: no gradients, no training data, no weights. Kinks of E along
-random lines are located by bisection, finite differences on both sides of
-each kink give the jump of the gradient, which is the normal of the wall
-through the kink, and first-layer walls hand back training inputs up to a
-scalar multiple.
+random lines are located where the polynomial pieces on either side cross
+(a crossing guess, a two-query check, a bisection fallback), finite
+differences on both sides of each kink give the jump of the gradient,
+which is the normal of the wall through the kink, and first-layer walls
+hand back training inputs up to a scalar multiple.
 """
 
 import time

@@ -2,9 +2,10 @@
 
 The pipeline mirrors how the loss surface is built: training inputs show
 up as the coefficient vectors of the linear walls, so the attack scans
-lines for kinks, refines each kink by bisection against left/right local
-polynomial models, measures the wall normal, gates it and reads the input
-direction off the normal's support.
+lines for kinks, refines each kink against left/right local polynomial
+models (a crossing guess, a two-query check, a bisection fallback),
+measures the wall normal, gates it and reads the input direction off the
+normal's support.
 
 The normal is the kink's gradient jump.  Across a first-layer wall
 u = w_1j . x the loss pieces differ by u * G, so on the wall the gradient
@@ -26,16 +27,17 @@ The oracle is any callable w -> E(w).  LossOracle counts its queries,
 enforces the budget and raises NonFiniteLossError on a NaN or infinite
 value, so no such value reaches a fit or a median.  A batch-capable
 oracle (one with a true ``batched`` attribute, as make_loss_fn returns)
-gets each scan grid, each refine stencil and each gradient-jump batch as
-one (Q, N) array through LossOracle.many; bisection steps stay single
-queries.  Any other callable is asked one row at a time, with the same
-queries, counts and results.
+gets each scan grid, each refine stencil, each refine's 2-row check and
+each gradient-jump batch as one (Q, N) array through LossOracle.many;
+bisection steps stay single queries.  Any other callable is asked one row
+at a time, with the same queries, counts and results.
 
 AttackConfig holds what a caller sets: the query budget, the number of
 scan lines and the seed.  The fineness of the scan, the reach of the
 jump stencil and the strictness of the gate and the fit are fixed
 heuristics, the module constants below; the functions read them at call
-time.
+time, except that DEGREE also fixes refine_kink's interpolation matrices
+when the module is imported.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ T_RANGE = (-4.0, 4.0)  # scan interval along each unit-direction line
 MAX_KINKS_PER_LINE = 3  # strongest flagged cells refined per scan line
 DETECT_TOL = 12.0  # fourth difference over its rolling-median scale that flags a cell
 DEGREE = 4  # degree of refine_kink's one-sided models: a depth-3 loss is quartic on a line
-REFINE_TOL = 1e-9  # bracket width at which bisection stops, near float noise on t
+REFINE_TOL = 1e-9  # widest settled bracket (check pair or bisection), near float noise on t
 SPURIOUS_TOL = 1e-7  # refine_kink's jump noise floors, relative to the loss scale
 JUMP_STEP = 1e-6  # central-difference step h of the gradient-jump batch
 JUMP_OFFSET = 1e-4  # distance s of the jump's gradients from the wall; also taken at s / 2
@@ -76,6 +78,13 @@ RESIDUAL_TOL = 1e-6  # heuristic (so labelled in reports): larger fit residual m
 SUPPORT_TOL = 1e-4  # normal entries below this share of the largest are numerical dust
 DEDUP_TOL = 1e-6  # directions with |cos| >= 1 - DEDUP_TOL are one direction
 MATCH_THRESHOLD = 0.999  # |cos| at which a direction counts as a recovered sample
+
+# refine_kink's models in the bracket's own coordinate x = (t - mid) / h, h = width / DEGREE: the
+# bracket is |x| < DEGREE / 2, the left nodes sit at -(DEGREE / 2 + j) and the right ones at
+# DEGREE / 2 + j, so each side's ascending coefficients are its values times one of these
+_NODES = DEGREE / 2 + np.arange(DEGREE + 1)
+_LEFT_INVERSE = np.linalg.inv(np.vander(-_NODES, increasing=True))
+_RIGHT_INVERSE = np.linalg.inv(np.vander(_NODES, increasing=True))
 
 
 class LossOracle:
@@ -176,6 +185,27 @@ def _gradient_jump(oracle: LossOracle, point: np.ndarray, direction: np.ndarray)
     return 2.0 * jump_half - jump_s, agreement
 
 
+def _horner(coeffs: list[float], x: float) -> tuple[float, float, float]:
+    """(p(x), p'(x), p''(x)) of the polynomial with ascending coeffs, by Horner."""
+    p = d1 = d2 = 0.0  # d2 accumulates p''(x) / 2
+    for c in reversed(coeffs):
+        d2 = d2 * x + d1
+        d1 = d1 * x + p
+        p = p * x + c
+    return p, d1, 2.0 * d2
+
+
+def _crossing(left: list[float], right: list[float]) -> float | None:
+    """The one real root of left - right inside the bracket |x| < DEGREE / 2, else None.
+
+    None also when the root is not alone: a flat kink's two models touch
+    in a double root, which comes out as a close pair or a complex one.
+    """
+    roots = np.roots(np.subtract(left, right)[::-1])
+    inside = [float(r.real) for r in roots if r.imag == 0.0 and abs(r.real) < DEGREE / 2]
+    return inside[0] if len(inside) == 1 else None
+
+
 def refine_kink(
     oracle,
     base,
@@ -184,23 +214,32 @@ def refine_kink(
     *,
     measure_jump: bool = True,
 ) -> KinkPoint:
-    """Bisect a bracketed kink against left/right local polynomial models.
+    """Refine a bracketed kink at the crossing of its left/right local models.
 
-    Fits exact interpolants just outside the bracket, then repeatedly
-    queries the midpoint and keeps the half whose model disagrees with
-    the value (the midpoint lies on the other piece).  The two models are
-    extrapolations of the adjacent polynomial pieces, so the comparison
+    Fits exact interpolants just outside the bracket: their 2 * (DEGREE +
+    1) points are one oracle batch.  The two models are extrapolations of
+    the adjacent polynomial pieces, so the kink sits where they cross.  A
+    point lies on the piece whose model is closer to its value.  The
+    crossing guess t, the single real root of their difference inside the
+    bracket, is checked with one 2-query batch at t -+ 0.45 * REFINE_TOL
+    when that pair lies strictly inside the bracket: left then right
+    settles the kink; both left or both right moves the near end of the
+    bracket past the pair; right then left keeps the bracket.  Whatever
+    the check leaves is bisected, one query per step, keeping the half
+    whose model disagrees with the midpoint's value.  The comparison
     stays decisive until the pieces agree to float noise; past that the
     bracket can only shrink inside the noise ball, so the answer lands
-    within it.  A bracket where both the slope jump and the curvature
-    jump of the two models sit below their noise floors held no kink.
-    The models have degree DEGREE; their 2 * (DEGREE + 1) interpolation
-    points are one oracle batch.  Bisection stops at width REFINE_TOL, or
-    earlier where the midpoint rounds to an end of the bracket (far out
-    on the line, where neighbouring doubles lie more than REFINE_TOL
-    apart), so a refine costs 2 * (DEGREE + 1) + ceil(log2(width /
-    REFINE_TOL)) queries, or fewer when float resolution ends the split.
-    Only the oracle's budget caps them (QueryBudgetExceeded).
+    within it.  A bracket where both the slope jump and the curvature jump
+    of the two models sit below their noise floors held no kink.
+
+    Bisection stops at width REFINE_TOL, or earlier where the midpoint
+    rounds to an end of the bracket (far out on the line, where
+    neighbouring doubles lie more than REFINE_TOL apart; the check pair
+    would collapse there and is skipped).  A refine costs 2 * (DEGREE + 1)
+    queries, plus 2 for the check when there is a guess, plus at most
+    ceil(log2(width / REFINE_TOL)) bisection steps, none when the check
+    settles the kink.  Only the oracle's budget caps them
+    (QueryBudgetExceeded).
 
     With measure_jump, a kink whose slope jump clears its noise floor
     then gets its gradient jump (_gradient_jump): one more batch of
@@ -214,30 +253,46 @@ def refine_kink(
         raise ValueError(f"empty bracket {bracket}")
     width0 = hi - lo
     h = width0 / DEGREE
-    left_ts = [lo - j * h for j in range(DEGREE + 1)]
-    right_ts = [hi + j * h for j in range(DEGREE + 1)]
-    ys = oracle.many(base + np.array(left_ts + right_ts)[:, None] * direction).tolist()
-    left_ys, right_ys = ys[: DEGREE + 1], ys[DEGREE + 1 :]
+    mid = 0.5 * (lo + hi)
+    ts = [lo - j * h for j in range(DEGREE + 1)] + [hi + j * h for j in range(DEGREE + 1)]
+    ys = oracle.many(base + np.array(ts)[:, None] * direction)
+    # exact local polynomial models through the DEGREE + 1 points of each side, in x = (t - mid) / h
+    left = np.dot(_LEFT_INVERSE, ys[: DEGREE + 1]).tolist()
+    right = np.dot(_RIGHT_INVERSE, ys[DEGREE + 1 :]).tolist()
 
-    # exact local polynomial models through the degree + 1 points of each side
-    p_left = np.polynomial.polynomial.Polynomial.fit(left_ts, left_ys, DEGREE)
-    p_right = np.polynomial.polynomial.Polynomial.fit(right_ts, right_ys, DEGREE)
+    def on_left(t: float, value: float) -> bool:
+        x = (t - mid) / h
+        return abs(_horner(left, x)[0] - value) <= abs(_horner(right, x)[0] - value)
+
+    guess = _crossing(left, right)
+    if guess is not None:
+        t_hat = mid + guess * h
+        a, b = t_hat - 0.45 * REFINE_TOL, t_hat + 0.45 * REFINE_TOL
+        if lo < a < b < hi:
+            fa, fb = oracle.many(base + np.array([a, b])[:, None] * direction).tolist()
+            sides = (on_left(a, fa), on_left(b, fb))
+            if sides == (True, False):
+                lo, hi = a, b
+            elif sides == (True, True):
+                lo = b
+            elif sides == (False, False):
+                hi = a
 
     m = 0.5 * (lo + hi)
     while hi - lo > REFINE_TOL and lo < m < hi:
-        fm = oracle(base + m * direction)
-        err_left = abs(p_left(m) - fm)
-        err_right = abs(p_right(m) - fm)
-        if err_left <= err_right:
+        if on_left(m, oracle(base + m * direction)):
             lo = m  # midpoint still on the left piece: kink is to the right
         else:
             hi = m
         m = 0.5 * (lo + hi)
     t_star = m
 
-    jump = abs(p_left.deriv()(t_star) - p_right.deriv()(t_star))
-    jump2 = abs(p_left.deriv(2)(t_star) - p_right.deriv(2)(t_star))
-    y_scale = 1.0 + max(abs(v) for v in (*left_ys, *right_ys))
+    x_star = (t_star - mid) / h
+    _, slope_left, curv_left = _horner(left, x_star)
+    _, slope_right, curv_right = _horner(right, x_star)
+    jump = abs(slope_left - slope_right) / h
+    jump2 = abs(curv_left - curv_right) / h**2
+    y_scale = 1.0 + float(np.max(np.abs(ys)))
     w0 = max(width0, 1e-12)
     slope_floor = SPURIOUS_TOL * y_scale / w0
     curv_floor = SPURIOUS_TOL * y_scale / w0**2
@@ -301,9 +356,10 @@ def detect_kinks_on_line(
     cell; each cell's one-spacing bracket is refined by refine_kink, and
     refined kinks landing within one grid spacing of an already-accepted
     one are dropped as duplicates (a kink sitting on a grid point splits
-    its flag run in two).  Each refine costs 2 * (DEGREE + 1) +
-    ceil(log2(width / REFINE_TOL)) queries, or fewer when float
-    resolution ends the split, plus 8N for the gradient jump when
+    its flag run in two).  Each refine costs its 2 * (DEGREE + 1)
+    stencil, 2 for the check of its crossing guess, and the bisection
+    steps the check leaves: at most ceil(log2(width / REFINE_TOL)), none
+    when the check settles the kink; plus 8N for the gradient jump when
     measure_jump is set and the kink is not flat.  A bracket that proves
     spurious is skipped; the oracle's budget running out ends the scan.
     Kinks closer together than a few grid cells can merge or shadow each

@@ -79,6 +79,11 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild a Poly from its terms, never through __setattr__,
+        # and the cached hash is computed afresh
+        return Poly, (self._terms,)
+
     # construction helpers
 
     @staticmethod

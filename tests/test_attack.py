@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from losscarto import (
@@ -203,23 +203,24 @@ class TestDetectRefine:
 
     def test_refine_far_out_stops_at_float_resolution(self):
         # at |t| = 1e12 neighbouring doubles lie 1.2e-4 apart, far above REFINE_TOL:
-        # the bisection ends when the midpoint rounds onto an end of the bracket
+        # the check pair t -+ 0.45 * REFINE_TOL collapses onto one double and is skipped,
+        # and the bisection ends when the midpoint rounds onto an end of the bracket
         oracle = LossOracle(lambda w: abs(w[0] - (1e12 + 0.3)))
         kink = refine_kink(oracle, [0.0], [1.0], (1e12, 1e12 + 1))
         assert abs(kink.t - (1e12 + 0.3)) <= 2.5e-4
-        assert oracle.query_count <= 40
+        assert oracle.query_count <= 31
 
     @pytest.mark.parametrize("batched", [True, False])
-    @pytest.mark.parametrize("max_queries", [1, 7, 10])
+    @pytest.mark.parametrize("max_queries", [1, 7, 10, 11])
     def test_refine_budget_below_stencil_charges_exactly(self, batched, max_queries):
-        # the oracle's budget is the only one a refine has; a stencil that crosses it
-        # is charged up to it, then raises
+        # the oracle's budget is the only one a refine has; a stencil or a check pair
+        # (queries 11 and 12) that crosses it is charged up to it, then raises
         def f(w):
             return np.abs(np.asarray(w)[..., 0] - 0.15)
 
         f.batched = batched
         oracle = LossOracle(f, budget=max_queries)
-        with pytest.raises(QueryBudgetExceeded):  # the stencil alone takes 2 * (4 + 1) = 10
+        with pytest.raises(QueryBudgetExceeded):  # the stencil takes 2 * (4 + 1) = 10, the check 2
             refine_kink(oracle, [0.0], [1.0], (0.1, 0.2))
         assert oracle.query_count == max_queries
 
@@ -257,16 +258,15 @@ flat_walls.batched = True
 
 
 class TestGradientJump:
-    def test_first_order_kink_costs_bisection_plus_8n(self):
+    def test_first_order_kink_costs_stencil_check_plus_8n(self):
+        # exact quadratic pieces: the models cross on the wall and the check settles it
         n = np.array([1.0, -2.0, 0.5, 1.5, 0.0])
         direction = np.array([1.0, 0.2, -0.1, 0.3, 0.4])
         direction /= np.linalg.norm(direction)
         base = np.array([0.3, 0.4, -0.2, 0.1, 0.7])
         at = -float(n @ base) / float(n @ direction)
         bracket = (at - 0.03, at + 0.04)
-        bisection = 2 * (attack_module.DEGREE + 1) + math.ceil(
-            math.log2((bracket[1] - bracket[0]) / attack_module.REFINE_TOL)
-        )
+        stencil_check = 2 * (attack_module.DEGREE + 1) + 2
         f = plane_kink_oracle(n)
         batches = []
 
@@ -278,15 +278,15 @@ class TestGradientJump:
         oracle = LossOracle(spy)
         kink = refine_kink(oracle, base, direction, bracket)
         assert abs(float(n @ np.asarray(kink.location))) < 1e-8
-        assert oracle.query_count == bisection + 8 * len(n)
-        assert batches[-1] == 8 * len(n)  # one batch
+        assert oracle.query_count == stencil_check + 8 * len(n)
+        assert batches == [2 * (attack_module.DEGREE + 1), 2, 8 * len(n)]  # one batch each
         # |n.w| jumps by 2n; the Richardson jump has no spill off the support
         J = np.asarray(kink.gradient_jump)
         assert np.allclose(J, 2 * n if float(J @ n) > 0 else -2 * n, atol=1e-6)
         assert abs(J[4]) < 1e-6 and kink.jump_agreement > 1.0 - 1e-9
         without = LossOracle(f)
         bare = refine_kink(without, base, direction, bracket, measure_jump=False)
-        assert without.query_count == bisection and bare.gradient_jump is None
+        assert without.query_count == stencil_check and bare.gradient_jump is None
         assert bare.t == kink.t
 
     def test_flat_kink_gets_no_jump(self):
@@ -328,6 +328,129 @@ def plane_kink_oracle(normal, smooth_scale=0.1):
         return abs(float(n @ w)) + smooth_scale * float(w @ w)
 
     return f
+
+
+def bisection_refine_kink(oracle, base, direction, bracket, *, measure_jump=True):
+    """refine_kink as pure bisection against np.polynomial fits: the reference.
+
+    The same stencil, spurious test and gradient jump as refine_kink, but no
+    crossing guess and no check: every step queries the bracket's midpoint.
+    """
+    oracle = attack_module._as_oracle(oracle)
+    base = np.asarray(base, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    degree = attack_module.DEGREE
+    lo, hi = float(bracket[0]), float(bracket[1])
+    width0 = hi - lo
+    h = width0 / degree
+    left_ts = [lo - j * h for j in range(degree + 1)]
+    right_ts = [hi + j * h for j in range(degree + 1)]
+    ys = oracle.many(base + np.array(left_ts + right_ts)[:, None] * direction).tolist()
+    p_left = np.polynomial.polynomial.Polynomial.fit(left_ts, ys[: degree + 1], degree)
+    p_right = np.polynomial.polynomial.Polynomial.fit(right_ts, ys[degree + 1 :], degree)
+    m = 0.5 * (lo + hi)
+    while hi - lo > attack_module.REFINE_TOL and lo < m < hi:
+        fm = oracle(base + m * direction)
+        if abs(p_left(m) - fm) <= abs(p_right(m) - fm):
+            lo = m
+        else:
+            hi = m
+        m = 0.5 * (lo + hi)
+    jump = abs(p_left.deriv()(m) - p_right.deriv()(m))
+    jump2 = abs(p_left.deriv(2)(m) - p_right.deriv(2)(m))
+    y_scale = 1.0 + max(abs(v) for v in ys)
+    w0 = max(width0, 1e-12)
+    slope_floor = attack_module.SPURIOUS_TOL * y_scale / w0
+    if jump <= slope_floor and jump2 <= attack_module.SPURIOUS_TOL * y_scale / w0**2:
+        raise SpuriousKinkError("no kink in bracket")
+    loc = base + m * direction
+    gradient_jump = agreement = None
+    if measure_jump and jump > slope_floor:
+        J, agreement = attack_module._gradient_jump(oracle, loc, direction)
+        gradient_jump = tuple(float(v) for v in J)
+    return attack_module.KinkPoint(
+        t=m,
+        location=tuple(float(v) for v in loc),
+        line=(tuple(float(v) for v in base), tuple(float(v) for v in direction)),
+        jump_magnitude=float(jump),
+        curvature_jump=float(jump2),
+        gradient_jump=gradient_jump,
+        jump_agreement=agreement,
+    )
+
+
+def plane_kink_on_background(seed, sixth):
+    """|n.w| plus a quartic in u = g.w plus sixth * u^6, on a line crossing the wall at t_wall.
+
+    Returns (f, base, direction, t_wall).  The slope jump along the line is
+    2|n.d|, between 1 and 4, and the wall lies at |t| <= 4.
+    """
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    n = rng.normal(size=3)
+    n *= rng.uniform(0.5, 2.0) / abs(float(n @ direction))
+    t_wall = rng.uniform(-4.0, 4.0)
+    b = rng.normal(size=3)
+    base = b - float(n @ (b + t_wall * direction)) / float(n @ n) * n
+    g = rng.normal(size=3)
+    g /= np.linalg.norm(g)
+    coeffs = rng.uniform(-1.0, 1.0, size=5)
+
+    def f(w):
+        w = np.asarray(w, dtype=float)
+        u = float(g @ w)
+        return abs(float(n @ w)) + sum(c * u**k for k, c in enumerate(coeffs)) + sixth * u**6
+
+    return f, base, direction, -float(n @ base) / float(n @ direction)
+
+
+class TestRefineAgainstBisection:
+    """refine_kink against bisection_refine_kink on one plane kink, at random bracket offsets."""
+
+    def check(self, seed, offset, width, sixth):
+        f, base, direction, t_wall = plane_kink_on_background(seed, sixth)
+        bracket = (t_wall - offset * width, t_wall + (1.0 - offset) * width)
+        queried = []
+
+        def spy(w):
+            queried.append(float(np.dot(np.asarray(w) - base, direction)))
+            return f(w)
+
+        reference, checked = LossOracle(f), LossOracle(spy)
+        expected = bisection_refine_kink(reference, base, direction, bracket, measure_jump=False)
+        kink = refine_kink(checked, base, direction, bracket, measure_jump=False)
+        tol = attack_module.REFINE_TOL
+        assert abs(expected.t - t_wall) <= tol
+        assert abs(kink.t - t_wall) <= tol
+        assert checked.query_count <= reference.query_count + 2
+        # the kink is settled by queries: two of them at most REFINE_TOL apart hold it
+        below = max(t for t in queried if t <= kink.t)
+        above = min(t for t in queried if t >= kink.t)
+        assert above - below <= tol * (1.0 + 1e-6)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(0.02, 0.98),
+        st.floats(0.01, 0.1),
+    )
+    def test_exact_models(self, seed, offset, width):
+        # a quartic background: both models are exact, so the crossing is the wall
+        self.check(seed, offset, width, 0.0)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(0.02, 0.98),
+        st.floats(0.01, 0.1),
+        st.floats(-1e-6, 1e-6),
+    )
+    # larger sixth-degree terms, where the check pair lands on one side of the wall: both
+    # left (first) and both right (second), so the bisection has to go on past the pair
+    @example(848000030, 0.27, 0.091, 1.6e-05)
+    @example(2256630508, 0.694, 0.088, -1.6e-05)
+    def test_inexact_models(self, seed, offset, width, sixth):
+        # a sixth-degree term the quartic models cannot follow moves their crossing off the wall
+        self.check(seed, offset, width, sixth)
 
 
 class TestHarvestAndFit:
@@ -605,6 +728,30 @@ class TestAttackPipeline:
         assert jumps and len(jumps) == len(report.directions)
         cosine = {m.direction_index: m.cosine for m in report.matches}
         assert all(cosine[i] >= 1.0 - 1e-9 for i in jumps)
+
+    @pytest.mark.parametrize("widths,samples", [((3, 4, 2), 5), ((3, 4, 4, 2), 5)])
+    def test_crossing_check_matches_bisection_end_to_end(self, monkeypatch, widths, samples):
+        # the same samples, rejections and directions as pure bisection, for fewer queries
+        inst = gen_instance(list(widths), samples, 7)
+        true_inputs = [tuple(float(v) for v in s.input) for s in inst.samples]
+
+        def attack():
+            return run_attack(make_oracle(inst), inst.shape.weight_count, widths[0],
+                              AttackConfig(), true_inputs=true_inputs)
+
+        checked = attack()
+        monkeypatch.setattr(attack_module, "refine_kink", bisection_refine_kink)
+        bisected = attack()
+
+        def recovered(report):
+            return {m.sample_index for m in report.matches if m.cosine >= attack_module.MATCH_THRESHOLD}
+
+        assert recovered(checked) == recovered(bisected) and recovered(checked)
+        assert checked.rejections == bisected.rejections
+        assert checked.oracle_queries < bisected.oracle_queries
+        assert len(checked.directions) == len(bisected.directions)
+        for a, b in zip(checked.directions, bisected.directions):
+            assert abs(float(np.dot(a.direction, b.direction))) >= 1.0 - 1e-9
 
     def test_rejections_by_reason(self, monkeypatch):
         inst = gen_instance([3, 4, 4, 2], 5, 7)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -72,6 +74,12 @@ class TestRing:
         routes = [(p + q) * (p - q), p * p - q * q, Poly(dict((p * p - q * q).terms))]
         assert all(r == routes[0] and hash(r) == hash(routes[0]) for r in routes)
         assert len(set(routes)) == 1
+
+    @given(polys())
+    def test_copies_and_pickles_equal_and_hash_equal(self, p):
+        hash(p)  # cached first, as any set or dict lookup would leave it
+        for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert twin == p and hash(twin) == hash(p)
 
     def test_poly_never_equals_a_scalar(self):
         # a Poly equal to an int would need the int's hash, which a Poly does not have
