@@ -145,7 +145,9 @@ class KinkPoint:
     jump_magnitude is the slope jump |f'(t+) - f'(t-)|.  It is zero up to
     noise for a second-order kink (curvature jump only), which is how the
     loss behaves across a wall where the residual happens to vanish; the
-    curvature jump is then the signal.
+    curvature jump is then the signal.  t is good to about REFINE_TOL
+    where the slope jumps; at a flat (C^1) kink only to about the square
+    root of the loss noise (~1e-6 in demo 01), see refine_kink.
 
     gradient_jump is the Richardson jump J = 2 J(s/2) - J(s) of the loss
     gradient across the kink, and jump_agreement is |cos(J(s), J(s/2))|
@@ -229,8 +231,11 @@ def refine_kink(
     whose model disagrees with the midpoint's value.  The comparison
     stays decisive until the pieces agree to float noise; past that the
     bracket can only shrink inside the noise ball, so the answer lands
-    within it.  A bracket where both the slope jump and the curvature jump
-    of the two models sit below their noise floors held no kink.
+    within it.  At a flat (C^1) kink the pieces part only quadratically,
+    so that ball reaches about the square root of the loss noise (~1e-6
+    in demo 01), far wider than REFINE_TOL.  A bracket where both the
+    slope jump and the curvature jump of the two models sit below their
+    noise floors held no kink.
 
     Bisection stops at width REFINE_TOL, or earlier where the midpoint
     rounds to an end of the bracket (far out on the line, where
@@ -353,10 +358,11 @@ def detect_kinks_on_line(
     fourth difference exceeds DETECT_TOL times the local scale, a rolling
     median plus an absolute floor, so the test is invariant to the overall
     magnitude of the loss.  Runs of flags collapse to their strongest
-    cell; each cell's one-spacing bracket is refined by refine_kink, and
-    refined kinks landing within one grid spacing of an already-accepted
-    one are dropped as duplicates (a kink sitting on a grid point splits
-    its flag run in two).  Each refine costs its 2 * (DEGREE + 1)
+    cell, and cells within 4 of a stronger one are dropped, so the kept
+    cells lie more than 4 apart.  Each kept cell's one-spacing bracket is
+    refined by refine_kink, which stays inside its bracket, so two kinks
+    of one scan lie at least 3 grid spacings apart; the strongest
+    max_kinks cells are refined.  Each refine costs its 2 * (DEGREE + 1)
     stencil, 2 for the check of its crossing guess, and the bisection
     steps the check leaves: at most ceil(log2(width / REFINE_TOL)), none
     when the check settles the kink; plus 8N for the gradient jump when
@@ -374,6 +380,8 @@ def detect_kinks_on_line(
         raise ValueError(f"bad t_range {t_range}")
     if grid < 8:
         raise ValueError("grid too small to detect anything")
+    if max_kinks is not None and max_kinks < 0:
+        raise ValueError(f"max_kinks must be >= 0, got {max_kinks}")
     ts = np.linspace(t0, t1, grid)
     ys = oracle.many(base + ts[:, None] * direction)
     d4 = np.abs(ys[:-4] - 4.0 * ys[1:-3] + 6.0 * ys[2:-2] - 4.0 * ys[3:-1] + ys[4:])
@@ -402,15 +410,12 @@ def detect_kinks_on_line(
         groups = groups[:max_kinks]
 
     out: list[KinkPoint] = []
-    h = ts[1] - ts[0]
     for cell in groups:
         center = cell + 2
         lo_t, hi_t = float(ts[center - 1]), float(ts[center + 1])
         try:
             kink = refine_kink(oracle, base, direction, (lo_t, hi_t), measure_jump=measure_jump)
         except SpuriousKinkError:
-            continue
-        if any(abs(kink.t - prev.t) <= h for prev in out):
             continue
         out.append(kink)
     out.sort(key=lambda k: k.t)
@@ -555,18 +560,14 @@ def aligned_input_direction(normal, input_dim: int) -> ExtractedDirection:
 # architecture recovery from exact sheet sets
 
 
-def _is_multilinear(p: Poly) -> bool:
-    return all(e == 1 for key, _ in p.terms for _v, e in key)
-
-
 def recover_architecture(defining_polys: Sequence[Poly]) -> tuple[int, ...]:
     """Widths d_1..d_L from an exact sheet polynomial set (white-box).
 
     Multi-variable linear sheets are the first-layer columns: overlapping
     supports merge into one column per second-layer node, giving d_1 and
-    d_2.  Then inductively, a degree-k sheet whose every monomial takes
-    one already-assigned weight from each of layers 1..k-1 plus exactly
-    one new variable assigns its new variables to layer k, and d_{k+1} is
+    d_2.  Then inductively, a sheet whose every monomial is k distinct
+    weights, one already assigned to each of layers 1..k-1 plus exactly
+    one new variable, assigns its new variables to layer k, and d_{k+1} is
     the layer-k variable count divided by d_k.  Single-variable sheets
     are ambiguous (weight parameter vs one-hot input) and stay out of the
     induction.
@@ -585,10 +586,9 @@ def recover_architecture(defining_polys: Sequence[Poly]) -> tuple[int, ...]:
     for p in polys:
         if p.total_degree() != 1 or any(not key for key, _ in p.terms):
             continue
-        vs = set(p.variables())
-        if len(vs) < 2:
+        merged = set(p.variables())
+        if len(merged) < 2:
             continue
-        merged = {v for v in vs}
         keep: list[set[int]] = []
         for col in columns:
             if col & merged:
@@ -603,41 +603,25 @@ def recover_architecture(defining_polys: Sequence[Poly]) -> tuple[int, ...]:
         )
     d1 = max(len(col) for col in columns)
     d2 = len(columns)
-    layer_of: dict[int, int] = {}
-    for col in columns:
-        for v in col:
-            if v in layer_of:
-                raise RecoveryError(f"variable {v} claimed by two first-layer columns")
-            layer_of[v] = 1
+    layer_of = {v: 1 for col in columns for v in col}  # the merge left the columns disjoint
     widths = [d1, d2]
 
     k = 2
     while True:
         new_vars: set[int] = set()
         for p in polys:
-            if p.total_degree() != k or not _is_multilinear(p):
-                continue
-            ok = True
             cand: set[int] = set()
-            for key, _c in p.terms:
-                vs = [v for v, _e in key]
-                if len(vs) != k:
-                    ok = False
-                    break
-                known = sorted(layer_of[v] for v in vs if v in layer_of)
-                unknown = [v for v in vs if v not in layer_of]
-                if len(unknown) != 1 or known != list(range(1, k)):
-                    ok = False
+            for key, _c in p.terms:  # one weight of each layer 1..k-1 and one new, all linear
+                known = sorted(layer_of[v] for v, _e in key if v in layer_of)
+                unknown = [v for v, _e in key if v not in layer_of]
+                if any(e != 1 for _v, e in key) or len(unknown) != 1 or known != list(range(1, k)):
                     break
                 cand.add(unknown[0])
-            if ok and cand:
+            else:
                 new_vars |= cand
         if not new_vars:
             break
-        for v in new_vars:
-            if v in layer_of:
-                raise RecoveryError(f"variable {v} claimed by layers {layer_of[v]} and {k}")
-            layer_of[v] = k
+        layer_of.update(dict.fromkeys(new_vars, k))  # each was unknown in its term
         if len(new_vars) % widths[k - 1] != 0:
             raise RecoveryError(
                 f"layer-{k} weight count {len(new_vars)} not divisible by d_{k} = {widths[k - 1]}"
@@ -648,6 +632,14 @@ def recover_architecture(defining_polys: Sequence[Poly]) -> tuple[int, ...]:
 
 
 # end-to-end pipeline
+
+
+def _check_integer(what: str, value, least: int, most: int | None = None) -> None:
+    """ValueError unless value is an integer (not a bool) from least to most."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least
+            or (most is not None and value > most)):
+        bound = f">= {least}" if most is None else f"in {least}..{most}"
+        raise ValueError(f"{what} must be an integer {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -668,9 +660,7 @@ class AttackConfig:
 
     def __post_init__(self):
         for name, least in (("budget", 1), ("n_lines", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"attack config {name!r} must be an integer >= {least}, got {value!r}")
+            _check_integer(f"attack config {name!r}", getattr(self, name), least)
 
     @staticmethod
     def from_json(data: dict) -> "AttackConfig":
@@ -803,7 +793,10 @@ def run_attack(
     |cos| >= 1 - DEDUP_TOL; when true_inputs is supplied (scoring only,
     never consulted by the search) each direction is matched to its best
     sample by |cosine| together with the implied scalar multiple.
+    Raises ValueError, before any query, unless N >= 1 and 1 <= d_1 <= N.
     """
+    _check_integer("n_weights", n_weights, 1)
+    _check_integer("input_dim", input_dim, 1, n_weights)
     cfg = config or AttackConfig()
     counted = LossOracle(oracle, budget=cfg.budget)
     report = ReconstructionReport(budget=cfg.budget)

@@ -54,7 +54,8 @@ def _propagate(
     """Push polynomial node values from start_layer up to pre-outputs at end_layer.
 
     start_values are the *outputs* x^(start_layer), constant polynomials;
-    masking applies to hidden layers strictly between start and end.
+    masking applies to the layers strictly between start and end, which
+    are hidden since every caller has 1 <= start_layer < end_layer <= L.
     Returns z^(end_layer).
     """
     if tuple(activation_set.widths) != shape.widths:
@@ -76,8 +77,6 @@ def _propagate(
                     acc[key + edge] = c
             pre.append(Poly._canonical(acc))
         if k + 1 < end_layer:
-            if not 2 <= k + 1 <= shape.depth - 1:
-                raise AssertionError("masking a non-hidden layer")
             cur = [
                 pre[j - 1] if activation_set.is_active(j, k + 1) else Poly.zero()
                 for j in range(1, shape.width(k + 1) + 1)

@@ -89,7 +89,10 @@ class TestLossOracle:
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_many_stops_at_first_non_finite_row(self, batched):
+        calls = []
+
         def fn(w):
+            calls.append(w)
             w = np.asarray(w)
             return np.where(w[..., 0] > 2.5, np.nan, w[..., 0])
 
@@ -98,6 +101,7 @@ class TestLossOracle:
         with pytest.raises(NonFiniteLossError):
             oracle.many(np.arange(6.0)[:, None])
         assert oracle.query_count == 4  # rows 0..2 and the NaN row 3, as four calls would be
+        assert len(calls) == (1 if batched else 4)  # a per-row function never sees rows 4 and 5
 
 
 def batched_first_coordinate(calls):
@@ -185,6 +189,59 @@ class TestDetectRefine:
             LossOracle(f), [0.0], [1.0], (-4, 4), 257, max_kinks=1
         )
         assert len(kinks) == 1 and abs(kinks[0].t - 1.0) < 1e-8
+
+    def test_negative_max_kinks_is_rejected_before_any_query(self):
+        oracle = one_d_warmup_oracle([(1.0, 2.0), (3.0, 1.0), (-2.0, 1.5)])
+        with pytest.raises(ValueError, match="max_kinks"):
+            detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257, max_kinks=-1)
+        assert oracle.query_count == 0
+        assert detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257, max_kinks=0) == []
+        assert oracle.query_count == 257  # the grid alone
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [(1.0, 1.0 + 5 / 32), (1.0, 1.0 + 6 / 32), (0.37, 0.37 + 7 / 32), (1.0, None)],
+        ids=["5-spacings", "6-spacings", "7-spacings", "on-grid-point"],
+    )
+    def test_close_kinks_come_back_once_each(self, a, b):
+        # grid (-4, 4) x 257 has spacing 1/32; t = 1.0 is a grid point
+        def f(w):
+            t = w[0]
+            return abs(t - a) + (0.0 if b is None else 0.8 * abs(t - b)) + 0.3 * t * t
+
+        kinks = detect_kinks_on_line(LossOracle(f), [0.0], [1.0], (-4, 4), 257)
+        want = [a] if b is None else [a, b]
+        assert [k.t for k in kinks] == pytest.approx(want, abs=1e-8)
+
+    @given(
+        st.integers(8, 200),
+        st.lists(
+            st.tuples(
+                st.integers(1, 8),  # whole spacings past the previous kink's cell (the first: past start)
+                st.sampled_from([0.0]) | st.floats(0.0, 0.999),  # 0.0 puts the kink on a grid point
+                st.floats(0.2, 2.0),
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+    )
+    def test_kinks_of_one_scan_lie_three_spacings_apart(self, start, steps):
+        # kept cells lie more than 4 apart and each refine stays inside its own
+        # two-spacing bracket, so no two kinks of one scan can be duplicates
+        h = 8.0 / 256
+        spots, weights, cell = [], [], start
+        for gap, frac, weight in steps:
+            cell += gap
+            spots.append(-4.0 + (cell + frac) * h)
+            weights.append(weight)
+
+        def f(w):
+            t = np.asarray(w)[..., 0]
+            return sum(c * np.abs(t - s) for c, s in zip(weights, spots)) + 0.2 * t * t
+
+        f.batched = True
+        ts = [k.t for k in detect_kinks_on_line(LossOracle(f), [0.0], [1.0], (-4, 4), 257)]
+        assert all(b - a >= 3 * h - 1e-12 for a, b in zip(ts, ts[1:]))
 
     def test_smooth_line_is_clean(self):
         def f(w):
@@ -598,6 +655,17 @@ class TestRecoverArchitecture:
         with pytest.raises(RecoveryError):
             recover_architecture(cols + [bad])
 
+    def test_sheet_terms_are_k_first_power_variables(self):
+        # a layer-2 sheet passes only when each term is two variables to the first power
+        cols = [V(0) + V(1), V(2) + V(3)]
+        good = (V(0) + V(1)) * V(4) + (V(2) + V(3)) * V(5)
+        assert recover_architecture(cols + [good]) == (2, 2, 1)
+        squared = (V(0) + V(1)) * V(4) + V(4) * V(4)
+        mixed_degree = (V(0) + V(1)) * V(4) + V(5)
+        cubic = (V(0) + V(1)) * V(4) * V(4)
+        for bad in (squared, mixed_degree, cubic):
+            assert recover_architecture(cols + [bad]) == (2, 2)
+
 
 class TestAttackPipeline:
     def test_warmup_oracle_values(self):
@@ -650,6 +718,16 @@ class TestAttackPipeline:
         half.batched = batched
         with pytest.raises(NonFiniteLossError):
             run_attack(half, 6, 2, AttackConfig(n_lines=4, budget=60_000, seed=5))
+
+    @pytest.mark.parametrize(
+        "n_weights,input_dim",
+        [(0, 1), (-1, 1), (True, 1), (6.0, 2), ("6", 2), (6, 0), (6, -1), (6, 7), (6, True), (6, 2.0)],
+    )
+    def test_bad_arguments_raise_before_any_query(self, n_weights, input_dim):
+        calls = []
+        with pytest.raises(ValueError, match="n_weights|input_dim"):
+            run_attack(lambda w: calls.append(w) or 0.0, n_weights, input_dim, AttackConfig(n_lines=1))
+        assert calls == []
 
     def test_run_attack_respects_budget(self):
         inst = gen_instance([2, 2, 1], 2, seed=11)

@@ -54,6 +54,22 @@ def test_every_export_has_a_user():
     assert sorted(set(losscarto.__all__) - used) == []
 
 
+def test_every_module_constant_is_read():
+    # a module-level UPPER_CASE constant nothing in the package reads is a leftover
+    defined, read = set(), set()
+    for path in sorted((ROOT / "src" / "losscarto").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert defined and sorted(defined - read) == []
+
+
 def _attack_config_keywords(path: Path) -> set[str]:
     """Keywords of AttackConfig(...) calls, and the --config keys the CLI overrides."""
     keys = set()
