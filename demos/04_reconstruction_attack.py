@@ -6,7 +6,10 @@ random lines are located where the polynomial pieces on either side cross
 (a crossing guess, a two-query check, a bisection fallback), finite
 differences on both sides of each kink give the jump of the gradient,
 which is the normal of the wall through the kink, and first-layer walls
-hand back training inputs up to a scalar multiple.
+hand back training inputs up to a scalar multiple. A first-layer wall's
+jump lies in one aligned window of d_1 weights, so a screen of one
+directional jump per window comes first; only a kink on its wall whose
+screen shows exactly one window jumping gets that window measured in full.
 """
 
 import time

@@ -10,14 +10,26 @@ normal's support.
 The normal is the kink's gradient jump.  Across a first-layer wall
 u = w_1j . x the loss pieces differ by u * G, so on the wall the gradient
 jumps by G * grad u: the input x, placed in aligned window j, times a
-scalar.  refine_kink measures that jump with one oracle batch of
-central differences on both sides of the wall (Richardson-extrapolated
-over two offsets), and run_attack rejects a jump whose two offsets
-disagree in direction (the jump gate).  Only a flat kink, one whose
-slope does not jump, falls back to harvesting N+1 nearby points of the
-same sheet and fitting a hyperplane through them (smallest principal
-direction); a kink whose harvest loses the sheet is rejected, as is one
-whose fit is degenerate or curved.
+scalar.  refine_kink measures that jump in two oracle batches of central
+differences on both sides of the wall, each Richardson-extrapolated over
+two offsets (_gradient_jump):
+
+- screen: the jump along the line direction restricted to each aligned
+  d_1 window, 8 rows per window;
+- window: only when the screen passes the jump gate (its two offsets
+  agree in direction), the kink is on its wall (the screen jumps sum to
+  J . d, which must match the models' slope jump) and exactly one window
+  jumps, the jump along each coordinate of that window, 8 rows per
+  coordinate, gated again.
+
+A kink that fails a step is rejected there, as jump-gate, off-wall or
+nonlinear, and spends nothing on the steps after it.  run_attack then
+classifies the window's jump: one entry is a bare weight, more are an
+input direction.  Only a flat kink, one whose slope does not jump, falls
+back to harvesting N+1 nearby points of the same sheet and fitting a
+hyperplane through them (smallest principal direction); a kink whose
+harvest loses the sheet is rejected, as is one whose fit is degenerate
+or curved.
 
 Everything here is double precision; exact algebra stays in polyalg.
 run_attack is black-box: it sees only the oracle, the parameter count N
@@ -28,7 +40,7 @@ enforces the budget and raises NonFiniteLossError on a NaN or infinite
 value, so no such value reaches a fit or a median.  A batch-capable
 oracle (one with a true ``batched`` attribute, as make_loss_fn returns)
 gets each scan grid, each refine stencil, each refine's 2-row check and
-each gradient-jump batch as one (Q, N) array through LossOracle.many;
+each screen and window batch as one (Q, N) array through LossOracle.many;
 bisection steps stay single queries.  Any other callable is asked one row
 at a time, with the same queries, counts and results.
 
@@ -67,9 +79,10 @@ DETECT_TOL = 12.0  # fourth difference over its rolling-median scale that flags 
 DEGREE = 4  # degree of refine_kink's one-sided models: a depth-3 loss is quartic on a line
 REFINE_TOL = 1e-9  # widest settled bracket (check pair or bisection), near float noise on t
 SPURIOUS_TOL = 1e-7  # refine_kink's jump noise floors, relative to the loss scale
-JUMP_STEP = 1e-6  # central-difference step h of the gradient-jump batch
+JUMP_STEP = 1e-6  # central-difference step h of the gradient jump's screen and window batches
 JUMP_OFFSET = 1e-4  # distance s of the jump's gradients from the wall; also taken at s / 2
 JUMP_GATE = 0.999  # heuristic (so labelled in reports): least |cos(J(s), J(s/2))| accepted
+OFF_WALL_RATIO = 2.0  # heuristic (so labelled in reports): |J . d| this factor off the slope jump is off-wall
 RADIUS_SCALE = 1e-3  # harvest radius relative to the kink's norm: close, yet above noise
 RETRIES = 3  # extra rescans, at halved offsets, before a harvest loses the sheet
 HARVEST_WINDOW_GRID = 33  # grid points of each rescan window in harvest_sheet_points
@@ -123,10 +136,11 @@ class LossOracle:
         if self.budget is not None:
             fits = min(fits, max(self.budget - self.query_count, 0))
         ys = np.asarray(self._fn(W[:fits]), dtype=float).reshape(fits) if fits else np.empty(0)
-        bad = np.flatnonzero(~np.isfinite(ys))
-        if bad.size:
-            self.query_count += int(bad[0]) + 1
-            raise NonFiniteLossError(f"loss oracle returned {ys[bad[0]]} at query {self.query_count}")
+        finite = np.isfinite(ys)
+        if not finite.all():
+            bad = int(finite.argmin())  # the first non-finite row
+            self.query_count += bad + 1
+            raise NonFiniteLossError(f"loss oracle returned {ys[bad]} at query {self.query_count}")
         self.query_count += fits
         if fits < len(W):
             raise QueryBudgetExceeded(f"oracle budget of {self.budget} queries exhausted")
@@ -150,9 +164,12 @@ class KinkPoint:
     root of the loss noise (~1e-6 in demo 01), see refine_kink.
 
     gradient_jump is the Richardson jump J = 2 J(s/2) - J(s) of the loss
-    gradient across the kink, and jump_agreement is |cos(J(s), J(s/2))|
-    (see refine_kink).  Both are None for a flat kink, or when the jump
-    was not asked for.
+    gradient across the kink, measured on the one window that jumps and 0
+    elsewhere, and jump_agreement is |cos(J(s), J(s/2))| of the last batch
+    measured (see refine_kink and _gradient_jump).  rejection is why that
+    measurement rejects the kink ('jump-gate', 'off-wall' or 'nonlinear'),
+    and gradient_jump is then None.  All three are None for a flat kink, or
+    when the jump was not asked for.
     """
 
     t: float
@@ -162,29 +179,83 @@ class KinkPoint:
     curvature_jump: float
     gradient_jump: tuple[float, ...] | None = None
     jump_agreement: float | None = None
+    rejection: str | None = None
 
 
-def _gradient_jump(oracle: LossOracle, point: np.ndarray, direction: np.ndarray):
-    """(J, |cos(J(s), J(s/2))|) across the wall at point, from one 8N-row batch.
+def _jump_pair(oracle: LossOracle, centers: np.ndarray, probes: np.ndarray):
+    """(J(s), J(s/2)) along each probe row, from one batch of 8 rows per probe.
 
-    J(r) is the central-difference gradient (step JUMP_STEP) at
-    point + r*d minus the one at point - r*d, d the unit line direction.
-    J(r) = jump + r * (H+ + H-) d + O(r^2), so J = 2 J(s/2) - J(s) cancels
-    the first-order spill of the one-sided Hessians H+-, s = JUMP_OFFSET.
-    The agreement is 0 when either jump is zero.
+    centers (4, 1, N) are point + r*unit at r = s, -s, s/2, -s/2, unit the
+    unit line direction and s = JUMP_OFFSET.  J(r) is the central-difference
+    derivative along the probe (step JUMP_STEP) at point + r*unit minus the
+    one at point - r*unit.
+    """
+    k, n = probes.shape
+    h = JUMP_STEP
+    steps = h * probes
+    rows = np.empty((4, 2, k, n))
+    np.add(centers, steps, out=rows[:, 0])
+    np.subtract(centers, steps, out=rows[:, 1])
+    ys = oracle.many(rows.reshape(-1, n)).reshape(4, 2, k)
+    grads = (ys[:, 0] - ys[:, 1]) / (2.0 * h)  # (4, k): at +s, -s, +s/2, -s/2
+    return grads[0] - grads[1], grads[2] - grads[3]
+
+
+def _richardson(jump_s: np.ndarray, jump_half: np.ndarray):
+    """(2 J(s/2) - J(s), |cos(J(s), J(s/2))|), the agreement at most 1.
+
+    J(r) = jump + r * (H+ + H-) d + O(r^2), so the combination cancels the
+    first-order spill of the one-sided Hessians H+-.  The agreement is 0
+    when either jump or the combination is zero: a zero normal has no
+    direction to agree on.
+    """
+    jump = 2.0 * jump_half - jump_s
+    norms = math.sqrt(float(np.dot(jump_s, jump_s))) * math.sqrt(float(np.dot(jump_half, jump_half)))
+    if norms == 0.0 or not jump.any():
+        return jump, 0.0
+    return jump, min(1.0, abs(float(np.dot(jump_s, jump_half))) / norms)
+
+
+def _gradient_jump(oracle: LossOracle, point: np.ndarray, direction: np.ndarray,
+                   slope_jump: float, input_dim: int):
+    """(J, agreement, None) across the wall at point, or (None, agreement, rejection).
+
+    The screen probes, in one batch of 8 * ceil(N / d_1) rows, the line's
+    unit direction d restricted to each aligned window q (coordinates
+    q * d_1 to (q + 1) * d_1 - 1, the last window possibly partial) and
+    gives each window's jump j_q = J . d_q.  A screen whose agreement is
+    below JUMP_GATE is 'jump-gate'.  The j_q sum to J . d, which on the
+    wall is the models' slope_jump over |d|: a ratio off by OFF_WALL_RATIO
+    or more is 'off-wall'.  A window is hot when |j_q| exceeds SUPPORT_TOL
+    times the largest; other than exactly one hot window is 'nonlinear'.
+    Only then does the window batch, 8 rows per coordinate of the hot
+    window, measure J there (bit for bit what a batch over all N
+    coordinates gives on them); J is 0 outside the window, and the gate
+    applies again to the window's agreement.
     """
     n = len(point)
-    h, s = JUMP_STEP, JUMP_OFFSET
-    unit = direction / float(np.linalg.norm(direction))
-    centers = point + np.array([s, -s, s / 2, -s / 2])[:, None] * unit  # (4, N)
-    steps = np.concatenate([h * np.eye(n), -h * np.eye(n)])  # (2N, N)
-    ys = oracle.many((centers[:, None, :] + steps[None, :, :]).reshape(-1, n))
-    ys = ys.reshape(4, 2, n)
-    grads = (ys[:, 0] - ys[:, 1]) / (2.0 * h)  # (4, N): at +s, -s, +s/2, -s/2
-    jump_s, jump_half = grads[0] - grads[1], grads[2] - grads[3]
-    norms = float(np.linalg.norm(jump_s)) * float(np.linalg.norm(jump_half))
-    agreement = abs(float(np.dot(jump_s, jump_half))) / norms if norms > 0.0 else 0.0
-    return 2.0 * jump_half - jump_s, agreement
+    s = JUMP_OFFSET
+    norm = math.sqrt(float(np.dot(direction, direction)))
+    unit = direction / norm
+    centers = (point + np.array([s, -s, s / 2, -s / 2])[:, None] * unit)[:, None, :]  # (4, 1, N)
+    window = np.arange(n) // input_dim
+    screen = np.where(window == np.arange(window[-1] + 1)[:, None], unit, 0.0)  # row q is d_q
+    j, agreement = _richardson(*_jump_pair(oracle, centers, screen))
+    if agreement < JUMP_GATE:
+        return None, agreement, "jump-gate"
+    if not 1.0 / OFF_WALL_RATIO < abs(float(j.sum())) * norm / slope_jump < OFF_WALL_RATIO:
+        return None, agreement, "off-wall"
+    size = np.abs(j)
+    q = int(size.argmax())
+    if np.count_nonzero(size > SUPPORT_TOL * size[q]) != 1:
+        return None, agreement, "nonlinear"
+    cols = slice(q * input_dim, (q + 1) * input_dim)
+    jump, agreement = _richardson(*_jump_pair(oracle, centers, np.eye(n)[cols]))
+    if agreement < JUMP_GATE:
+        return None, agreement, "jump-gate"
+    full = np.zeros(n)
+    full[cols] = jump
+    return full, agreement, None
 
 
 def _horner(coeffs: list[float], x: float) -> tuple[float, float, float]:
@@ -214,7 +285,7 @@ def refine_kink(
     direction,
     bracket: tuple[float, float],
     *,
-    measure_jump: bool = True,
+    input_dim: int | None = None,
 ) -> KinkPoint:
     """Refine a bracketed kink at the crossing of its left/right local models.
 
@@ -246,10 +317,15 @@ def refine_kink(
     settles the kink.  Only the oracle's budget caps them
     (QueryBudgetExceeded).
 
-    With measure_jump, a kink whose slope jump clears its noise floor
-    then gets its gradient jump (_gradient_jump): one more batch of
-    8N queries.  A flat kink gets none.
+    Given input_dim (d_1), a kink whose slope jump clears its noise floor
+    then gets its gradient jump (_gradient_jump): a screen batch of
+    8 * ceil(N / d_1) queries, plus a window batch of 8 * d_1 (fewer for
+    a partial last window) only when the screen finds the kink on its
+    wall with exactly one window jumping.  A flat kink gets none, nor
+    does any kink when input_dim is None.
     """
+    if input_dim is not None:
+        _check_integer("input_dim", input_dim, 1)
     oracle = _as_oracle(oracle)
     base = np.asarray(base, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -307,18 +383,20 @@ def refine_kink(
             "no kink in bracket"
         )
     loc = base + t_star * direction
-    gradient_jump = agreement = None
-    if measure_jump and jump > slope_floor:
-        J, agreement = _gradient_jump(oracle, loc, direction)
-        gradient_jump = tuple(float(v) for v in J)
+    gradient_jump = agreement = rejection = None
+    if input_dim is not None and jump > slope_floor:
+        J, agreement, rejection = _gradient_jump(oracle, loc, direction, jump, input_dim)
+        if J is not None:
+            gradient_jump = tuple(J.tolist())
     return KinkPoint(
         t=t_star,
-        location=tuple(float(v) for v in loc),
-        line=(tuple(float(v) for v in base), tuple(float(v) for v in direction)),
+        location=tuple(loc.tolist()),
+        line=(tuple(base.tolist()), tuple(direction.tolist())),
         jump_magnitude=float(jump),
         curvature_jump=float(jump2),
         gradient_jump=gradient_jump,
         jump_agreement=agreement,
+        rejection=rejection,
     )
 
 
@@ -346,7 +424,7 @@ def detect_kinks_on_line(
     grid: int,
     *,
     max_kinks: int | None = None,
-    measure_jump: bool = True,
+    input_dim: int | None = None,
 ) -> list[KinkPoint]:
     """Scan a line for nonsmooth points of the loss.
 
@@ -365,12 +443,13 @@ def detect_kinks_on_line(
     max_kinks cells are refined.  Each refine costs its 2 * (DEGREE + 1)
     stencil, 2 for the check of its crossing guess, and the bisection
     steps the check leaves: at most ceil(log2(width / REFINE_TOL)), none
-    when the check settles the kink; plus 8N for the gradient jump when
-    measure_jump is set and the kink is not flat.  A bracket that proves
-    spurious is skipped; the oracle's budget running out ends the scan.
-    Kinks closer together than a few grid cells can merge or shadow each
-    other; the caller controls recall through grid and t_range.
-    measure_jump goes to refine_kink.
+    when the check settles the kink; plus, when input_dim is given and the
+    kink is not flat, 8 * ceil(N / d_1) for the gradient jump's screen and
+    8 * d_1 for its window batch when the screen passes (see refine_kink).
+    A bracket that proves spurious is skipped; the oracle's budget running
+    out ends the scan.  Kinks closer together than a few grid cells can
+    merge or shadow each other; the caller controls recall through grid
+    and t_range.  input_dim goes to refine_kink.
     """
     oracle = _as_oracle(oracle)
     base = np.asarray(base, dtype=float)
@@ -382,6 +461,8 @@ def detect_kinks_on_line(
         raise ValueError("grid too small to detect anything")
     if max_kinks is not None and max_kinks < 0:
         raise ValueError(f"max_kinks must be >= 0, got {max_kinks}")
+    if input_dim is not None:
+        _check_integer("input_dim", input_dim, 1)
     ts = np.linspace(t0, t1, grid)
     ys = oracle.many(base + ts[:, None] * direction)
     d4 = np.abs(ys[:-4] - 4.0 * ys[1:-3] + 6.0 * ys[2:-2] - 4.0 * ys[3:-1] + ys[4:])
@@ -414,7 +495,7 @@ def detect_kinks_on_line(
         center = cell + 2
         lo_t, hi_t = float(ts[center - 1]), float(ts[center + 1])
         try:
-            kink = refine_kink(oracle, base, direction, (lo_t, hi_t), measure_jump=measure_jump)
+            kink = refine_kink(oracle, base, direction, (lo_t, hi_t), input_dim=input_dim)
         except SpuriousKinkError:
             continue
         out.append(kink)
@@ -436,7 +517,8 @@ def harvest_sheet_points(
     norm at most radius, rescanning a short window around the seed t and
     refining the nearest kink.  A lost or drifted kink is retried with a
     fresh, smaller offset up to RETRIES extra times, then HarvestError.
-    Only locations are needed, so the rescans measure no gradient jumps.
+    Only locations are needed, so the rescans get no input_dim and
+    measure no gradient jumps.
     """
     base = np.asarray(kink.line[0], dtype=float)
     direction = np.asarray(kink.line[1], dtype=float)
@@ -458,7 +540,6 @@ def harvest_sheet_points(
                 (kink.t - window, kink.t + window),
                 HARVEST_WINDOW_GRID,
                 max_kinks=3,
-                measure_jump=False,
             )
             if not kinks:
                 continue
@@ -647,11 +728,12 @@ class AttackConfig:
     """What a run_attack caller sets: query budget, scan lines and seed.
 
     The seed draws each line's base and direction.  Every other setting
-    is a module constant.  JUMP_GATE and RESIDUAL_TOL among them are
-    artifact heuristics (flagged as such in reports): a gradient jump
-    whose two offsets agree in direction below JUMP_GATE is dropped, and
-    so is a harvested sheet whose hyperplane residual exceeds
-    RESIDUAL_TOL, rather than classified.
+    is a module constant.  JUMP_GATE, OFF_WALL_RATIO and RESIDUAL_TOL
+    among them are artifact heuristics (flagged as such in reports): a
+    gradient jump whose two offsets agree in direction below JUMP_GATE is
+    dropped, and so is one whose J . d is off the models' slope jump by a
+    factor of OFF_WALL_RATIO or more, and a harvested sheet whose
+    hyperplane residual exceeds RESIDUAL_TOL, rather than classified.
     """
 
     budget: int = 200_000
@@ -688,7 +770,7 @@ class DirectionMatch:
     scale: float
 
 
-REJECTION_REASONS = ("jump-gate", "nonlinear", "harvest-lost", "degenerate", "curved")
+REJECTION_REASONS = ("jump-gate", "off-wall", "nonlinear", "harvest-lost", "degenerate", "curved")
 
 
 @dataclass
@@ -699,9 +781,9 @@ class ReconstructionReport:
     oracle_queries: int = 0
     kinks: list[tuple[int, float, float]] = field(default_factory=list)
     weight_sheets: int = 0
-    # rejected kinks by reason: the jump gate failed, the normal's support is not
-    # one aligned window, or a flat kink's harvest lost the sheet, or its fit was
-    # degenerate or curved
+    # rejected kinks by reason: the jump gate failed, J . d missed the slope jump
+    # (off its wall), the jump is not in one aligned window, or a flat kink's
+    # harvest lost the sheet, or its fit was degenerate or curved
     rejections: dict[str, int] = field(default_factory=lambda: dict.fromkeys(REJECTION_REASONS, 0))
     budget: int | None = None
     budget_exhausted: bool = False
@@ -727,6 +809,9 @@ class ReconstructionReport:
             "jump_gate": JUMP_GATE,
             "jump_gate_note": "artifact heuristic threshold on |cos(J(s), J(s/2))|, "
             "not derived from the model",
+            "off_wall_ratio": OFF_WALL_RATIO,
+            "off_wall_ratio_note": "artifact heuristic bound on |J.d| / slope jump, off-wall "
+            "outside (1 / off_wall_ratio, off_wall_ratio), not derived from the model",
             "residual_tol": RESIDUAL_TOL,
             "residual_tol_note": "artifact heuristic threshold, not derived from the model",
         }
@@ -783,11 +868,12 @@ def run_attack(
     *,
     true_inputs: Sequence[Sequence[float]] | None = None,
 ) -> ReconstructionReport:
-    """Black-box reconstruction: scan, refine and jump, gate, classify.
+    """Black-box reconstruction: scan, refine, screen, window, gate, classify.
 
-    Each kink's normal is its gradient jump, accepted when the jump's two
-    offsets agree to JUMP_GATE; a flat kink's normal is instead fitted
-    through a harvest of the sheet (harvest, fit, RESIDUAL_TOL).
+    Each kink's normal is its gradient jump on the one window that jumps,
+    accepted when the screen and the window pass JUMP_GATE and the kink
+    is on its wall (see _gradient_jump); a flat kink's normal is instead
+    fitted through a harvest of the sheet (harvest, fit, RESIDUAL_TOL).
     Knows only the oracle, the weight count N and the input arity d_1.
     Recovered directions are unit vectors in input space, deduplicated at
     |cos| >= 1 - DEDUP_TOL; when true_inputs is supplied (scoring only,
@@ -810,15 +896,16 @@ def run_attack(
             direction = rng.normal(size=n_weights)
             direction /= np.linalg.norm(direction)
             kinks = detect_kinks_on_line(
-                counted, base, direction, T_RANGE, GRID, max_kinks=MAX_KINKS_PER_LINE
+                counted, base, direction, T_RANGE, GRID,
+                max_kinks=MAX_KINKS_PER_LINE, input_dim=input_dim,
             )
             for kink in kinks:
                 report.kinks.append((line_id, kink.t, kink.jump_magnitude))
             for kink in kinks:
-                if kink.gradient_jump is None:
+                if kink.rejection is not None:
+                    outcome = kink.rejection
+                elif kink.gradient_jump is None:
                     outcome = _fitted_normal(counted, kink, n_weights, rng)
-                elif kink.jump_agreement < JUMP_GATE:
-                    outcome = "jump-gate"
                 else:
                     outcome = (np.asarray(kink.gradient_jump), 1.0 - kink.jump_agreement, "gradient-jump")
                 if isinstance(outcome, str):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -198,6 +199,15 @@ class TestDetectRefine:
         assert detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257, max_kinks=0) == []
         assert oracle.query_count == 257  # the grid alone
 
+    @pytest.mark.parametrize("input_dim", [0, -1, 2.0, True, "3"])
+    def test_bad_input_dim_is_rejected_before_any_query(self, input_dim):
+        oracle = one_d_warmup_oracle([(1.0, 2.0), (3.0, 1.0), (-2.0, 1.5)])
+        with pytest.raises(ValueError, match="input_dim"):
+            detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257, input_dim=input_dim)
+        with pytest.raises(ValueError, match="input_dim"):
+            refine_kink(oracle, [0.0], [1.0], (1.9, 2.1), input_dim=input_dim)
+        assert oracle.query_count == 0
+
     @pytest.mark.parametrize(
         "a,b",
         [(1.0, 1.0 + 5 / 32), (1.0, 1.0 + 6 / 32), (0.37, 0.37 + 7 / 32), (1.0, None)],
@@ -315,8 +325,9 @@ flat_walls.batched = True
 
 
 class TestGradientJump:
-    def test_first_order_kink_costs_stencil_check_plus_8n(self):
-        # exact quadratic pieces: the models cross on the wall and the check settles it
+    def test_first_order_kink_costs_stencil_check_screen_and_window(self):
+        # exact quadratic pieces: the models cross on the wall and the check settles it;
+        # at d_1 = 4 the wall lies in window 0 of the two windows [0, 4) and [4, 5)
         n = np.array([1.0, -2.0, 0.5, 1.5, 0.0])
         direction = np.array([1.0, 0.2, -0.1, 0.3, 0.4])
         direction /= np.linalg.norm(direction)
@@ -333,18 +344,19 @@ class TestGradientJump:
 
         spy.batched = True
         oracle = LossOracle(spy)
-        kink = refine_kink(oracle, base, direction, bracket)
+        kink = refine_kink(oracle, base, direction, bracket, input_dim=4)
         assert abs(float(n @ np.asarray(kink.location))) < 1e-8
-        assert oracle.query_count == stencil_check + 8 * len(n)
-        assert batches == [2 * (attack_module.DEGREE + 1), 2, 8 * len(n)]  # one batch each
+        assert oracle.query_count == stencil_check + 8 * 2 + 8 * 4
+        # one batch each: stencil, check, screen (8 * ceil(N / d_1)), window (8 * d_1)
+        assert batches == [2 * (attack_module.DEGREE + 1), 2, 8 * 2, 8 * 4]
         # |n.w| jumps by 2n; the Richardson jump has no spill off the support
         J = np.asarray(kink.gradient_jump)
         assert np.allclose(J, 2 * n if float(J @ n) > 0 else -2 * n, atol=1e-6)
-        assert abs(J[4]) < 1e-6 and kink.jump_agreement > 1.0 - 1e-9
+        assert J[4] == 0.0 and kink.jump_agreement > 1.0 - 1e-9 and kink.rejection is None
         without = LossOracle(f)
-        bare = refine_kink(without, base, direction, bracket, measure_jump=False)
+        bare = refine_kink(without, base, direction, bracket)
         assert without.query_count == stencil_check and bare.gradient_jump is None
-        assert bare.t == kink.t
+        assert bare.rejection is None and bare.t == kink.t
 
     def test_flat_kink_gets_no_jump(self):
         direction = np.ones(4) / 2.0
@@ -369,9 +381,12 @@ class TestGradientJump:
             w = np.asarray(w)
             return abs(w[0] - c0) + abs(w[1] - c1) + 0.1 * float(w @ w)
 
-        kinks = detect_kinks_on_line(LossOracle(two_walls), np.zeros(4), direction, (-4, 4), 257)
+        # d_1 = 4: one window, so the screen passes and the window's two offsets decide
+        kinks = detect_kinks_on_line(LossOracle(two_walls), np.zeros(4), direction, (-4, 4), 257,
+                                     input_dim=4)
         assert len(kinks) == 1 and abs(kinks[0].t - t1) < 1e-5
         assert (kinks[0].jump_agreement < attack_module.JUMP_GATE) is gated
+        assert kinks[0].rejection == ("jump-gate" if gated else None)
         if not gated:
             assert aligned_input_direction(kinks[0].gradient_jump, 4).kind == "weight-parameter"
 
@@ -387,7 +402,7 @@ def plane_kink_oracle(normal, smooth_scale=0.1):
     return f
 
 
-def bisection_refine_kink(oracle, base, direction, bracket, *, measure_jump=True):
+def bisection_refine_kink(oracle, base, direction, bracket, *, input_dim=None):
     """refine_kink as pure bisection against np.polynomial fits: the reference.
 
     The same stencil, spurious test and gradient jump as refine_kink, but no
@@ -421,10 +436,11 @@ def bisection_refine_kink(oracle, base, direction, bracket, *, measure_jump=True
     if jump <= slope_floor and jump2 <= attack_module.SPURIOUS_TOL * y_scale / w0**2:
         raise SpuriousKinkError("no kink in bracket")
     loc = base + m * direction
-    gradient_jump = agreement = None
-    if measure_jump and jump > slope_floor:
-        J, agreement = attack_module._gradient_jump(oracle, loc, direction)
-        gradient_jump = tuple(float(v) for v in J)
+    gradient_jump = agreement = rejection = None
+    if input_dim is not None and jump > slope_floor:
+        J, agreement, rejection = attack_module._gradient_jump(oracle, loc, direction, jump, input_dim)
+        if J is not None:
+            gradient_jump = tuple(float(v) for v in J)
     return attack_module.KinkPoint(
         t=m,
         location=tuple(float(v) for v in loc),
@@ -433,7 +449,73 @@ def bisection_refine_kink(oracle, base, direction, bracket, *, measure_jump=True
         curvature_jump=float(jump2),
         gradient_jump=gradient_jump,
         jump_agreement=agreement,
+        rejection=rejection,
     )
+
+
+def full_gradient_jump(oracle, point, direction):
+    """(J, |cos(J(s), J(s/2))|) over all N coordinates from one 8N-row batch: the reference.
+
+    The whole gradient jump, as measured before the window screen: central
+    differences along every coordinate at +-s and +-s/2 off the wall,
+    Richardson-combined.  The agreement is 0 when either jump is zero.
+    """
+    n = len(point)
+    h, s = attack_module.JUMP_STEP, attack_module.JUMP_OFFSET
+    unit = direction / float(np.linalg.norm(direction))
+    centers = point + np.array([s, -s, s / 2, -s / 2])[:, None] * unit  # (4, N)
+    steps = np.concatenate([h * np.eye(n), -h * np.eye(n)])  # (2N, N)
+    ys = oracle.many((centers[:, None, :] + steps[None, :, :]).reshape(-1, n))
+    ys = ys.reshape(4, 2, n)
+    grads = (ys[:, 0] - ys[:, 1]) / (2.0 * h)  # (4, N): at +s, -s, +s/2, -s/2
+    jump_s, jump_half = grads[0] - grads[1], grads[2] - grads[3]
+    norms = float(np.linalg.norm(jump_s)) * float(np.linalg.norm(jump_half))
+    agreement = abs(float(np.dot(jump_s, jump_half))) / norms if norms > 0.0 else 0.0
+    return 2.0 * jump_half - jump_s, agreement
+
+
+def full_jump_verdict(oracle, point, direction, slope_jump, input_dim):
+    """_gradient_jump's contract from the full jump: gated, and classified later by run_attack."""
+    J, agreement = full_gradient_jump(oracle, point, direction)
+    if agreement < attack_module.JUMP_GATE:
+        return None, agreement, "jump-gate"
+    return J, agreement, None
+
+
+def walls_through_a_point(seed, supports, n_weights):
+    """sum_k |n_k . w| plus a bowl, each n_k on its own support, and a point on every wall.
+
+    Returns (batched f, point, unit direction d, the true J . d).  Entries
+    of each n_k have magnitudes in [0.5, 2], so every support entry is far
+    above SUPPORT_TOL.  d crosses the walls at a clear angle: |n_k . d| is
+    at least 0.1 max|n_k|, so no central-difference step straddles a wall,
+    and the jump J restricted to each window of d_1 = 3 it touches has
+    |J_q . d| of at least 0.1.  (A window whose jump is orthogonal to d
+    there reads as cold in the screen: that is the screen's blind spot.)
+    """
+    rng = np.random.default_rng(seed)
+    normals = np.zeros((len(supports), n_weights))
+    for k, support in enumerate(supports):
+        normals[k, support] = rng.choice([-1.0, 1.0], len(support)) * rng.uniform(0.5, 2.0, len(support))
+    b = rng.normal(size=n_weights)
+    point = b - np.linalg.lstsq(normals, normals @ b, rcond=None)[0]  # on every wall
+    window = np.arange(n_weights) // 3
+    while True:
+        direction = rng.normal(size=n_weights)
+        direction /= np.linalg.norm(direction)
+        along = normals @ direction
+        jump = 2.0 * np.sign(along) @ normals
+        per_window = np.bincount(window, jump * direction)[np.unique(window[jump != 0.0])]
+        clear = np.all(np.abs(along) >= 0.1 * np.max(np.abs(normals), axis=1))
+        if clear and np.all(np.abs(per_window) >= 0.1):
+            break
+
+    def f(w):
+        w = np.asarray(w, dtype=float)
+        return np.sum(np.abs(w @ normals.T), axis=-1) + 0.1 * np.sum(w * w, axis=-1)
+
+    f.batched = True
+    return f, point, direction, float(jump @ direction)
 
 
 def plane_kink_on_background(seed, sixth):
@@ -475,8 +557,8 @@ class TestRefineAgainstBisection:
             return f(w)
 
         reference, checked = LossOracle(f), LossOracle(spy)
-        expected = bisection_refine_kink(reference, base, direction, bracket, measure_jump=False)
-        kink = refine_kink(checked, base, direction, bracket, measure_jump=False)
+        expected = bisection_refine_kink(reference, base, direction, bracket)
+        kink = refine_kink(checked, base, direction, bracket)
         tol = attack_module.REFINE_TOL
         assert abs(expected.t - t_wall) <= tol
         assert abs(kink.t - t_wall) <= tol
@@ -508,6 +590,89 @@ class TestRefineAgainstBisection:
     def test_inexact_models(self, seed, offset, width, sixth):
         # a sixth-degree term the quartic models cannot follow moves their crossing off the wall
         self.check(seed, offset, width, sixth)
+
+
+class TestScreenAgainstFullJump:
+    """_gradient_jump's screen and window against full_gradient_jump, on walls through one point.
+
+    N = 11 and d_1 = 3: windows [0, 3), [3, 6), [6, 9) and the partial [9, 11).
+    """
+
+    N, D1 = 11, 3
+    KINDS = {  # a wall's support, from its own rng
+        "one window": lambda rng: [3 * int(rng.integers(3)) + i for i in range(3)],
+        "two windows": lambda rng: [i for q in rng.choice(4, 2, replace=False)
+                                    for i in range(3 * q, min(3 * q + 3, 11))],
+        "single weight": lambda rng: [int(rng.integers(11))],
+        "partial last window": lambda rng: [9, 10],
+    }
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(sorted(KINDS)), min_size=1, max_size=2),
+    )
+    def test_hot_windows_and_window_entries(self, seed, kinds):
+        rng = np.random.default_rng(seed)
+        supports = [sorted(set(self.KINDS[kind](rng))) for kind in kinds]
+        f, point, unit, along = walls_through_a_point(seed, supports, self.N)
+        J_full, _ = full_gradient_jump(LossOracle(f), point, unit)
+        big = np.abs(J_full) > attack_module.SUPPORT_TOL * np.max(np.abs(J_full))
+        support_windows = sorted({int(i) // self.D1 for i in np.flatnonzero(big)})
+        combined = []  # the screen's window jumps j_q, then the window's jump
+
+        def spy(jump_s, jump_half):
+            out = richardson(jump_s, jump_half)
+            combined.append(out[0])
+            return out
+
+        richardson, oracle = attack_module._richardson, LossOracle(f)
+        with mock.patch.object(attack_module, "_richardson", spy):
+            J, agreement, rejection = attack_module._gradient_jump(oracle, point, unit, along, self.D1)
+        j = combined[0]
+        hot = np.flatnonzero(np.abs(j) > attack_module.SUPPORT_TOL * np.max(np.abs(j))).tolist()
+        assert len(j) == 4 and hot == support_windows
+        window = np.arange(self.N) // self.D1
+        if len(hot) == 1:
+            cols = window == hot[0]
+            assert rejection is None and agreement >= attack_module.JUMP_GATE
+            assert J[cols].tolist() == J_full[cols].tolist()  # bit for bit
+            assert not np.any(J[~cols])
+            assert oracle.query_count == 8 * 4 + 8 * int(np.sum(cols))
+        else:
+            assert J is None and rejection == "nonlinear" and oracle.query_count == 8 * 4
+
+    @pytest.mark.parametrize("stage", [0, 1], ids=["screen", "window"])
+    def test_zero_jump_is_a_gate_rejection(self, monkeypatch, stage):
+        # J(s) = 2 J(s/2) exactly: the two offsets agree (|cos| 1.0) on a Richardson jump of 0
+        measure, calls = attack_module._jump_pair, []
+
+        def cancelling(*args):
+            jump_s, jump_half = measure(*args)
+            calls.append(len(jump_s))
+            return (2.0 * jump_half, jump_half) if len(calls) == stage + 1 else (jump_s, jump_half)
+
+        monkeypatch.setattr(attack_module, "_jump_pair", cancelling)
+        f, point, unit, along = walls_through_a_point(5, [[3, 4, 5]], self.N)
+        verdict = attack_module._gradient_jump(LossOracle(f), point, unit, along, self.D1)
+        assert verdict == (None, 0.0, "jump-gate")
+        assert calls == [4, 3][: stage + 1]
+
+    def test_zero_jump_never_reaches_the_classifier(self, monkeypatch):
+        # every jump cancels: each measured kink is a jump-gate rejection, and no
+        # DegeneracyError("zero normal") escapes run_attack
+        monkeypatch.setattr(attack_module, "_jump_pair", lambda *args: (np.full(7, 2.0), np.ones(7)))
+        inst = gen_instance([3, 4, 2], 5, 7)
+        report = run_attack(make_oracle(inst), inst.shape.weight_count, 3, AttackConfig(n_lines=2))
+        assert report.rejections["jump-gate"] == len(report.kinks) > 0 and not report.directions
+
+    def test_agreement_is_at_most_one(self):
+        # this v gives dot(3v, v) / (|3v| |v|) = 1.0000000000000002 in floats
+        v = np.array([-0.6232744625373522, 0.0413259793472436, -2.3250307746388343,
+                      -0.21879166393254573, -1.2459109472530652])
+        norms = float(np.linalg.norm(3 * v)) * float(np.linalg.norm(v))
+        assert abs(float(np.dot(3 * v, v))) / norms > 1.0
+        jump, agreement = attack_module._richardson(3 * v, v)
+        assert agreement == 1.0 and jump.tolist() == (2.0 * v - 3 * v).tolist()
 
 
 class TestHarvestAndFit:
@@ -831,20 +996,88 @@ class TestAttackPipeline:
         for a, b in zip(checked.directions, bisected.directions):
             assert abs(float(np.dot(a.direction, b.direction))) >= 1.0 - 1e-9
 
+    @pytest.mark.parametrize("widths,samples", [((3, 4, 2), 5), ((3, 4, 4, 2), 5)])
+    def test_screen_matches_full_jump_end_to_end(self, monkeypatch, widths, samples):
+        # the same kinks, samples, weight sheets and rejection total as measuring the whole
+        # jump, for fewer queries; full-jump rejections past the gate count as nonlinear
+        inst = gen_instance(list(widths), samples, 7)
+        true_inputs = [tuple(float(v) for v in s.input) for s in inst.samples]
+
+        def attack():
+            return run_attack(make_oracle(inst), inst.shape.weight_count, widths[0],
+                              AttackConfig(), true_inputs=true_inputs)
+
+        screened = attack()
+        monkeypatch.setattr(attack_module, "_gradient_jump", full_jump_verdict)
+        full = attack()
+
+        def recovered(report):
+            return {m.sample_index for m in report.matches if m.cosine >= attack_module.MATCH_THRESHOLD}
+
+        assert screened.kink_csv() == full.kink_csv()
+        assert recovered(screened) == recovered(full) and recovered(screened)
+        assert screened.oracle_queries < full.oracle_queries
+        assert screened.weight_sheets == full.weight_sheets
+        assert screened.rejected_sheets == full.rejected_sheets
+        assert screened.rejections["jump-gate"] <= full.rejections["jump-gate"]
+        assert full.rejections["off-wall"] == 0
+        assert len(screened.directions) == len(full.directions)
+        for a, b in zip(screened.directions, full.directions):
+            assert abs(float(np.dot(a.direction, b.direction))) >= 1.0 - 1e-12
+
+    def test_off_wall_kinks_are_labelled_and_skip_the_window(self):
+        # [3,4,2]x5 seed 7 rejects 7 kinks, all refines that settled off their wall; no
+        # window batch is spent on them, and all 5 samples are still recovered
+        inst = gen_instance([3, 4, 2], 5, 7)
+        true_inputs = [tuple(float(v) for v in s.input) for s in inst.samples]
+        E = make_oracle(inst)
+        batches = []
+
+        def spy(W):
+            batches.append(len(W))
+            return E(W)
+
+        spy.batched = True
+        report = run_attack(spy, inst.shape.weight_count, 3, AttackConfig(), true_inputs=true_inputs)
+        assert report.rejections == dict.fromkeys(attack_module.REJECTION_REASONS, 0) | {"off-wall": 7}
+        assert {m.sample_index for m in report.matches if m.cosine >= 0.999} == set(range(5))
+        screens = batches.count(8 * 7)  # N = 20, d_1 = 3: six windows of 3 and a last one of 2
+        assert screens == len(report.kinks)
+        assert batches.count(8 * 3) + batches.count(8 * 2) == screens - 7
+
     def test_rejections_by_reason(self, monkeypatch):
+        # [3,4,4,2]: N = 36 and d_1 = 3, so a screen has 8 * 12 rows and a window 8 * 3
         inst = gen_instance([3, 4, 4, 2], 5, 7)
-        report = run_attack(make_oracle(inst), inst.shape.weight_count, 3, AttackConfig())
+        E = make_oracle(inst)
+        batches = []
+
+        def spy(W):
+            batches.append(len(W))
+            return E(W)
+
+        spy.batched = True
+        report = run_attack(spy, inst.shape.weight_count, 3, AttackConfig())
         data = report.to_json()
-        assert set(data["rejections"]) == {"jump-gate", "nonlinear", "harvest-lost", "degenerate", "curved"}
+        assert set(data["rejections"]) == {
+            "jump-gate", "off-wall", "nonlinear", "harvest-lost", "degenerate", "curved"
+        }
         assert sum(data["rejections"].values()) == data["rejected_sheets"] == report.rejected_sheets > 0
         assert data["jump_gate"] == attack_module.JUMP_GATE and "heuristic" in data["jump_gate_note"]
-        # a gate no jump can pass rejects every kink as jump-gate, at no query cost
+        assert data["off_wall_ratio"] == attack_module.OFF_WALL_RATIO
+        assert "heuristic" in data["off_wall_ratio_note"]
+        windows = batches.count(8 * 3)
+        # a gate no jump can pass rejects every kink as jump-gate after its screen, so
+        # each kink the screen passed on to its window batch costs 8 * d_1 queries fewer
         monkeypatch.setattr(attack_module, "JUMP_GATE", 2.0)
-        gated = run_attack(make_oracle(inst), inst.shape.weight_count, 3, AttackConfig())
+        batches.clear()
+        gated = run_attack(spy, inst.shape.weight_count, 3, AttackConfig())
         assert gated.rejections["jump-gate"] == len(gated.kinks) == gated.rejected_sheets
-        assert gated.oracle_queries == report.oracle_queries and not gated.directions
+        assert gated.kinks == report.kinks and not gated.directions
+        assert windows > 0 and 8 * 3 not in batches and batches.count(8 * 12) == len(gated.kinks)
+        assert gated.oracle_queries == report.oracle_queries - 8 * 3 * windows
 
     def test_oracle_budget_inside_jump_batch_sets_exhausted(self):
+        # [3,4,2]: N = 20 and d_1 = 3, so a screen has 8 * 7 rows and a full window 8 * 3
         inst = gen_instance([3, 4, 2], 5, 7)
         n = inst.shape.weight_count
         E = make_oracle(inst)
@@ -856,13 +1089,14 @@ class TestAttackPipeline:
 
         spy.batched = True
         run_attack(spy, n, 3, AttackConfig(n_lines=1))
-        first_jump = batches.index(8 * n)
-        budget = sum(batches[:first_jump]) + 5
-        batches.clear()
-        report = run_attack(spy, n, 3, AttackConfig(budget=budget))
-        assert batches[-1] == 5  # the jump batch is cut to the rows that fit
-        assert report.budget_exhausted
-        assert report.oracle_queries == budget
+        uncut = list(batches)
+        for rows in (8 * 7, 8 * 3):  # cut inside the first screen, then the first window
+            budget = sum(uncut[: uncut.index(rows)]) + 5
+            batches.clear()
+            report = run_attack(spy, n, 3, AttackConfig(budget=budget))
+            assert batches[-1] == 5  # the batch is cut to the rows that fit
+            assert report.budget_exhausted
+            assert report.oracle_queries == budget
 
     def test_report_round_trip(self):
         inst = gen_instance([2, 2, 1], 1, seed=2)
