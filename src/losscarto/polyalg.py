@@ -8,8 +8,11 @@ lexicographically with lower variable index more significant), so
 structural equality is mathematical equality and hashing works.
 
 Float coefficients never appear here.  The public constructor checks and
-canonicalizes its input; results of the ring operations, whose keys are
-canonical already, go through the trusted Poly._canonical instead.
+canonicalizes its input, merging a variable repeated in one key; results
+of the ring operations, whose keys are canonical already, go through the
+trusted Poly._canonical instead, which only sorts.  Poly._presorted trusts
+the order too: normalized and negation keep every key, and so the order,
+and the segment builder in virtual emits its terms in order.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def _merge_keys(a: TermKey, b: TermKey) -> TermKey:
 class Poly:
     """Immutable exact polynomial; supports +, -, * and scalar ops."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_normal")
 
     def __init__(self, terms: Mapping[TermKey, Scalar] | Iterable[tuple[TermKey, Scalar]] = ()):
         if isinstance(terms, Mapping):
@@ -55,9 +58,15 @@ class Poly:
             items = terms
         acc: dict[TermKey, Fraction] = {}
         for key, coeff in items:
-            key = tuple(sorted((int(v), int(e)) for v, e in key if e != 0))
-            if any(v < 0 or e < 0 for v, e in key):
-                raise ValueError(f"bad term key {key}")
+            exps: dict[int, int] = {}
+            for v, e in key:
+                v, e = int(v), int(e)
+                if e == 0:
+                    continue
+                if v < 0 or e < 0:
+                    raise ValueError(f"bad term key {key}")
+                exps[v] = exps.get(v, 0) + e  # x_v^a * x_v^b = x_v^(a+b)
+            key = tuple(sorted(exps.items()))
             c = as_fraction(coeff)
             if c == 0:
                 continue
@@ -69,11 +78,16 @@ class Poly:
         """Trusted constructor: keys already canonical, coefficients Fractions.
 
         Drops zero coefficients and sorts, skipping the key and coefficient
-        checks of the public constructor; the ring operations and the
-        propagation in virtual produce such mappings.
+        checks of the public constructor; the ring operations produce
+        such mappings.
         """
+        return cls._presorted(_sorted_terms(acc))
+
+    @classmethod
+    def _presorted(cls, terms: tuple[tuple[TermKey, Fraction], ...]) -> "Poly":
+        """Trusted constructor: canonical keys, nonzero Fractions, canonical order."""
         out = object.__new__(cls)
-        object.__setattr__(out, "_terms", _sorted_terms(acc))
+        object.__setattr__(out, "_terms", terms)
         return out
 
     def __setattr__(self, name, value):
@@ -121,13 +135,22 @@ class Poly:
         return tuple(sorted(seen))
 
     def normalized(self) -> "Poly":
-        """Scale so the leading coefficient is 1 (canonical up-to-scale form)."""
-        if not self._terms:
-            return self
+        """Scale so the leading coefficient is 1 (canonical up-to-scale form).
+
+        Computed once per Poly: sheet enumeration normalizes each shared
+        factor many times, and the same object back makes dict lookups
+        hit on identity.
+        """
+        try:
+            return self._normal
+        except AttributeError:
+            pass
+        if not self._terms or self._terms[0][1] == 1:
+            return self  # not stored: a Poly referring to itself is a cycle
         lead = self._terms[0][1]
-        if lead == 1:
-            return self
-        return Poly._canonical({k: c / lead for k, c in self._terms})
+        out = Poly._presorted(tuple((k, c / lead) for k, c in self._terms))
+        object.__setattr__(self, "_normal", out)
+        return out
 
     # ring operations
 
@@ -150,7 +173,7 @@ class Poly:
             return h
 
     def __neg__(self) -> "Poly":
-        return Poly._canonical({k: -c for k, c in self._terms})
+        return Poly._presorted(tuple((k, -c) for k, c in self._terms))
 
     def __add__(self, other) -> "Poly":
         other = _coerce(other)

@@ -16,7 +16,10 @@ first-layer variable) are precisely the sample-independent ones.  A
 node's wall and factors depend only on the sample and on the flags of
 the layers below the node, not on the region, so one enumeration
 factorizes each (sample, node, lower flags) once; the singular bit reads
-the layers above and is decided per region.
+the layers above and is decided per region.  Below that, one segment
+cache (see virtual) is shared by the whole enumeration: a segment behind
+a cut is one polynomial for every sample, and a layer's pre-outputs
+serve every node of it, so each is propagated and normalized once.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .network import (
     check_samples,
 )
 from .polyalg import Poly
-from .virtual import factorize, virtual_polynomial
+from .virtual import _Segments, _factorize, factorize, virtual_polynomial
 
 RegionKey = tuple[tuple[tuple[bool, ...], ...], ...]
 
@@ -175,7 +178,9 @@ class Sheet:
 
 
 def _is_sample_independent(poly: Poly, shape: NetworkShape) -> bool:
-    return all(shape.weight_layer_of(v) != 1 for v in poly.variables())
+    # a key lists its variables in ascending order, and weight layer 1 comes first
+    first = shape.layer_slice(1).stop
+    return min((key[0][0] for key, _ in poly.terms if key), default=first) >= first
 
 
 def _wall_is_singular(shape: NetworkShape, P: ActivationSet, k: int) -> bool:
@@ -199,11 +204,12 @@ def wall_between(
 ) -> Sheet:
     """Sheet separating two regions that differ in exactly one node flag.
 
-    The sheet polynomial is the flipped node's wall from _node_components:
-    its virtual polynomial under the shared flags (its own flag is
-    irrelevant to its pre-output), as enumeration records it, and
-    the singular bit asks whether every hidden layer above the node keeps
-    an active node, which is when the two exact pieces differ.
+    The sheet polynomial is the flipped node's wall, normalized as
+    enumeration records it: its virtual polynomial under the shared flags
+    (its own flag is irrelevant to its pre-output), the product of its
+    bottleneck factors; the singular bit asks whether every hidden layer
+    above the node keeps an active node, which is when the two exact
+    pieces differ.
     """
     check_samples(shape, samples)
     diffs: list[tuple[int, tuple[int, int]]] = []
@@ -216,17 +222,22 @@ def wall_between(
         raise AdjacencyError(f"regions differ in {len(diffs)} flags, expected exactly 1")
     p, (i, k) = diffs[0]
     P = r1.activation_sets[p]
-    components = _node_components(shape, samples[p].input, P, (i, k))
-    if not components:
+    try:
+        wall = factorize(shape, samples[p].input, P, (i, k)).product().normalized()
+    except ZeroVirtualPolynomialError:
         raise AdjacencyError(
             f"no wall: node ({i},{k}) has identically zero pre-output here"
-        )
-    wall, independent = components[0]
+        ) from None
+    independent = _is_sample_independent(wall, shape)
     return Sheet(wall, None if independent else p, _wall_is_singular(shape, P, k))
 
 
 def _node_components(
-    shape: NetworkShape, x: Sequence[Scalar], P: ActivationSet, node: tuple[int, int]
+    shape: NetworkShape,
+    inputs: tuple[Fraction, ...],
+    P: ActivationSet,
+    node: tuple[int, int],
+    cache: _Segments,
 ) -> tuple[tuple[Poly, bool], ...]:
     """The node's sheet candidates as (normalized poly, sample independent) pairs.
 
@@ -236,7 +247,7 @@ def _node_components(
     only, as factorize does.
     """
     try:
-        factors = factorize(shape, x, P, node)
+        factors = _factorize(shape, inputs, P, node, cache)
     except ZeroVirtualPolynomialError:
         return ()
     polys = (factors.product(), *factors) if node[1] < shape.depth else tuple(factors)
@@ -316,18 +327,20 @@ def enumerate_singular_sheets(
     # a node's components depend on the sample and on the flags below its
     # layer only (all factorize reads), not on the region: compute each once
     components: dict[tuple, tuple[tuple[Poly, bool], ...]] = {}
+    segments: _Segments = {}
     found: dict[Poly, Sheet] = {}
+    inputs = [tuple(as_fraction(v) for v in sample.input) for sample in samples]
 
     for key in sorted(regions):
         r = regions[key]
-        for p, sample in enumerate(samples):
+        for p, x in enumerate(inputs):
             P = r.activation_sets[p]
             outputs = ((o, shape.depth) for o in range(1, shape.widths[-1] + 1))
             for i, k in (*shape.hidden_nodes(), *outputs):
                 memo_key = (p, (i, k), P.flags[: k - 2])
                 comps = components.get(memo_key)
                 if comps is None:
-                    comps = components[memo_key] = _node_components(shape, sample.input, P, (i, k))
+                    comps = components[memo_key] = _node_components(shape, x, P, (i, k), segments)
                 singular = k < shape.depth and _wall_is_singular(shape, P, k)
                 for norm, independent in comps:
                     prev = found.get(norm)

@@ -15,21 +15,33 @@ between consecutive pinch points; factorize computes exactly that
 decomposition and the product recovers the virtual polynomial exactly.
 Both read only the flags of layers below the node.
 
-Propagation builds each node's pre-output sum_i w_{k,i,j} x_i in one
-pass: the terms of all incoming edges are gathered in one dict and
-sorted once into a Poly, rather than through one ring addition per edge.
+All of them propagate through one segment builder.  A segment starts at
+the input, with the sample as coefficients, or at a cut's unique active
+node, with value 1; its pre-outputs depend on that start and on the
+flags strictly inside it only, not on the sample behind a cut nor on
+the node read off its end layer.  The builder caches them under exactly
+that key, each built one layer on from the entry one layer shorter, so
+a caller that shares one cache over many nodes, flags and samples
+propagates each (start, flags) once.  One layer step sorts the source
+terms once and appends each edge in place: the result is in canonical
+order for every target node, and no term is re-sorted.
+virtual_polynomial and factorize use a fresh cache per call,
+enumerate_virtual_polynomials one over its activation sets, and sheet
+enumeration in surface one over every region, sample and node, through
+_factorize.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import EnumerationBudgetError, ShapeError, ZeroVirtualPolynomialError
 from .network import ActivationSet, NetworkShape, Scalar, as_fraction
-from .polyalg import Poly, TermKey
+from .polyalg import Poly
 
 # enumerate_virtual_polynomials refuses shapes with more hidden nodes than this
 ENUMERATION_CAP = 16
@@ -44,44 +56,67 @@ def _check_node(shape: NetworkShape, node: tuple[int, int]) -> tuple[int, int]:
     return i, k
 
 
-def _propagate(
-    shape: NetworkShape,
-    activation_set: ActivationSet,
-    start_layer: int,
-    start_values: Sequence[Poly],
-    end_layer: int,
-) -> list[Poly]:
-    """Push polynomial node values from start_layer up to pre-outputs at end_layer.
+# A segment starts at layer s from constant outputs: the sample's inputs
+# (s = 1) or value 1 on a cut's unique active node.  It is named by
+# (start, inner): start is (1, inputs) or (s, node), inner the flags of
+# the layers strictly inside it, and its pre-outputs depend on nothing
+# else.  A segment cache serves one shape.
+_Start = tuple[int, "tuple[Fraction, ...] | int"]
+_Segments = dict[tuple[_Start, tuple[tuple[bool, ...], ...]], tuple[Poly, ...]]
 
-    start_values are the *outputs* x^(start_layer), constant polynomials;
-    masking applies to the layers strictly between start and end, which
-    are hidden since every caller has 1 <= start_layer < end_layer <= L.
-    Returns z^(end_layer).
-    """
+_ONE = Fraction(1)
+
+
+def _check_flags(shape: NetworkShape, activation_set: ActivationSet) -> None:
     if tuple(activation_set.widths) != shape.widths:
         raise ShapeError("activation set belongs to a different shape")
-    cur = list(start_values)
-    pre: list[Poly] = []
-    for k in range(start_layer, end_layer):
-        pre = []
-        for j in range(1, shape.width(k + 1) + 1):
-            # z_j = sum_i w_{k,i,j} * x_i.  Every variable in x_i's keys
-            # belongs to a weight layer below k, so it precedes the edge
-            # variable in the flat order: key + edge is already sorted.
-            # Distinct sources i give distinct edges, so no two terms land
-            # on one monomial and each is written once, never summed.
-            acc: dict[TermKey, Fraction] = {}
-            for i in range(1, shape.width(k) + 1):
-                edge = ((shape.index_of(k, i, j), 1),)
-                for key, c in cur[i - 1].terms:
-                    acc[key + edge] = c
-            pre.append(Poly._canonical(acc))
-        if k + 1 < end_layer:
-            cur = [
-                pre[j - 1] if activation_set.is_active(j, k + 1) else Poly.zero()
-                for j in range(1, shape.width(k + 1) + 1)
-            ]
+
+
+def _segment(
+    shape: NetworkShape, cache: _Segments, start: _Start, inner: tuple[tuple[bool, ...], ...]
+) -> tuple[Poly, ...]:
+    """Pre-outputs of the end layer (s + 1 + len(inner)) of a segment, built once per cache."""
+    pre = cache.get((start, inner))
+    if pre is None:
+        pre = cache[start, inner] = _extend(shape, cache, start, inner)
     return pre
+
+
+def _extend(
+    shape: NetworkShape, cache: _Segments, start: _Start, inner: tuple[tuple[bool, ...], ...]
+) -> tuple[Poly, ...]:
+    """Build a segment one layer on from the segment one layer shorter.
+
+    Every term of a layer's outputs has the same degree, each variable
+    once: they are path monomials of one length.  Target j's terms are
+    the source terms with the edge (i -> j) appended; the edge follows
+    every variable of the key, so the canonical order of target j's terms
+    is the order of their source keys, the same for every j.  Distinct
+    sources carry distinct keys (each ends on an edge into its source),
+    except the empty key of a constant start, which the stable sort
+    leaves in source order, which is edge order.  One sort per layer
+    step orders every target, and no two terms land on one monomial.
+    """
+    s, at = start
+    k = s + len(inner)  # the layer whose outputs feed the end layer
+    if inner:
+        below = _segment(shape, cache, start, inner[:-1])
+        outputs = [p.terms if on else () for p, on in zip(below, inner[-1])]
+    elif s == 1:
+        outputs = [(((), v),) if v else () for v in at]
+    else:
+        outputs = [(((), _ONE),) if i == at else () for i in range(1, shape.width(s) + 1)]
+    # ascending keys of one length, each variable with exponent 1, are
+    # the descending graded-lex order
+    sources = sorted(
+        ((key, c, i) for i, terms in enumerate(outputs) for key, c in terms),
+        key=itemgetter(0),
+    )
+    d, first = shape.width(k), shape.index_of(k, 1, 1)
+    return tuple(
+        Poly._presorted(tuple((key + ((first + j * d + i, 1),), c) for key, c, i in sources))
+        for j in range(shape.width(k + 1))
+    )
 
 
 def virtual_polynomial(
@@ -93,8 +128,9 @@ def virtual_polynomial(
     """Pre-output of `node` in the P-masked linear network, input as coefficients."""
     shape.check_input(x)
     i, k = _check_node(shape, node)
-    start = [Poly.constant(as_fraction(v)) for v in x]
-    return _propagate(shape, activation_set, 1, start, k)[i - 1]
+    _check_flags(shape, activation_set)
+    start = (1, tuple(as_fraction(v) for v in x))
+    return _segment(shape, {}, start, activation_set.flags[: k - 2])[i - 1]
 
 
 def enumerate_virtual_polynomials(
@@ -110,6 +146,7 @@ def enumerate_virtual_polynomials(
     Ordered by descending polynomial.  Refuses shapes with more than
     ENUMERATION_CAP hidden nodes.
     """
+    shape.check_input(x)
     i, k = _check_node(shape, node)
     if shape.hidden_count > ENUMERATION_CAP:
         raise EnumerationBudgetError(
@@ -120,11 +157,13 @@ def enumerate_virtual_polynomials(
         [tuple(bits) for bits in itertools.product((True, False), repeat=shape.width(m))]
         for m in relevant_layers
     ]
+    start = (1, tuple(as_fraction(v) for v in x))
+    cache: _Segments = {}
     witness: dict[Poly, ActivationSet] = {}
     for combo in itertools.product(*per_layer):
         flags = combo + tuple((True,) * shape.width(m) for m in range(k, shape.depth))
-        P = ActivationSet(shape.widths, flags)
-        witness.setdefault(virtual_polynomial(shape, x, P, (i, k)), P)
+        u = _segment(shape, cache, start, combo)[i - 1]
+        witness.setdefault(u, ActivationSet(shape.widths, flags))
     return [
         (P, u) for u, P in sorted(witness.items(), key=lambda item: item[0].terms, reverse=True)
     ]
@@ -178,29 +217,36 @@ def factorize(
     some factor is zero, and no separate expansion is needed to see it.
     """
     shape.check_input(x)
-    i, k = _check_node(shape, node)
-    cuts = [
-        m for m in range(2, k) if len(activation_set.active_in_layer(m)) == 1
-    ]
-    boundaries = [1, *cuts, k]
-    inputs = tuple(as_fraction(v) for v in x)
+    node = _check_node(shape, node)
+    _check_flags(shape, activation_set)
+    return _factorize(shape, tuple(as_fraction(v) for v in x), activation_set, node, {})
+
+
+def _factorize(
+    shape: NetworkShape,
+    inputs: tuple[Fraction, ...],
+    activation_set: ActivationSet,
+    node: tuple[int, int],
+    cache: _Segments,
+) -> Factorization:
+    """factorize on checked arguments, reading and filling a segment cache.
+
+    The factors are the cache's own Poly objects, shared by every caller
+    that reaches the same segment.
+    """
+    i, k = node
+    cuts = [m for m in range(2, k) if len(activation_set.active_in_layer(m)) == 1]
     factors: list[Poly] = []
     segments: list[tuple[int, int]] = []
-    for s, e in zip(boundaries[:-1], boundaries[1:]):
-        if s == 1:
-            start_vals = [Poly.constant(v) for v in inputs]
-        else:
-            unique = activation_set.active_in_layer(s)[0]
-            start_vals = [
-                Poly.constant(1) if idx == unique else Poly.zero()
-                for idx in range(1, shape.width(s) + 1)
-            ]
-        pre = _propagate(shape, activation_set, s, start_vals, e)
+    for s, e in zip([1, *cuts], [*cuts, k]):
+        start = (1, inputs) if s == 1 else (s, activation_set.active_in_layer(s)[0])
+        pre = _segment(shape, cache, start, activation_set.flags[s - 1 : e - 2])
         end_node = i if e == k else activation_set.active_in_layer(e)[0]
-        if pre[end_node - 1].is_zero():
+        factor = pre[end_node - 1]
+        if factor.is_zero():
             raise ZeroVirtualPolynomialError(
                 f"virtual polynomial of node ({i},{k}) is zero under these flags"
             )
-        factors.append(pre[end_node - 1])
+        factors.append(factor)
         segments.append((s, e))
     return Factorization(tuple(factors), tuple(segments))

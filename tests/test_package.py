@@ -146,6 +146,33 @@ def test_one_query_budget():
     assert outside == [] and inside > 0
 
 
+def test_unsorted_constructor_callers():
+    # Poly._presorted keeps the order of the terms it is given. Besides
+    # _canonical, which sorts them first, only code whose output order is
+    # canonical by construction calls it: the segment builder, normalized and
+    # negation. A new caller that would skip the sort fails here
+    allowed = {
+        ("polyalg.py", "_canonical"), ("polyalg.py", "normalized"), ("polyalg.py", "__neg__"),
+        ("virtual.py", "_extend"),
+    }
+    found, outside = set(), []
+    for path in sorted((ROOT / "src" / "losscarto").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(node): func.name
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) in allowed
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_presorted":
+                if id(node) in owner:
+                    found.add((path.name, owner[id(node)]))
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert outside == [] and found == allowed
+
+
 def test_demos_present():
     assert len(DEMOS) == 5
 

@@ -117,9 +117,21 @@ class TestTrustedConstructor:
         # re-validating through the public constructor changes nothing
         for r in (p + q, p * q, -p, p - q, p.normalized()):
             assert Poly(dict(r.terms)).terms == r.terms
+        assert p.normalized() is p.normalized()  # computed once
 
 
 class TestStructure:
+    def test_repeated_variable_in_a_key_multiplies(self):
+        # x1 * x1 is x1^2: one canonical key, so equal to the ring product
+        p = Poly({((1, 1), (1, 1)): 1})
+        assert p == V(1) * V(1)
+        assert p.terms == ((((1, 2),), Fraction(1)),)
+        assert p.to_json() == [{"coeff": "1/1", "exps": {"1": 2}}]
+        assert p.total_degree() == 2
+        # keys that merge to one monomial add their coefficients
+        q = Poly({((2, 1), (0, 3), (2, 2)): 1, ((0, 3), (2, 3)): 1})
+        assert q.terms == ((((0, 3), (2, 3)), Fraction(2)),)
+
     def test_term_order_graded_lex(self):
         # degree first, then earlier variables dominate
         p = V(0) * V(4) + 2 * V(1) * V(4) + V(3) + 5

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from losscarto import (
     TrainingSample,
     ZeroVirtualPolynomialError,
     enumerate_singular_sheets,
+    enumerate_virtual_polynomials,
     forward,
     loss,
     region_loss_polynomial,
@@ -37,6 +40,7 @@ from losscarto.surface import (
     _sample_regions,
     _wall_is_singular,
 )
+from losscarto import virtual
 from losscarto.virtual import factorize, virtual_polynomial
 
 V = Poly.variable
@@ -339,8 +343,106 @@ class TestSheetEnumeration:
         assert len(independents) == 2
 
 
+def reference_propagate(shape, P, start_layer, start_values, end_layer):
+    """Pre-outputs z^(end_layer) from the outputs at start_layer, one node at a time.
+
+    Each call propagates every layer whole and sorts every pre-output
+    through the public Poly constructor, so it shares neither a cache
+    nor an ordering shortcut with the package.
+    """
+    cur = list(start_values)
+    pre = []
+    for k in range(start_layer, end_layer):
+        pre = []
+        for j in range(1, shape.width(k + 1) + 1):
+            acc = {}
+            for i in range(1, shape.width(k) + 1):
+                edge = ((shape.index_of(k, i, j), 1),)
+                for key, c in cur[i - 1].terms:
+                    acc[key + edge] = c
+            pre.append(Poly(acc))
+        if k + 1 < end_layer:
+            cur = [
+                pre[j - 1] if P.is_active(j, k + 1) else Poly.zero()
+                for j in range(1, shape.width(k + 1) + 1)
+            ]
+    return pre
+
+
+def reference_segments(shape, x, P, node):
+    """(start layer, end layer, factor) per segment, up to and including a zero factor."""
+    i, k = node
+    cuts = [m for m in range(2, k) if len(P.active_in_layer(m)) == 1]
+    out = []
+    for s, e in zip([1, *cuts], [*cuts, k]):
+        if s == 1:
+            start = [Poly.constant(v) for v in x]
+        else:
+            unique = P.active_in_layer(s)[0]
+            start = [Poly.constant(int(idx == unique)) for idx in range(1, shape.width(s) + 1)]
+        end_node = i if e == k else P.active_in_layer(e)[0]
+        factor = reference_propagate(shape, P, s, start, e)[end_node - 1]
+        out.append((s, e, factor))
+        if factor.is_zero():
+            break
+    return out
+
+
+def reference_factorize(shape, x, P, node):
+    """(factors, segments), or None when the virtual polynomial is zero."""
+    parts = reference_segments(shape, x, P, node)
+    if parts[-1][2].is_zero():
+        return None
+    return tuple(f for _, _, f in parts), tuple((s, e) for s, e, _ in parts)
+
+
+def is_sorted(p):
+    return Poly(p.terms).terms == p.terms
+
+
+@st.composite
+def flagged_networks(draw):
+    """Depth 3-5, widths 1-3, inputs with zeros, any flags (dead layers included)."""
+    s = NetworkShape(draw(st.lists(st.integers(1, 3), min_size=3, max_size=5)))
+    x = tuple(F(v) for v in draw(st.lists(st.integers(-2, 2), min_size=s.width(1), max_size=s.width(1))))
+    flags = tuple(
+        tuple(draw(st.lists(st.booleans(), min_size=d, max_size=d))) for d in s.widths[1:-1]
+    )
+    return s, x, ActivationSet(s.widths, flags)
+
+
+def _case(widths, x, flags):
+    return NetworkShape(widths), tuple(map(F, x)), ActivationSet(tuple(widths), flags)
+
+
+class TestFactorizeAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(flagged_networks())
+    @example(_case([2, 2, 2, 1], (1, 2), ((True, True), (False, False))))  # a dead layer
+    @example(_case([2, 1, 2, 1, 1], (1, -1), ((True,), (True, False), (True,))))  # width-1 cuts
+    @example(_case([3, 2, 1], (0, 0, 0), ((True, True),)))  # the zero input
+    @example(_case([2, 3, 1, 2, 1], (0, 2), ((True, False, True), (False,), (True, True))))
+    def test_factors_segments_and_zero(self, case):
+        s, x, P = case
+        for k in range(2, s.depth + 1):
+            for i in range(1, s.width(k) + 1):
+                want = reference_factorize(s, x, P, (i, k))
+                u = virtual_polynomial(s, x, P, (i, k))
+                assert is_sorted(u)
+                if want is None:
+                    assert u.is_zero()
+                    with pytest.raises(ZeroVirtualPolynomialError):
+                        factorize(s, x, P, (i, k))
+                    continue
+                got = factorize(s, x, P, (i, k))
+                # Poly equality compares the term sequences, order included
+                assert (got.factors, got.segments) == want
+                assert all(is_sorted(f) for f in got)
+                assert u == reference_propagate(s, P, 1, [Poly.constant(v) for v in x], k)[i - 1]
+
+
 def unmemoised_sheets(shape, samples, probe_budget, seed):
-    """Reference enumeration: one factorize per (region, sample, node), no memo."""
+    """Reference enumeration: one reference factorization per (region, sample, node), no memo."""
     rng = random.Random(seed)
     regions = {}
     for _ in range(probe_budget):
@@ -356,7 +458,7 @@ def unmemoised_sheets(shape, samples, probe_budget, seed):
 
     def emit(poly, p, singular):
         norm = poly.normalized()
-        idx = None if _is_sample_independent(norm, shape) else p
+        idx = None if all(shape.weight_layer_of(v) != 1 for v in norm.variables()) else p
         prev = found.get(norm)
         if prev is None:
             found[norm] = Sheet(norm, idx, singular)
@@ -368,17 +470,29 @@ def unmemoised_sheets(shape, samples, probe_budget, seed):
             P = regions[key].activation_sets[p]
             outputs = [(o, shape.depth) for o in range(1, shape.widths[-1] + 1)]
             for i, k in [*shape.hidden_nodes(), *outputs]:
-                try:
-                    factors = factorize(shape, sample.input, P, (i, k))
-                except ZeroVirtualPolynomialError:
+                fac = reference_factorize(shape, sample.input, P, (i, k))
+                if fac is None:
                     continue
+                factors = fac[0]
                 hidden = k < shape.depth
                 singular = hidden and _wall_is_singular(shape, P, k)
                 if hidden:
-                    emit(factors.product(), p, singular)
+                    wall = factors[0]
+                    for g in factors[1:]:
+                        wall = wall * g
+                    emit(wall, p, singular)
                 for g in factors:
                     emit(g, p, singular)
     return sorted(found.values(), key=lambda s: s.poly.terms, reverse=True)
+
+
+def random_samples(s, n_samples, rng):
+    samples = []
+    for _ in range(n_samples):
+        x = [F(rng.randint(-4, 4), 2) for _ in range(s.width(1))]
+        x[rng.randrange(len(x))] = F(rng.choice((-3, -1, 1, 3)), 2)  # never the zero input
+        samples.append(TrainingSample(x, [F(rng.randint(-4, 4)) for _ in range(s.width(s.depth))]))
+    return samples
 
 
 class TestMemoisedEnumeration:
@@ -393,12 +507,7 @@ class TestMemoisedEnumeration:
     @example([2, 3, 1, 2, 1], 3, 32, 5)
     def test_matches_unmemoised_reference(self, widths, n_samples, probes, seed):
         s = NetworkShape(widths)
-        rng = random.Random(seed)
-        samples = []
-        for _ in range(n_samples):
-            x = [F(rng.randint(-4, 4), 2) for _ in range(s.width(1))]
-            x[rng.randrange(len(x))] = F(rng.choice((-3, -1, 1, 3)), 2)  # never the zero input
-            samples.append(TrainingSample(x, [F(rng.randint(-4, 4)) for _ in range(s.width(s.depth))]))
+        samples = random_samples(s, n_samples, random.Random(seed))
         try:
             want = sheet_report(unmemoised_sheets(s, samples, probes, seed))
         except SamplingError:
@@ -406,3 +515,57 @@ class TestMemoisedEnumeration:
                 enumerate_singular_sheets(s, samples, probes, seed=seed)
             return
         assert sheet_report(enumerate_singular_sheets(s, samples, probes, seed=seed)) == want
+
+    @pytest.mark.parametrize(
+        "widths, n_samples, probes, seed",
+        [([3, 4, 2], 3, 32, 7), ([2, 2, 2, 2, 1], 2, 64, 1), ([2, 3, 1, 2, 1], 3, 32, 5),
+         ([3, 2, 2, 1], 2, 64, 11)],
+    )
+    def test_each_segment_built_once(self, widths, n_samples, probes, seed):
+        # one cache serves the whole enumeration, keyed by (start, inner flags):
+        # every segment some node's factorization reaches is built exactly once,
+        # shared across regions, samples and the nodes of its end layer
+        s = NetworkShape(widths)
+        samples = random_samples(s, n_samples, random.Random(seed))
+        built = []
+        extend = virtual._extend
+
+        def spy(shape, cache, start, inner):
+            built.append((start, inner))
+            return extend(shape, cache, start, inner)
+
+        with mock.patch.object(virtual, "_extend", spy):
+            sheets = enumerate_singular_sheets(s, samples, probes, seed=seed)
+
+        reached = set()
+        for r in _sample_regions(s, samples, probes, seed).values():
+            for p, sample in enumerate(samples):
+                P = r.activation_sets[p]
+                outputs = [(o, s.depth) for o in range(1, s.widths[-1] + 1)]
+                for node in [*s.hidden_nodes(), *outputs]:
+                    for start, end, _ in reference_segments(s, sample.input, P, node):
+                        head = (1, tuple(sample.input)) if start == 1 else (start, P.active_in_layer(start)[0])
+                        inner = P.flags[start - 1 : end - 2]
+                        reached.update((head, inner[:m]) for m in range(len(inner) + 1))
+        assert Counter(built).most_common(1)[0][1] == 1
+        assert set(built) == reached
+        assert all(is_sorted(sh.poly) for sh in sheets)
+
+    def test_enumerated_virtual_polynomials_are_sorted(self):
+        s = NetworkShape([2, 2, 2, 1])
+        vps = enumerate_virtual_polynomials(s, (F(1), F(-2)), (1, 4))
+        assert len(vps) > 4 and all(is_sorted(u) for _, u in vps)
+        assert all(virtual_polynomial(s, (F(1), F(-2)), P, (1, 4)) == u for P, u in vps)
+
+
+class TestSampleIndependence:
+    @settings(max_examples=40)
+    @given(st.lists(st.integers(1, 3), min_size=2, max_size=4), st.data())
+    def test_matches_weight_layer_of_every_variable(self, widths, data):
+        s = NetworkShape(widths)
+        keys = st.lists(
+            st.tuples(st.integers(0, s.weight_count - 1), st.integers(1, 2)), max_size=3
+        )
+        p = Poly(data.draw(st.dictionaries(keys.map(tuple), st.integers(1, 3), max_size=4)))
+        want = all(s.weight_layer_of(v) != 1 for v in p.variables())
+        assert _is_sample_independent(p, s) == want
