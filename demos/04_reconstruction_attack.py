@@ -1,15 +1,17 @@
 """Reconstruct training inputs from black-box loss access.
 
 The attacker can evaluate E(w) at weight vectors of their choosing and knows
-nothing else: no gradients, no training data, no weights. Kinks of E along
-random lines are located where the polynomial pieces on either side cross
-(a crossing guess, a two-query check, a bisection fallback), finite
-differences on both sides of each kink give the jump of the gradient,
-which is the normal of the wall through the kink, and first-layer walls
-hand back training inputs up to a scalar multiple. A first-layer wall's
-jump lies in one aligned window of d_1 weights, so a screen of one
-directional jump per window comes first; only a kink on its wall whose
-screen shows exactly one window jumping gets that window measured in full.
+nothing else: no gradients, no training data, no weights. It scans the path
+loss v -> E(v, 1, ..., 1), with the first d_1 weights free and every other
+weight 1: every node above layer 2 then passes its input on, so the loss in
+v has one wall v . x_p = 0 per training input and no deep wall. Kinks of the
+path loss along random lines are located where the polynomial pieces on
+either side cross (a crossing guess, a two-query check, a bisection
+fallback), and finite differences on both sides of each kink give the jump
+of the gradient: the wall's normal, which is the training input up to a
+scalar multiple. The all-ones weights need no architecture past d_1, but at
+very wide shapes such as [8,30,30,30,4] they make kinks read as flat;
+weights chosen from a recovered layout wait on a black-box architecture walk.
 """
 
 import time

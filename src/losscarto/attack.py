@@ -7,26 +7,42 @@ models (a crossing guess, a two-query check, a bisection fallback),
 measures the wall normal, gates it and reads the input direction off the
 normal's support.
 
+run_attack chooses where it looks.  It scans the path loss
+v -> E(v, 1, ..., 1): the first d_1 flat weights (row 1 of W_1, into
+node 1 of layer 2) are free and every other weight is 1.  Every node
+above layer 2 then gets a non-negative input and passes it on, so the
+net computes A * relu(v . x_p) + B_p for each sample p, with A > 0 and
+B_p fixed.  In v the loss is piecewise quadratic with exactly one wall
+v . x_p = 0 per sample and no deep wall, and each wall's normal is its
+sample's input.  The scan, refine and jump below run unchanged on that
+d_1-variable oracle, with N' = d_1.  The all-ones weights are a
+layout-free choice.  They need no knowledge of the widths past d_1, but
+at very wide shapes (such as [8,30,30,30,4]) they make the loss so large
+that kinks read as flat; weights chosen from the recovered layout would
+not, and wait on a black-box architecture walk.
+
 The normal is the kink's gradient jump.  Across a first-layer wall
 u = w_1j . x the loss pieces differ by u * G, so on the wall the gradient
 jumps by G * grad u: the input x, placed in aligned window j, times a
-scalar.  refine_kink measures that jump in two oracle batches of central
+scalar.  refine_kink measures that jump in oracle batches of central
 differences on both sides of the wall, each Richardson-extrapolated over
 two offsets (_gradient_jump):
 
-- screen: the jump along the line direction restricted to each aligned
-  d_1 window, 8 rows per window;
+- screen, only on a line in more than one aligned d_1 window (N > d_1):
+  the jump along the line direction restricted to each window, 8 rows
+  per window;
 - window: only when the screen passes the jump gate (its two offsets
   agree in direction), the kink is on its wall (the screen jumps sum to
   J . d, which must match the models' slope jump) and exactly one window
   jumps, the jump along each coordinate of that window, 8 rows per
-  coordinate, gated again.
+  coordinate, gated again.  On a path line the one window is all of v,
+  its batch comes first, and the off-wall test reads J . d from it.
 
 A kink that fails a step is rejected there, as jump-gate, off-wall or
 nonlinear, and spends nothing on the steps after it.  run_attack then
 classifies the window's jump: one entry is a bare weight, more are an
 input direction.  Only a flat kink, one whose slope does not jump, falls
-back to harvesting N+1 nearby points of the same sheet and fitting a
+back to harvesting N'+1 nearby points of the same sheet and fitting a
 hyperplane through them (smallest principal direction); a kink whose
 harvest loses the sheet is rejected, as is one whose fit is degenerate
 or curved.
@@ -42,7 +58,8 @@ oracle (one with a true ``batched`` attribute, as make_loss_fn returns)
 gets each scan grid, each refine stencil, each refine's 2-row check and
 each screen and window batch as one (Q, N) array through LossOracle.many;
 bisection steps stay single queries.  Any other callable is asked one row
-at a time, with the same queries, counts and results.
+at a time, with the same queries, counts and results.  run_attack's path
+oracle keeps the oracle's batching, and each path row is one query.
 
 AttackConfig holds what a caller sets: the query budget, the number of
 scan lines and the seed.  The fineness of the scan, the reach of the
@@ -74,7 +91,7 @@ from .polyalg import Poly
 
 GRID = 257  # scan grid points per line: kinks a few cells apart stay separate
 T_RANGE = (-4.0, 4.0)  # scan interval along each unit-direction line
-MAX_KINKS_PER_LINE = 3  # strongest flagged cells refined per scan line
+MAX_KINKS_PER_LINE = 8  # strongest flagged cells refined per scan line
 DETECT_TOL = 12.0  # fourth difference over its rolling-median scale that flags a cell
 DEGREE = 4  # degree of refine_kink's one-sided models: a depth-3 loss is quartic on a line
 REFINE_TOL = 1e-9  # widest settled bracket (check pair or bisection), near float noise on t
@@ -156,6 +173,11 @@ def _as_oracle(oracle) -> LossOracle:
 class KinkPoint:
     """A refined nonsmooth point on a scan line.
 
+    t is the kink's coordinate along the line, location = base + t *
+    direction, in the coordinates of the oracle that was scanned: for the
+    kinks of run_attack, path coordinates v in d_1 dimensions (the full
+    weight vector is v followed by N - d_1 ones).
+
     jump_magnitude is the slope jump |f'(t+) - f'(t-)|.  It is zero up to
     noise for a second-order kink (curvature jump only), which is how the
     loss behaves across a wall where the residual happens to vanish; the
@@ -220,39 +242,50 @@ def _gradient_jump(oracle: LossOracle, point: np.ndarray, direction: np.ndarray,
                    slope_jump: float, input_dim: int):
     """(J, agreement, None) across the wall at point, or (None, agreement, rejection).
 
-    The screen probes, in one batch of 8 * ceil(N / d_1) rows, the line's
-    unit direction d restricted to each aligned window q (coordinates
-    q * d_1 to (q + 1) * d_1 - 1, the last window possibly partial) and
-    gives each window's jump j_q = J . d_q.  A screen whose agreement is
-    below JUMP_GATE is 'jump-gate'.  The j_q sum to J . d, which on the
-    wall is the models' slope_jump over |d|: a ratio off by OFF_WALL_RATIO
-    or more is 'off-wall'.  A window is hot when |j_q| exceeds SUPPORT_TOL
-    times the largest; other than exactly one hot window is 'nonlinear'.
-    Only then does the window batch, 8 rows per coordinate of the hot
-    window, measure J there (bit for bit what a batch over all N
-    coordinates gives on them); J is 0 outside the window, and the gate
-    applies again to the window's agreement.
+    With more than one aligned window (N > d_1), the screen probes, in one
+    batch of 8 * ceil(N / d_1) rows, the line's unit direction d restricted
+    to each aligned window q (coordinates q * d_1 to (q + 1) * d_1 - 1,
+    the last window possibly partial) and gives each window's jump
+    j_q = J . d_q.  A screen whose agreement is below JUMP_GATE is
+    'jump-gate'.  The j_q sum to J . d, which on the wall is the models'
+    slope_jump over |d|: a ratio off by OFF_WALL_RATIO or more is
+    'off-wall'.  A window is hot when |j_q| exceeds SUPPORT_TOL times the
+    largest; other than exactly one hot window is 'nonlinear'.  Only then
+    does the window batch, 8 rows per coordinate of the hot window,
+    measure J there (bit for bit what a batch over all N coordinates gives
+    on them); J is 0 outside the window, and the gate applies again to the
+    window's agreement.  With one window (N = d_1, as on run_attack's path
+    lines) there is nothing to screen: the window batch comes first, and
+    the off-wall test reads J . d from it once it passes the gate.
     """
     n = len(point)
     s = JUMP_OFFSET
     norm = math.sqrt(float(np.dot(direction, direction)))
     unit = direction / norm
     centers = (point + np.array([s, -s, s / 2, -s / 2])[:, None] * unit)[:, None, :]  # (4, 1, N)
-    window = np.arange(n) // input_dim
-    screen = np.where(window == np.arange(window[-1] + 1)[:, None], unit, 0.0)  # row q is d_q
-    j, agreement = _richardson(*_jump_pair(oracle, centers, screen))
-    if agreement < JUMP_GATE:
-        return None, agreement, "jump-gate"
-    if not 1.0 / OFF_WALL_RATIO < abs(float(j.sum())) * norm / slope_jump < OFF_WALL_RATIO:
-        return None, agreement, "off-wall"
-    size = np.abs(j)
-    q = int(size.argmax())
-    if np.count_nonzero(size > SUPPORT_TOL * size[q]) != 1:
-        return None, agreement, "nonlinear"
-    cols = slice(q * input_dim, (q + 1) * input_dim)
+
+    def off_wall(along: float) -> bool:
+        return not 1.0 / OFF_WALL_RATIO < abs(along) * norm / slope_jump < OFF_WALL_RATIO
+
+    cols = slice(0, n)
+    if n > input_dim:  # more than one window: screen them first
+        window = np.arange(n) // input_dim
+        screen = np.where(window == np.arange(window[-1] + 1)[:, None], unit, 0.0)  # row q is d_q
+        j, agreement = _richardson(*_jump_pair(oracle, centers, screen))
+        if agreement < JUMP_GATE:
+            return None, agreement, "jump-gate"
+        if off_wall(float(j.sum())):
+            return None, agreement, "off-wall"
+        size = np.abs(j)
+        q = int(size.argmax())
+        if np.count_nonzero(size > SUPPORT_TOL * size[q]) != 1:
+            return None, agreement, "nonlinear"
+        cols = slice(q * input_dim, (q + 1) * input_dim)
     jump, agreement = _richardson(*_jump_pair(oracle, centers, np.eye(n)[cols]))
     if agreement < JUMP_GATE:
         return None, agreement, "jump-gate"
+    if n <= input_dim and off_wall(float(np.dot(jump, unit))):
+        return None, agreement, "off-wall"
     full = np.zeros(n)
     full[cols] = jump
     return full, agreement, None
@@ -318,11 +351,12 @@ def refine_kink(
     (QueryBudgetExceeded).
 
     Given input_dim (d_1), a kink whose slope jump clears its noise floor
-    then gets its gradient jump (_gradient_jump): a screen batch of
-    8 * ceil(N / d_1) queries, plus a window batch of 8 * d_1 (fewer for
-    a partial last window) only when the screen finds the kink on its
-    wall with exactly one window jumping.  A flat kink gets none, nor
-    does any kink when input_dim is None.
+    then gets its gradient jump (_gradient_jump).  For N > d_1 that is a
+    screen batch of 8 * ceil(N / d_1) queries, plus a window batch of
+    8 * d_1 (fewer for a partial last window) only when the screen finds
+    the kink on its wall with exactly one window jumping.  For N = d_1 (a
+    path line) it is the window batch of 8 * d_1 alone.  A flat kink gets
+    none, nor does any kink when input_dim is None.
     """
     if input_dim is not None:
         _check_integer("input_dim", input_dim, 1)
@@ -444,8 +478,9 @@ def detect_kinks_on_line(
     stencil, 2 for the check of its crossing guess, and the bisection
     steps the check leaves: at most ceil(log2(width / REFINE_TOL)), none
     when the check settles the kink; plus, when input_dim is given and the
-    kink is not flat, 8 * ceil(N / d_1) for the gradient jump's screen and
-    8 * d_1 for its window batch when the screen passes (see refine_kink).
+    kink is not flat, 8 * ceil(N / d_1) for the gradient jump's screen
+    when N > d_1 and 8 * d_1 for its window batch when the screen passes
+    or there is none (see refine_kink).
     A bracket that proves spurious is skipped; the oracle's budget running
     out ends the scan.  Kinks closer together than a few grid cells can
     merge or shadow each other; the caller controls recall through grid
@@ -727,7 +762,9 @@ def _check_integer(what: str, value, least: int, most: int | None = None) -> Non
 class AttackConfig:
     """What a run_attack caller sets: query budget, scan lines and seed.
 
-    The seed draws each line's base and direction.  Every other setting
+    n_lines is the number of path lines, each a random line in the d_1
+    path coordinates (see run_attack).  The seed draws each line's base
+    and direction.  Every other setting
     is a module constant.  JUMP_GATE, OFF_WALL_RATIO and RESIDUAL_TOL
     among them are artifact heuristics (flagged as such in reports): a
     gradient jump whose two offsets agree in direction below JUMP_GATE is
@@ -737,7 +774,7 @@ class AttackConfig:
     """
 
     budget: int = 200_000
-    n_lines: int = 12
+    n_lines: int = 8
     seed: int = 0
 
     def __post_init__(self):
@@ -860,6 +897,22 @@ def _fitted_normal(oracle: LossOracle, kink: KinkPoint, n_weights: int, rng: np.
     return normal, resid, "hyperplane"
 
 
+def _path_oracle(oracle: Callable[[np.ndarray], float], n_weights: int, input_dim: int):
+    """The d_1-variable loss v -> E(v, 1, ..., 1), batch-capable when the oracle is.
+
+    v is the first d_1 flat weights, row 1 of W_1 into node 1 of layer 2,
+    and every other weight is 1.  Each row is one query to oracle.
+    """
+    ones = np.ones(n_weights - input_dim)
+
+    def path(v):
+        v = np.asarray(v, dtype=float)
+        return oracle(np.concatenate([v, np.broadcast_to(ones, v.shape[:-1] + ones.shape)], axis=-1))
+
+    path.batched = getattr(oracle, "batched", False)
+    return path
+
+
 def run_attack(
     oracle: Callable[[np.ndarray], float],
     n_weights: int,
@@ -868,12 +921,20 @@ def run_attack(
     *,
     true_inputs: Sequence[Sequence[float]] | None = None,
 ) -> ReconstructionReport:
-    """Black-box reconstruction: scan, refine, screen, window, gate, classify.
+    """Black-box reconstruction: path scan, refine, jump, gate, classify.
 
-    Each kink's normal is its gradient jump on the one window that jumps,
-    accepted when the screen and the window pass JUMP_GATE and the kink
-    is on its wall (see _gradient_jump); a flat kink's normal is instead
-    fitted through a harvest of the sheet (harvest, fit, RESIDUAL_TOL).
+    Scans cfg.n_lines random lines of the path loss v -> E(v, 1, ..., 1)
+    in the first d_1 weights (_path_oracle; see the module docstring),
+    whose only walls are v . x_p = 0, one per sample, refining the
+    strongest MAX_KINKS_PER_LINE kinks of each.  Each path row is one
+    query against cfg.budget.  A kink's normal is its gradient jump over
+    the d_1 path coordinates, accepted when it passes JUMP_GATE and the
+    kink is on its wall (see _gradient_jump); a flat kink's normal is
+    instead fitted through a harvest of the sheet in the path coordinates
+    (harvest, fit, RESIDUAL_TOL).  The kinks in report.kinks are (line,
+    t, slope jump) on the path lines, and every direction's node is 1.
+    At very wide shapes the all-ones weights make the loss so large that
+    kinks read as flat, and few samples come back there.
     Knows only the oracle, the weight count N and the input arity d_1.
     Recovered directions are unit vectors in input space, deduplicated at
     |cos| >= 1 - DEDUP_TOL; when true_inputs is supplied (scoring only,
@@ -884,7 +945,7 @@ def run_attack(
     _check_integer("n_weights", n_weights, 1)
     _check_integer("input_dim", input_dim, 1, n_weights)
     cfg = config or AttackConfig()
-    counted = LossOracle(oracle, budget=cfg.budget)
+    counted = LossOracle(_path_oracle(oracle, n_weights, input_dim), budget=cfg.budget)
     report = ReconstructionReport(budget=cfg.budget)
 
     raw_candidates: list[RecoveredDirection] = []
@@ -892,8 +953,8 @@ def run_attack(
         for line_id in range(cfg.n_lines):
             # the line's child of SeedSequence(seed).spawn(n_lines), built when it is reached
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(line_id,)))
-            base = rng.normal(size=n_weights)
-            direction = rng.normal(size=n_weights)
+            base = rng.normal(size=input_dim)
+            direction = rng.normal(size=input_dim)
             direction /= np.linalg.norm(direction)
             kinks = detect_kinks_on_line(
                 counted, base, direction, T_RANGE, GRID,
@@ -905,7 +966,7 @@ def run_attack(
                 if kink.rejection is not None:
                     outcome = kink.rejection
                 elif kink.gradient_jump is None:
-                    outcome = _fitted_normal(counted, kink, n_weights, rng)
+                    outcome = _fitted_normal(counted, kink, input_dim, rng)
                 else:
                     outcome = (np.asarray(kink.gradient_jump), 1.0 - kink.jump_agreement, "gradient-jump")
                 if isinstance(outcome, str):

@@ -234,12 +234,12 @@ def wall_between(
 
 def _node_components(
     shape: NetworkShape,
-    inputs: tuple[Fraction, ...],
+    sample: int,
     P: ActivationSet,
     node: tuple[int, int],
     cache: _Segments,
 ) -> tuple[tuple[Poly, bool], ...]:
-    """The node's sheet candidates as (normalized poly, sample independent) pairs.
+    """Sample cache.inputs[sample]'s candidates at node, as (normalized poly, sample independent).
 
     A hidden node gives its wall (the product of its bottleneck factors)
     and then each factor; an output node gives only its factors.  Empty
@@ -247,7 +247,7 @@ def _node_components(
     only, as factorize does.
     """
     try:
-        factors = _factorize(shape, inputs, P, node, cache)
+        factors = _factorize(shape, sample, P, node, cache)
     except ZeroVirtualPolynomialError:
         return ()
     polys = (factors.product(), *factors) if node[1] < shape.depth else tuple(factors)
@@ -327,20 +327,19 @@ def enumerate_singular_sheets(
     # a node's components depend on the sample and on the flags below its
     # layer only (all factorize reads), not on the region: compute each once
     components: dict[tuple, tuple[tuple[Poly, bool], ...]] = {}
-    segments: _Segments = {}
+    segments = _Segments([tuple(as_fraction(v) for v in sample.input) for sample in samples])
     found: dict[Poly, Sheet] = {}
-    inputs = [tuple(as_fraction(v) for v in sample.input) for sample in samples]
 
     for key in sorted(regions):
         r = regions[key]
-        for p, x in enumerate(inputs):
+        for p in range(len(samples)):
             P = r.activation_sets[p]
             outputs = ((o, shape.depth) for o in range(1, shape.widths[-1] + 1))
             for i, k in (*shape.hidden_nodes(), *outputs):
                 memo_key = (p, (i, k), P.flags[: k - 2])
                 comps = components.get(memo_key)
                 if comps is None:
-                    comps = components[memo_key] = _node_components(shape, x, P, (i, k), segments)
+                    comps = components[memo_key] = _node_components(shape, p, P, (i, k), segments)
                 singular = k < shape.depth and _wall_is_singular(shape, P, k)
                 for norm, independent in comps:
                     prev = found.get(norm)

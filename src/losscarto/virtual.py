@@ -20,7 +20,9 @@ the input, with the sample as coefficients, or at a cut's unique active
 node, with value 1; its pre-outputs depend on that start and on the
 flags strictly inside it only, not on the sample behind a cut nor on
 the node read off its end layer.  The builder caches them under exactly
-that key, each built one layer on from the entry one layer shorter, so
+that key (an input start by the sample's index in the cache's input
+list, so a lookup never rehashes Fractions), each built one layer on
+from the entry one layer shorter, so
 a caller that shares one cache over many nodes, flags and samples
 propagates each (start, flags) once.  One layer step sorts the source
 terms once and appends each edge in place: the result is in canonical
@@ -56,15 +58,25 @@ def _check_node(shape: NetworkShape, node: tuple[int, int]) -> tuple[int, int]:
     return i, k
 
 
-# A segment starts at layer s from constant outputs: the sample's inputs
-# (s = 1) or value 1 on a cut's unique active node.  It is named by
-# (start, inner): start is (1, inputs) or (s, node), inner the flags of
-# the layers strictly inside it, and its pre-outputs depend on nothing
-# else.  A segment cache serves one shape.
-_Start = tuple[int, "tuple[Fraction, ...] | int"]
-_Segments = dict[tuple[_Start, tuple[tuple[bool, ...], ...]], tuple[Poly, ...]]
+# A segment starts at layer s from constant outputs: the inputs of sample
+# p (s = 1) or value 1 on a cut's unique active node.  It is named by
+# (start, inner): start is (1, p) or (s, node), inner the flags of the
+# layers strictly inside it, and its pre-outputs depend on nothing else.
+_Start = tuple[int, int]
 
 _ONE = Fraction(1)
+
+
+class _Segments(dict):
+    """A segment cache, (start, inner) -> end-layer pre-outputs, for one shape and sample list.
+
+    inputs[p] is the start of (1, p), so a lookup hashes ints, never the
+    sample's Fractions.
+    """
+
+    def __init__(self, inputs: Sequence[tuple[Fraction, ...]]):
+        super().__init__()
+        self.inputs = inputs
 
 
 def _check_flags(shape: NetworkShape, activation_set: ActivationSet) -> None:
@@ -103,7 +115,7 @@ def _extend(
         below = _segment(shape, cache, start, inner[:-1])
         outputs = [p.terms if on else () for p, on in zip(below, inner[-1])]
     elif s == 1:
-        outputs = [(((), v),) if v else () for v in at]
+        outputs = [(((), v),) if v else () for v in cache.inputs[at]]
     else:
         outputs = [(((), _ONE),) if i == at else () for i in range(1, shape.width(s) + 1)]
     # ascending keys of one length, each variable with exponent 1, are
@@ -129,8 +141,8 @@ def virtual_polynomial(
     shape.check_input(x)
     i, k = _check_node(shape, node)
     _check_flags(shape, activation_set)
-    start = (1, tuple(as_fraction(v) for v in x))
-    return _segment(shape, {}, start, activation_set.flags[: k - 2])[i - 1]
+    cache = _Segments([tuple(as_fraction(v) for v in x)])
+    return _segment(shape, cache, (1, 0), activation_set.flags[: k - 2])[i - 1]
 
 
 def enumerate_virtual_polynomials(
@@ -157,12 +169,11 @@ def enumerate_virtual_polynomials(
         [tuple(bits) for bits in itertools.product((True, False), repeat=shape.width(m))]
         for m in relevant_layers
     ]
-    start = (1, tuple(as_fraction(v) for v in x))
-    cache: _Segments = {}
+    cache = _Segments([tuple(as_fraction(v) for v in x)])
     witness: dict[Poly, ActivationSet] = {}
     for combo in itertools.product(*per_layer):
         flags = combo + tuple((True,) * shape.width(m) for m in range(k, shape.depth))
-        u = _segment(shape, cache, start, combo)[i - 1]
+        u = _segment(shape, cache, (1, 0), combo)[i - 1]
         witness.setdefault(u, ActivationSet(shape.widths, flags))
     return [
         (P, u) for u, P in sorted(witness.items(), key=lambda item: item[0].terms, reverse=True)
@@ -219,17 +230,18 @@ def factorize(
     shape.check_input(x)
     node = _check_node(shape, node)
     _check_flags(shape, activation_set)
-    return _factorize(shape, tuple(as_fraction(v) for v in x), activation_set, node, {})
+    cache = _Segments([tuple(as_fraction(v) for v in x)])
+    return _factorize(shape, 0, activation_set, node, cache)
 
 
 def _factorize(
     shape: NetworkShape,
-    inputs: tuple[Fraction, ...],
+    sample: int,
     activation_set: ActivationSet,
     node: tuple[int, int],
     cache: _Segments,
 ) -> Factorization:
-    """factorize on checked arguments, reading and filling a segment cache.
+    """factorize of the cache's inputs[sample] on checked arguments, filling the cache.
 
     The factors are the cache's own Poly objects, shared by every caller
     that reaches the same segment.
@@ -239,7 +251,7 @@ def _factorize(
     factors: list[Poly] = []
     segments: list[tuple[int, int]] = []
     for s, e in zip([1, *cuts], [*cuts, k]):
-        start = (1, inputs) if s == 1 else (s, activation_set.active_in_layer(s)[0])
+        start = (1, sample) if s == 1 else (s, activation_set.active_in_layer(s)[0])
         pre = _segment(shape, cache, start, activation_set.flags[s - 1 : e - 2])
         end_node = i if e == k else activation_set.active_in_layer(e)[0]
         factor = pre[end_node - 1]

@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -36,6 +38,7 @@ from losscarto.attack import _rolling_median
 
 V = Poly.variable
 F = Fraction
+REFERENCES = Path(__file__).resolve().parent.parent / "bench" / "references.json"
 
 
 class TestLossOracle:
@@ -482,6 +485,44 @@ def full_jump_verdict(oracle, point, direction, slope_jump, input_dim):
     return J, agreement, None
 
 
+def random_line_kinks(oracle, n_weights, input_dim, n_lines=12, seed=0):
+    """Kinks of the scan run_attack ran before its path lines: random lines in all N weights.
+
+    Line i draws base and direction from SeedSequence(seed) child i, as
+    run_attack draws its path lines, and refines at most 3 kinks.
+    """
+    kinks = []
+    for line_id in range(n_lines):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(line_id,)))
+        base = rng.normal(size=n_weights)
+        direction = rng.normal(size=n_weights)
+        direction /= np.linalg.norm(direction)
+        kinks += detect_kinks_on_line(oracle, base, direction, attack_module.T_RANGE,
+                                      attack_module.GRID, max_kinks=3, input_dim=input_dim)
+    return kinks
+
+
+def classify_jumps(kinks, input_dim):
+    """(deduplicated input directions, weight sheets, rejections) as run_attack classifies jumps."""
+    rejected = dict.fromkeys(attack_module.REJECTION_REASONS, 0)
+    weights, directions = 0, []
+    for kink in kinks:
+        assert kink.gradient_jump is not None or kink.rejection is not None  # no flat kink
+        if kink.rejection is not None:
+            rejected[kink.rejection] += 1
+            continue
+        ext = aligned_input_direction(kink.gradient_jump, input_dim)
+        if ext.kind == "weight-parameter":
+            weights += 1
+        elif ext.kind == "nonlinear":
+            rejected["nonlinear"] += 1
+        elif all(abs(float(np.dot(ext.direction, d.direction))) < 1.0 - attack_module.DEDUP_TOL
+                 for d in directions):
+            directions.append(attack_module.RecoveredDirection(
+                ext.direction, ext.node, 1.0 - kink.jump_agreement, "gradient-jump"))
+    return directions, weights, rejected
+
+
 def walls_through_a_point(seed, supports, n_weights):
     """sum_k |n_k . w| plus a bowl, each n_k on its own support, and a point on every wall.
 
@@ -832,6 +873,80 @@ class TestRecoverArchitecture:
             assert recover_architecture(cols + [bad]) == (2, 2)
 
 
+def true_inputs_of(inst):
+    return [tuple(float(v) for v in s.input) for s in inst.samples]
+
+
+def recovered_samples(report):
+    return {m.sample_index for m in report.matches if m.cosine >= attack_module.MATCH_THRESHOLD}
+
+
+class TestPathOracle:
+    """run_attack scans the d_1-variable loss v -> E(v, 1, ..., 1)."""
+
+    @pytest.mark.parametrize("widths", [(3, 4, 2), (3, 4, 4, 2), (4, 4)])
+    def test_rows_are_the_full_oracles_bit_for_bit(self, widths):
+        inst = gen_instance(list(widths), 5, 7)
+        E, n, d1 = make_oracle(inst), inst.shape.weight_count, widths[0]
+        V_ = np.random.default_rng(3).normal(size=(6, d1))
+        full = np.hstack([V_, np.ones((6, n - d1))])
+        path = attack_module._path_oracle(E, n, d1)
+        assert path.batched
+        assert path(V_).tolist() == E(full).tolist()
+        assert [path(v) for v in V_] == [E(w) for w in full]
+        unbatched = attack_module._path_oracle(lambda w: E(w), n, d1)
+        assert not unbatched.batched
+        assert [unbatched(v) for v in V_] == [E(w) for w in full]
+
+    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("budget", [200_000, 1_000])
+    def test_one_query_per_path_row_against_one_budget(self, batched, budget):
+        inst = gen_instance([3, 4, 2], 5, 7)
+        E, n = make_oracle(inst), inst.shape.weight_count
+        rows = []
+
+        def spy(W):
+            rows.extend(np.atleast_2d(W).tolist())
+            return E(W)
+
+        spy.batched = batched
+        report = run_attack(spy, n, 3, AttackConfig(budget=budget))
+        assert len(rows) == report.oracle_queries <= budget
+        assert report.budget_exhausted == (report.oracle_queries == budget) == (budget == 1_000)
+        assert all(row[3:] == [1.0] * (n - 3) for row in rows)
+
+    @pytest.mark.parametrize("widths,samples", [((3, 4, 2), 5), ((4, 6, 3), 6),
+                                                ((3, 4, 4, 2), 5), ((5, 8, 8, 2), 8)])
+    @pytest.mark.parametrize("seed", [7, 107, 207])
+    def test_every_sample_at_the_bench_seeds(self, widths, samples, seed):
+        inst = gen_instance(list(widths), samples, seed)
+        report = run_attack(make_oracle(inst), inst.shape.weight_count, widths[0], AttackConfig(),
+                            true_inputs=true_inputs_of(inst))
+        assert recovered_samples(report) == set(range(samples))
+        assert min(m.cosine for m in report.matches) >= attack_module.MATCH_THRESHOLD
+
+
+def _attack_references():
+    refs = json.loads(REFERENCES.read_text())
+    return sorted((name, refs[name]) for name in refs if "@" not in name)
+
+
+@pytest.mark.parametrize("name,counts", _attack_references(), ids=[n for n, _ in _attack_references()])
+def test_recall_meets_bench_references(name, counts):
+    # every attack instance bench/references.json records, at the default AttackConfig
+    # with the bench's 200k budget: none may recover fewer samples than recorded
+    widths, samples = name[1:].split("]x")
+    widths = [int(w) for w in widths.split(",")]
+    below = []
+    for seed, want in sorted(counts.items(), key=lambda item: int(item[0])):
+        inst = gen_instance(widths, int(samples), int(seed))
+        report = run_attack(make_oracle(inst), inst.shape.weight_count, widths[0],
+                            AttackConfig(budget=200_000), true_inputs=true_inputs_of(inst))
+        if len(recovered_samples(report)) < want:
+            below.append((int(seed), len(recovered_samples(report)), want))
+    assert not below, f"{name}: (seed, recovered, recorded) {below}"
+
+
 class TestAttackPipeline:
     def test_warmup_oracle_values(self):
         oracle = one_d_warmup_oracle([(1.0, 2.0), (3.0, 1.0)])
@@ -998,55 +1113,71 @@ class TestAttackPipeline:
 
     @pytest.mark.parametrize("widths,samples", [((3, 4, 2), 5), ((3, 4, 4, 2), 5)])
     def test_screen_matches_full_jump_end_to_end(self, monkeypatch, widths, samples):
-        # the same kinks, samples, weight sheets and rejection total as measuring the whole
-        # jump, for fewer queries; full-jump rejections past the gate count as nonlinear
+        # on random lines in all N weights (N > d_1, where the screen runs): the same kinks,
+        # samples, weight sheets and rejection total as measuring the whole jump, for fewer
+        # queries; full-jump rejections past the gate count as nonlinear
         inst = gen_instance(list(widths), samples, 7)
-        true_inputs = [tuple(float(v) for v in s.input) for s in inst.samples]
 
-        def attack():
-            return run_attack(make_oracle(inst), inst.shape.weight_count, widths[0],
-                              AttackConfig(), true_inputs=true_inputs)
+        def scan():
+            oracle = LossOracle(make_oracle(inst))
+            kinks = random_line_kinks(oracle, inst.shape.weight_count, widths[0])
+            return kinks, oracle.query_count, classify_jumps(kinks, widths[0])
 
-        screened = attack()
+        screened, screened_queries, (screened_dirs, screened_weights, screened_rejected) = scan()
         monkeypatch.setattr(attack_module, "_gradient_jump", full_jump_verdict)
-        full = attack()
+        full, full_queries, (full_dirs, full_weights, full_rejected) = scan()
 
-        def recovered(report):
-            return {m.sample_index for m in report.matches if m.cosine >= attack_module.MATCH_THRESHOLD}
+        def recovered(directions):
+            return {m.sample_index for m in attack_module._match_directions(directions, true_inputs_of(inst))
+                    if m.cosine >= attack_module.MATCH_THRESHOLD}
 
-        assert screened.kink_csv() == full.kink_csv()
-        assert recovered(screened) == recovered(full) and recovered(screened)
-        assert screened.oracle_queries < full.oracle_queries
-        assert screened.weight_sheets == full.weight_sheets
-        assert screened.rejected_sheets == full.rejected_sheets
-        assert screened.rejections["jump-gate"] <= full.rejections["jump-gate"]
-        assert full.rejections["off-wall"] == 0
-        assert len(screened.directions) == len(full.directions)
-        for a, b in zip(screened.directions, full.directions):
+        assert [k.t for k in screened] == [k.t for k in full] and len(screened) > 20
+        assert recovered(screened_dirs) == recovered(full_dirs) and recovered(screened_dirs)
+        assert screened_queries < full_queries
+        assert screened_weights == full_weights
+        assert sum(screened_rejected.values()) == sum(full_rejected.values())
+        assert screened_rejected["jump-gate"] <= full_rejected["jump-gate"]
+        assert full_rejected["off-wall"] == 0
+        assert len(screened_dirs) == len(full_dirs)
+        for a, b in zip(screened_dirs, full_dirs):
             assert abs(float(np.dot(a.direction, b.direction))) >= 1.0 - 1e-12
 
-    def test_off_wall_kinks_are_labelled_and_skip_the_window(self):
-        # [3,4,2]x5 seed 7 rejects 7 kinks, all refines that settled off their wall; no
-        # window batch is spent on them, and all 5 samples are still recovered
+    def test_off_wall_kinks_are_labelled_and_skip_the_window(self, monkeypatch):
+        # [3,4,2]x5 seed 7.  On random lines in all N = 20 weights the screen rejects 7
+        # kinks, all refines that settled off their wall, and no window batch is spent on
+        # them.  On the path lines (one window) the window batch is each kink's only jump
+        # batch: the path scan rejects 3 kinks there, all off-wall, and recovers all 5 samples.
         inst = gen_instance([3, 4, 2], 5, 7)
-        true_inputs = [tuple(float(v) for v in s.input) for s in inst.samples]
-        E = make_oracle(inst)
-        batches = []
+        measure, judge = attack_module._jump_pair, attack_module._gradient_jump
+        probes, verdicts = [], []  # probe rows per _jump_pair; (rejection, its probe rows)
 
-        def spy(W):
-            batches.append(len(W))
-            return E(W)
+        def counted_pair(oracle, centers, rows):
+            probes.append(len(rows))
+            return measure(oracle, centers, rows)
 
-        spy.batched = True
-        report = run_attack(spy, inst.shape.weight_count, 3, AttackConfig(), true_inputs=true_inputs)
-        assert report.rejections == dict.fromkeys(attack_module.REJECTION_REASONS, 0) | {"off-wall": 7}
-        assert {m.sample_index for m in report.matches if m.cosine >= 0.999} == set(range(5))
-        screens = batches.count(8 * 7)  # N = 20, d_1 = 3: six windows of 3 and a last one of 2
-        assert screens == len(report.kinks)
-        assert batches.count(8 * 3) + batches.count(8 * 2) == screens - 7
+        def judged(*args):
+            first = len(probes)
+            verdict = judge(*args)
+            verdicts.append((verdict[2], probes[first:]))
+            return verdict
+
+        monkeypatch.setattr(attack_module, "_jump_pair", counted_pair)
+        monkeypatch.setattr(attack_module, "_gradient_jump", judged)
+        random_line_kinks(make_oracle(inst), inst.shape.weight_count, 3)
+        off_wall = [rows for why, rows in verdicts if why == "off-wall"]
+        assert [why for why, _ in verdicts if why is not None] == ["off-wall"] * 7
+        assert off_wall == [[7]] * 7  # the screen's 7 windows, and no window batch
+        assert all(rows in ([7, 3], [7, 2]) for why, rows in verdicts if why is None)
+
+        verdicts.clear()
+        report = run_attack(make_oracle(inst), inst.shape.weight_count, 3, AttackConfig(),
+                            true_inputs=true_inputs_of(inst))
+        assert report.rejections == dict.fromkeys(attack_module.REJECTION_REASONS, 0) | {"off-wall": 3}
+        assert recovered_samples(report) == set(range(5))
+        assert len(verdicts) == len(report.kinks) and all(rows == [3] for _, rows in verdicts)
 
     def test_rejections_by_reason(self, monkeypatch):
-        # [3,4,4,2]: N = 36 and d_1 = 3, so a screen has 8 * 12 rows and a window 8 * 3
+        # [3,4,4,2]: d_1 = 3, so each path-line kink's window batch has 8 * 3 rows
         inst = gen_instance([3, 4, 4, 2], 5, 7)
         E = make_oracle(inst)
         batches = []
@@ -1066,18 +1197,21 @@ class TestAttackPipeline:
         assert data["off_wall_ratio"] == attack_module.OFF_WALL_RATIO
         assert "heuristic" in data["off_wall_ratio_note"]
         windows = batches.count(8 * 3)
-        # a gate no jump can pass rejects every kink as jump-gate after its screen, so
-        # each kink the screen passed on to its window batch costs 8 * d_1 queries fewer
+        assert windows == len(report.kinks)  # every path-line kink is measured, and only once
+        # a gate no jump can pass rejects every kink as jump-gate after its window batch,
+        # which it has spent either way: no query more or fewer, and no other jump batch
         monkeypatch.setattr(attack_module, "JUMP_GATE", 2.0)
         batches.clear()
         gated = run_attack(spy, inst.shape.weight_count, 3, AttackConfig())
         assert gated.rejections["jump-gate"] == len(gated.kinks) == gated.rejected_sheets
         assert gated.kinks == report.kinks and not gated.directions
-        assert windows > 0 and 8 * 3 not in batches and batches.count(8 * 12) == len(gated.kinks)
-        assert gated.oracle_queries == report.oracle_queries - 8 * 3 * windows
+        assert windows > 0 and batches.count(8 * 3) == windows
+        assert gated.oracle_queries == report.oracle_queries
 
     def test_oracle_budget_inside_jump_batch_sets_exhausted(self):
-        # [3,4,2]: N = 20 and d_1 = 3, so a screen has 8 * 7 rows and a full window 8 * 3
+        # [3,4,2]: N = 20 and d_1 = 3.  run_attack's path lines have one window, so a kink's
+        # only jump batch is its window of 8 * 3 rows; a random line in all N weights
+        # screens 7 windows in 8 * 7 rows first
         inst = gen_instance([3, 4, 2], 5, 7)
         n = inst.shape.weight_count
         E = make_oracle(inst)
@@ -1090,13 +1224,21 @@ class TestAttackPipeline:
         spy.batched = True
         run_attack(spy, n, 3, AttackConfig(n_lines=1))
         uncut = list(batches)
-        for rows in (8 * 7, 8 * 3):  # cut inside the first screen, then the first window
-            budget = sum(uncut[: uncut.index(rows)]) + 5
-            batches.clear()
-            report = run_attack(spy, n, 3, AttackConfig(budget=budget))
-            assert batches[-1] == 5  # the batch is cut to the rows that fit
-            assert report.budget_exhausted
-            assert report.oracle_queries == budget
+        budget = sum(uncut[: uncut.index(8 * 3)]) + 5  # cut inside the first window batch
+        batches.clear()
+        report = run_attack(spy, n, 3, AttackConfig(budget=budget))
+        assert batches[-1] == 5  # the batch is cut to the rows that fit
+        assert report.budget_exhausted
+        assert report.oracle_queries == budget
+
+        batches.clear()
+        random_line_kinks(LossOracle(spy), n, 3, n_lines=1)
+        budget = sum(batches[: batches.index(8 * 7)]) + 5  # cut inside the first screen
+        batches.clear()
+        oracle = LossOracle(spy, budget=budget)
+        with pytest.raises(QueryBudgetExceeded):
+            random_line_kinks(oracle, n, 3, n_lines=1)
+        assert batches[-1] == 5 and oracle.query_count == budget
 
     def test_report_round_trip(self):
         inst = gen_instance([2, 2, 1], 1, seed=2)

@@ -522,9 +522,10 @@ class TestMemoisedEnumeration:
          ([3, 2, 2, 1], 2, 64, 11)],
     )
     def test_each_segment_built_once(self, widths, n_samples, probes, seed):
-        # one cache serves the whole enumeration, keyed by (start, inner flags):
-        # every segment some node's factorization reaches is built exactly once,
-        # shared across regions, samples and the nodes of its end layer
+        # one cache serves the whole enumeration, keyed by (start, inner flags), an
+        # input start by the sample's index: every segment some node's factorization
+        # reaches is built exactly once, shared across regions, samples and the nodes
+        # of its end layer
         s = NetworkShape(widths)
         samples = random_samples(s, n_samples, random.Random(seed))
         built = []
@@ -544,7 +545,7 @@ class TestMemoisedEnumeration:
                 outputs = [(o, s.depth) for o in range(1, s.widths[-1] + 1)]
                 for node in [*s.hidden_nodes(), *outputs]:
                     for start, end, _ in reference_segments(s, sample.input, P, node):
-                        head = (1, tuple(sample.input)) if start == 1 else (start, P.active_in_layer(start)[0])
+                        head = (1, p) if start == 1 else (start, P.active_in_layer(start)[0])
                         inner = P.flags[start - 1 : end - 2]
                         reached.update((head, inner[:m]) for m in range(len(inner) + 1))
         assert Counter(built).most_common(1)[0][1] == 1
