@@ -10,14 +10,10 @@ scalar multiple) and the architecture from oracle access to the loss.
 
 from .attack import (
     AttackConfig,
-    ExtractedDirection,
     KinkPoint,
     LossOracle,
     ReconstructionReport,
-    aligned_input_direction,
     detect_kinks_on_line,
-    fit_hyperplane,
-    harvest_sheet_points,
     one_d_warmup_oracle,
     recover_architecture,
     refine_kink,
@@ -26,10 +22,8 @@ from .attack import (
 from .errors import (
     AdjacencyError,
     BoundaryError,
-    DegeneracyError,
     DegreeError,
     EnumerationBudgetError,
-    HarvestError,
     InstanceError,
     LosscartoError,
     NonFiniteLossError,
@@ -83,12 +77,9 @@ __all__ = [
     "AdjacencyError",
     "AttackConfig",
     "BoundaryError",
-    "DegeneracyError",
     "DegreeError",
     "EnumerationBudgetError",
-    "ExtractedDirection",
     "Factorization",
-    "HarvestError",
     "Instance",
     "InstanceError",
     "KinkPoint",
@@ -107,17 +98,14 @@ __all__ = [
     "SpuriousKinkError",
     "TrainingSample",
     "ZeroVirtualPolynomialError",
-    "aligned_input_direction",
     "as_fraction",
     "check_samples",
     "detect_kinks_on_line",
     "enumerate_singular_sheets",
     "enumerate_virtual_polynomials",
     "factorize",
-    "fit_hyperplane",
     "forward",
     "gen_instance",
-    "harvest_sheet_points",
     "instance_from_json",
     "layerwise_degree",
     "load_instance",

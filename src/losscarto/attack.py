@@ -21,31 +21,16 @@ at very wide shapes (such as [8,30,30,30,4]) they make the loss so large
 that kinks read as flat; weights chosen from the recovered layout would
 not, and wait on a black-box architecture walk.
 
-The normal is the kink's gradient jump.  Across a first-layer wall
-u = w_1j . x the loss pieces differ by u * G, so on the wall the gradient
-jumps by G * grad u: the input x, placed in aligned window j, times a
-scalar.  refine_kink measures that jump in oracle batches of central
-differences on both sides of the wall, each Richardson-extrapolated over
-two offsets (_gradient_jump):
-
-- screen, only on a line in more than one aligned d_1 window (N > d_1):
-  the jump along the line direction restricted to each window, 8 rows
-  per window;
-- window: only when the screen passes the jump gate (its two offsets
-  agree in direction), the kink is on its wall (the screen jumps sum to
-  J . d, which must match the models' slope jump) and exactly one window
-  jumps, the jump along each coordinate of that window, 8 rows per
-  coordinate, gated again.  On a path line the one window is all of v,
-  its batch comes first, and the off-wall test reads J . d from it.
-
-A kink that fails a step is rejected there, as jump-gate, off-wall or
-nonlinear, and spends nothing on the steps after it.  run_attack then
-classifies the window's jump: one entry is a bare weight, more are an
-input direction.  Only a flat kink, one whose slope does not jump, falls
-back to harvesting N'+1 nearby points of the same sheet and fitting a
-hyperplane through them (smallest principal direction); a kink whose
-harvest loses the sheet is rejected, as is one whose fit is degenerate
-or curved.
+The normal is the kink's gradient jump.  Across the path wall v . x_p = 0
+the loss pieces differ by (v . x_p) * G, so on the wall the gradient in v
+jumps by G * x_p: the input itself, times a scalar.  refine_kink measures
+that jump in one oracle batch of central differences on both sides of the
+wall, 8 rows per coordinate of the line, Richardson-extrapolated over two
+offsets (_gradient_jump).  A jump whose two offsets disagree in direction
+is rejected as jump-gate, and one whose J . d misses the models' slope
+jump, a refine that settled off its wall, as off-wall.  run_attack reads
+every other jump as an input direction.  A flat kink, one whose slope
+does not jump, has no jump to read and is rejected as flat.
 
 Everything here is double precision; exact algebra stays in polyalg.
 run_attack is black-box: it sees only the oracle, the parameter count N
@@ -56,17 +41,17 @@ enforces the budget and raises NonFiniteLossError on a NaN or infinite
 value, so no such value reaches a fit or a median.  A batch-capable
 oracle (one with a true ``batched`` attribute, as make_loss_fn returns)
 gets each scan grid, each refine stencil, each refine's 2-row check and
-each screen and window batch as one (Q, N) array through LossOracle.many;
+each jump batch as one (Q, N) array through LossOracle.many;
 bisection steps stay single queries.  Any other callable is asked one row
 at a time, with the same queries, counts and results.  run_attack's path
 oracle keeps the oracle's batching, and each path row is one query.
 
 AttackConfig holds what a caller sets: the query budget, the number of
 scan lines and the seed.  The fineness of the scan, the reach of the
-jump stencil and the strictness of the gate and the fit are fixed
-heuristics, the module constants below; the functions read them at call
-time, except that DEGREE also fixes refine_kink's interpolation matrices
-when the module is imported.
+jump stencil and the strictness of the gates are fixed heuristics, the
+module constants below; the functions read them at call time, except
+that DEGREE also fixes refine_kink's interpolation matrices when the
+module is imported.
 """
 
 from __future__ import annotations
@@ -96,15 +81,13 @@ DETECT_TOL = 12.0  # fourth difference over its rolling-median scale that flags 
 DEGREE = 4  # degree of refine_kink's one-sided models: a depth-3 loss is quartic on a line
 REFINE_TOL = 1e-9  # widest settled bracket (check pair or bisection), near float noise on t
 SPURIOUS_TOL = 1e-7  # refine_kink's jump noise floors, relative to the loss scale
-JUMP_STEP = 1e-6  # central-difference step h of the gradient jump's screen and window batches
+JUMP_STEP = 1e-6  # central-difference step h of the gradient jump's batch
 JUMP_OFFSET = 1e-4  # distance s of the jump's gradients from the wall; also taken at s / 2
 JUMP_GATE = 0.999  # heuristic (so labelled in reports): least |cos(J(s), J(s/2))| accepted
 OFF_WALL_RATIO = 2.0  # heuristic (so labelled in reports): |J . d| this factor off the slope jump is off-wall
-RADIUS_SCALE = 1e-3  # harvest radius relative to the kink's norm: close, yet above noise
 RETRIES = 3  # extra rescans, at halved offsets, before a harvest loses the sheet
 HARVEST_WINDOW_GRID = 33  # grid points of each rescan window in harvest_sheet_points
 DEGENERACY_TOL = 1e-10  # least s[N-2] / s[0] of a point cloud fit_hyperplane accepts
-RESIDUAL_TOL = 1e-6  # heuristic (so labelled in reports): larger fit residual means curved
 SUPPORT_TOL = 1e-4  # normal entries below this share of the largest are numerical dust
 DEDUP_TOL = 1e-6  # directions with |cos| >= 1 - DEDUP_TOL are one direction
 MATCH_THRESHOLD = 0.999  # |cos| at which a direction counts as a recovered sample
@@ -186,12 +169,11 @@ class KinkPoint:
     root of the loss noise (~1e-6 in demo 01), see refine_kink.
 
     gradient_jump is the Richardson jump J = 2 J(s/2) - J(s) of the loss
-    gradient across the kink, measured on the one window that jumps and 0
-    elsewhere, and jump_agreement is |cos(J(s), J(s/2))| of the last batch
-    measured (see refine_kink and _gradient_jump).  rejection is why that
-    measurement rejects the kink ('jump-gate', 'off-wall' or 'nonlinear'),
-    and gradient_jump is then None.  All three are None for a flat kink, or
-    when the jump was not asked for.
+    gradient across the kink, over every coordinate of the line, and
+    jump_agreement is |cos(J(s), J(s/2))| (see refine_kink and
+    _gradient_jump).  rejection is why that measurement rejects the kink
+    ('jump-gate' or 'off-wall'), and gradient_jump is then None.  All three
+    are None for a flat kink, or when the jump was not asked for.
     """
 
     t: float
@@ -238,57 +220,26 @@ def _richardson(jump_s: np.ndarray, jump_half: np.ndarray):
     return jump, min(1.0, abs(float(np.dot(jump_s, jump_half))) / norms)
 
 
-def _gradient_jump(oracle: LossOracle, point: np.ndarray, direction: np.ndarray,
-                   slope_jump: float, input_dim: int):
+def _gradient_jump(oracle: LossOracle, point: np.ndarray, direction: np.ndarray, slope_jump: float):
     """(J, agreement, None) across the wall at point, or (None, agreement, rejection).
 
-    With more than one aligned window (N > d_1), the screen probes, in one
-    batch of 8 * ceil(N / d_1) rows, the line's unit direction d restricted
-    to each aligned window q (coordinates q * d_1 to (q + 1) * d_1 - 1,
-    the last window possibly partial) and gives each window's jump
-    j_q = J . d_q.  A screen whose agreement is below JUMP_GATE is
-    'jump-gate'.  The j_q sum to J . d, which on the wall is the models'
+    One batch of 8 rows per coordinate of the line measures J over every
+    coordinate.  A jump whose agreement is below JUMP_GATE is 'jump-gate'.
+    On the wall, J . d (d the line's unit direction) is the models'
     slope_jump over |d|: a ratio off by OFF_WALL_RATIO or more is
-    'off-wall'.  A window is hot when |j_q| exceeds SUPPORT_TOL times the
-    largest; other than exactly one hot window is 'nonlinear'.  Only then
-    does the window batch, 8 rows per coordinate of the hot window,
-    measure J there (bit for bit what a batch over all N coordinates gives
-    on them); J is 0 outside the window, and the gate applies again to the
-    window's agreement.  With one window (N = d_1, as on run_attack's path
-    lines) there is nothing to screen: the window batch comes first, and
-    the off-wall test reads J . d from it once it passes the gate.
+    'off-wall'.
     """
     n = len(point)
     s = JUMP_OFFSET
     norm = math.sqrt(float(np.dot(direction, direction)))
     unit = direction / norm
     centers = (point + np.array([s, -s, s / 2, -s / 2])[:, None] * unit)[:, None, :]  # (4, 1, N)
-
-    def off_wall(along: float) -> bool:
-        return not 1.0 / OFF_WALL_RATIO < abs(along) * norm / slope_jump < OFF_WALL_RATIO
-
-    cols = slice(0, n)
-    if n > input_dim:  # more than one window: screen them first
-        window = np.arange(n) // input_dim
-        screen = np.where(window == np.arange(window[-1] + 1)[:, None], unit, 0.0)  # row q is d_q
-        j, agreement = _richardson(*_jump_pair(oracle, centers, screen))
-        if agreement < JUMP_GATE:
-            return None, agreement, "jump-gate"
-        if off_wall(float(j.sum())):
-            return None, agreement, "off-wall"
-        size = np.abs(j)
-        q = int(size.argmax())
-        if np.count_nonzero(size > SUPPORT_TOL * size[q]) != 1:
-            return None, agreement, "nonlinear"
-        cols = slice(q * input_dim, (q + 1) * input_dim)
-    jump, agreement = _richardson(*_jump_pair(oracle, centers, np.eye(n)[cols]))
+    jump, agreement = _richardson(*_jump_pair(oracle, centers, np.eye(n)))
     if agreement < JUMP_GATE:
         return None, agreement, "jump-gate"
-    if n <= input_dim and off_wall(float(np.dot(jump, unit))):
+    if not 1.0 / OFF_WALL_RATIO < abs(float(np.dot(jump, unit))) * norm / slope_jump < OFF_WALL_RATIO:
         return None, agreement, "off-wall"
-    full = np.zeros(n)
-    full[cols] = jump
-    return full, agreement, None
+    return jump, agreement, None
 
 
 def _horner(coeffs: list[float], x: float) -> tuple[float, float, float]:
@@ -318,7 +269,7 @@ def refine_kink(
     direction,
     bracket: tuple[float, float],
     *,
-    input_dim: int | None = None,
+    measure_jump: bool = False,
 ) -> KinkPoint:
     """Refine a bracketed kink at the crossing of its left/right local models.
 
@@ -350,16 +301,10 @@ def refine_kink(
     settles the kink.  Only the oracle's budget caps them
     (QueryBudgetExceeded).
 
-    Given input_dim (d_1), a kink whose slope jump clears its noise floor
-    then gets its gradient jump (_gradient_jump).  For N > d_1 that is a
-    screen batch of 8 * ceil(N / d_1) queries, plus a window batch of
-    8 * d_1 (fewer for a partial last window) only when the screen finds
-    the kink on its wall with exactly one window jumping.  For N = d_1 (a
-    path line) it is the window batch of 8 * d_1 alone.  A flat kink gets
-    none, nor does any kink when input_dim is None.
+    With measure_jump, a kink whose slope jump clears its noise floor then
+    gets its gradient jump (_gradient_jump): one more batch of 8N queries.
+    A flat kink gets none.
     """
-    if input_dim is not None:
-        _check_integer("input_dim", input_dim, 1)
     oracle = _as_oracle(oracle)
     base = np.asarray(base, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -418,8 +363,8 @@ def refine_kink(
         )
     loc = base + t_star * direction
     gradient_jump = agreement = rejection = None
-    if input_dim is not None and jump > slope_floor:
-        J, agreement, rejection = _gradient_jump(oracle, loc, direction, jump, input_dim)
+    if measure_jump and jump > slope_floor:
+        J, agreement, rejection = _gradient_jump(oracle, loc, direction, jump)
         if J is not None:
             gradient_jump = tuple(J.tolist())
     return KinkPoint(
@@ -458,7 +403,7 @@ def detect_kinks_on_line(
     grid: int,
     *,
     max_kinks: int | None = None,
-    input_dim: int | None = None,
+    measure_jump: bool = False,
 ) -> list[KinkPoint]:
     """Scan a line for nonsmooth points of the loss.
 
@@ -477,14 +422,12 @@ def detect_kinks_on_line(
     max_kinks cells are refined.  Each refine costs its 2 * (DEGREE + 1)
     stencil, 2 for the check of its crossing guess, and the bisection
     steps the check leaves: at most ceil(log2(width / REFINE_TOL)), none
-    when the check settles the kink; plus, when input_dim is given and the
-    kink is not flat, 8 * ceil(N / d_1) for the gradient jump's screen
-    when N > d_1 and 8 * d_1 for its window batch when the screen passes
-    or there is none (see refine_kink).
-    A bracket that proves spurious is skipped; the oracle's budget running
-    out ends the scan.  Kinks closer together than a few grid cells can
-    merge or shadow each other; the caller controls recall through grid
-    and t_range.  input_dim goes to refine_kink.
+    when the check settles the kink; plus 8N for the gradient jump when
+    measure_jump is set and the kink is not flat.  A bracket that proves
+    spurious is skipped; the oracle's budget running out ends the scan.
+    Kinks closer together than a few grid cells can merge or shadow each
+    other; the caller controls recall through grid and t_range.
+    measure_jump goes to refine_kink.
     """
     oracle = _as_oracle(oracle)
     base = np.asarray(base, dtype=float)
@@ -496,8 +439,6 @@ def detect_kinks_on_line(
         raise ValueError("grid too small to detect anything")
     if max_kinks is not None and max_kinks < 0:
         raise ValueError(f"max_kinks must be >= 0, got {max_kinks}")
-    if input_dim is not None:
-        _check_integer("input_dim", input_dim, 1)
     ts = np.linspace(t0, t1, grid)
     ys = oracle.many(base + ts[:, None] * direction)
     d4 = np.abs(ys[:-4] - 4.0 * ys[1:-3] + 6.0 * ys[2:-2] - 4.0 * ys[3:-1] + ys[4:])
@@ -530,7 +471,7 @@ def detect_kinks_on_line(
         center = cell + 2
         lo_t, hi_t = float(ts[center - 1]), float(ts[center + 1])
         try:
-            kink = refine_kink(oracle, base, direction, (lo_t, hi_t), input_dim=input_dim)
+            kink = refine_kink(oracle, base, direction, (lo_t, hi_t), measure_jump=measure_jump)
         except SpuriousKinkError:
             continue
         out.append(kink)
@@ -538,6 +479,7 @@ def detect_kinks_on_line(
     return out
 
 
+# No pipeline calls this; it stays while bench/tracing.py wraps it by name.
 def harvest_sheet_points(
     oracle,
     kink: KinkPoint,
@@ -552,8 +494,7 @@ def harvest_sheet_points(
     norm at most radius, rescanning a short window around the seed t and
     refining the nearest kink.  A lost or drifted kink is retried with a
     fresh, smaller offset up to RETRIES extra times, then HarvestError.
-    Only locations are needed, so the rescans get no input_dim and
-    measure no gradient jumps.
+    Only locations are needed, so the rescans measure no gradient jumps.
     """
     base = np.asarray(kink.line[0], dtype=float)
     direction = np.asarray(kink.line[1], dtype=float)
@@ -591,6 +532,7 @@ def harvest_sheet_points(
     return np.array(pts)
 
 
+# No pipeline calls this; it stays while bench/tracing.py wraps it by name.
 def fit_hyperplane(points) -> tuple[np.ndarray, float]:
     """Best-fit hyperplane normal through a point cloud.
 
@@ -627,6 +569,13 @@ def _sign_normalize(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _support_direction(normal: np.ndarray) -> tuple[float, ...]:
+    """normal without its entries at or below SUPPORT_TOL times the largest, unit and sign-normalised."""
+    size = np.abs(normal)
+    kept = np.where(size > SUPPORT_TOL * np.max(size), normal, 0.0)
+    return tuple(float(c) for c in _sign_normalize(kept / np.linalg.norm(kept)))
+
+
 @dataclass(frozen=True)
 class ExtractedDirection:
     """Classification of a sheet normal.
@@ -642,6 +591,7 @@ class ExtractedDirection:
     node: int | None = None
 
 
+# No pipeline calls this; it stays while bench/tracing.py wraps it by name and criterion 10's test uses it.
 def aligned_input_direction(normal, input_dim: int) -> ExtractedDirection:
     """Blind normal classification knowing only d_1.
 
@@ -664,12 +614,7 @@ def aligned_input_direction(normal, input_dim: int) -> ExtractedDirection:
         coeffs = np.zeros(input_dim)
         for v in support:
             coeffs[v - q * input_dim] = normal[v]
-        coeffs = _sign_normalize(coeffs / np.linalg.norm(coeffs))
-        return ExtractedDirection(
-            "input-direction",
-            direction=tuple(float(c) for c in coeffs),
-            node=q + 1,
-        )
+        return ExtractedDirection("input-direction", direction=_support_direction(coeffs), node=q + 1)
     return ExtractedDirection("nonlinear")
 
 
@@ -764,13 +709,12 @@ class AttackConfig:
 
     n_lines is the number of path lines, each a random line in the d_1
     path coordinates (see run_attack).  The seed draws each line's base
-    and direction.  Every other setting
-    is a module constant.  JUMP_GATE, OFF_WALL_RATIO and RESIDUAL_TOL
-    among them are artifact heuristics (flagged as such in reports): a
-    gradient jump whose two offsets agree in direction below JUMP_GATE is
-    dropped, and so is one whose J . d is off the models' slope jump by a
-    factor of OFF_WALL_RATIO or more, and a harvested sheet whose
-    hyperplane residual exceeds RESIDUAL_TOL, rather than classified.
+    and direction.  Every other setting is a module constant.  JUMP_GATE
+    and OFF_WALL_RATIO among them are artifact heuristics (flagged as such
+    in reports): a gradient jump whose two offsets agree in direction
+    below JUMP_GATE is dropped, and so is one whose J . d is off the
+    models' slope jump by a factor of OFF_WALL_RATIO or more, rather than
+    read as a direction.
     """
 
     budget: int = 200_000
@@ -792,9 +736,8 @@ class AttackConfig:
 @dataclass(frozen=True)
 class RecoveredDirection:
     direction: tuple[float, ...]
-    node: int | None
-    # 'gradient-jump' (the kink's gradient jump; residual 1 - |cos(J(s), J(s/2))|)
-    # or 'hyperplane' (a flat kink's fitted normal; residual the fit's RMS distance)
+    node: int | None  # the second-layer node whose wall it is: 1, the path's node
+    # 'gradient-jump', the only source: the kink's gradient jump, residual 1 - |cos(J(s), J(s/2))|
     residual: float
     provenance: str
 
@@ -807,7 +750,7 @@ class DirectionMatch:
     scale: float
 
 
-REJECTION_REASONS = ("jump-gate", "off-wall", "nonlinear", "harvest-lost", "degenerate", "curved")
+REJECTION_REASONS = ("jump-gate", "off-wall", "flat")
 
 
 @dataclass
@@ -817,10 +760,8 @@ class ReconstructionReport:
     architecture: tuple[int, ...] | str = "not attempted"
     oracle_queries: int = 0
     kinks: list[tuple[int, float, float]] = field(default_factory=list)
-    weight_sheets: int = 0
     # rejected kinks by reason: the jump gate failed, J . d missed the slope jump
-    # (off its wall), the jump is not in one aligned window, or a flat kink's
-    # harvest lost the sheet, or its fit was degenerate or curved
+    # (off its wall), or the slope did not jump (a flat kink, with no jump to read)
     rejections: dict[str, int] = field(default_factory=lambda: dict.fromkeys(REJECTION_REASONS, 0))
     budget: int | None = None
     budget_exhausted: bool = False
@@ -837,7 +778,6 @@ class ReconstructionReport:
             if isinstance(self.architecture, tuple)
             else self.architecture,
             "oracle_queries": self.oracle_queries,
-            "weight_sheets": self.weight_sheets,
             "rejected_sheets": self.rejected_sheets,
             "rejections": dict(self.rejections),
             "kink_count": len(self.kinks),
@@ -849,8 +789,6 @@ class ReconstructionReport:
             "off_wall_ratio": OFF_WALL_RATIO,
             "off_wall_ratio_note": "artifact heuristic bound on |J.d| / slope jump, off-wall "
             "outside (1 / off_wall_ratio, off_wall_ratio), not derived from the model",
-            "residual_tol": RESIDUAL_TOL,
-            "residual_tol_note": "artifact heuristic threshold, not derived from the model",
         }
 
     def kink_csv(self) -> str:
@@ -881,22 +819,6 @@ def _match_directions(
     return matches
 
 
-def _fitted_normal(oracle: LossOracle, kink: KinkPoint, n_weights: int, rng: np.random.Generator):
-    """A flat kink's (normal, residual, 'hyperplane') from a harvest, or why it was rejected."""
-    radius = RADIUS_SCALE * max(1.0, float(np.linalg.norm(kink.location)))
-    try:
-        pts = harvest_sheet_points(oracle, kink, n_weights, radius, rng=rng)
-    except HarvestError:
-        return "harvest-lost"
-    try:
-        normal, resid = fit_hyperplane(pts)
-    except DegeneracyError:
-        return "degenerate"
-    if resid > RESIDUAL_TOL * max(1.0, radius):
-        return "curved"
-    return normal, resid, "hyperplane"
-
-
 def _path_oracle(oracle: Callable[[np.ndarray], float], n_weights: int, input_dim: int):
     """The d_1-variable loss v -> E(v, 1, ..., 1), batch-capable when the oracle is.
 
@@ -921,20 +843,22 @@ def run_attack(
     *,
     true_inputs: Sequence[Sequence[float]] | None = None,
 ) -> ReconstructionReport:
-    """Black-box reconstruction: path scan, refine, jump, gate, classify.
+    """Black-box reconstruction: path scan, refine, jump, gate, read.
 
     Scans cfg.n_lines random lines of the path loss v -> E(v, 1, ..., 1)
     in the first d_1 weights (_path_oracle; see the module docstring),
     whose only walls are v . x_p = 0, one per sample, refining the
     strongest MAX_KINKS_PER_LINE kinks of each.  Each path row is one
-    query against cfg.budget.  A kink's normal is its gradient jump over
-    the d_1 path coordinates, accepted when it passes JUMP_GATE and the
-    kink is on its wall (see _gradient_jump); a flat kink's normal is
-    instead fitted through a harvest of the sheet in the path coordinates
-    (harvest, fit, RESIDUAL_TOL).  The kinks in report.kinks are (line,
-    t, slope jump) on the path lines, and every direction's node is 1.
-    At very wide shapes the all-ones weights make the loss so large that
-    kinks read as flat, and few samples come back there.
+    query against cfg.budget.  A kink's gradient jump over the d_1 path
+    coordinates is x_p times a scalar.  Each jump that passes JUMP_GATE
+    on its wall (see _gradient_jump) is read as an input direction:
+    entries at or below SUPPORT_TOL times the largest are dropped, and
+    the rest is normalised, so a one-hot input comes back too.  A flat
+    kink has no jump and is rejected as 'flat'.  The kinks in
+    report.kinks are (line, t, slope jump) on the path lines, and every
+    direction's node is 1.  At very wide shapes the all-ones weights make
+    the loss so large that kinks read as flat, and few samples come back
+    there.
     Knows only the oracle, the weight count N and the input arity d_1.
     Recovered directions are unit vectors in input space, deduplicated at
     |cos| >= 1 - DEDUP_TOL; when true_inputs is supplied (scoring only,
@@ -958,28 +882,16 @@ def run_attack(
             direction /= np.linalg.norm(direction)
             kinks = detect_kinks_on_line(
                 counted, base, direction, T_RANGE, GRID,
-                max_kinks=MAX_KINKS_PER_LINE, input_dim=input_dim,
+                max_kinks=MAX_KINKS_PER_LINE, measure_jump=True,
             )
             for kink in kinks:
                 report.kinks.append((line_id, kink.t, kink.jump_magnitude))
-            for kink in kinks:
-                if kink.rejection is not None:
-                    outcome = kink.rejection
-                elif kink.gradient_jump is None:
-                    outcome = _fitted_normal(counted, kink, input_dim, rng)
+                if kink.gradient_jump is None:
+                    report.rejections[kink.rejection or "flat"] += 1
                 else:
-                    outcome = (np.asarray(kink.gradient_jump), 1.0 - kink.jump_agreement, "gradient-jump")
-                if isinstance(outcome, str):
-                    report.rejections[outcome] += 1
-                    continue
-                normal, resid, provenance = outcome
-                ext = aligned_input_direction(normal, input_dim)
-                if ext.kind == "weight-parameter":
-                    report.weight_sheets += 1
-                elif ext.kind == "input-direction":
-                    raw_candidates.append(RecoveredDirection(ext.direction, ext.node, resid, provenance))
-                else:
-                    report.rejections["nonlinear"] += 1
+                    raw_candidates.append(RecoveredDirection(
+                        _support_direction(np.asarray(kink.gradient_jump)), 1,
+                        1.0 - kink.jump_agreement, "gradient-jump"))
     except QueryBudgetExceeded:
         report.budget_exhausted = True
 

@@ -17,7 +17,6 @@ from losscarto import (
     NetworkShape,
     Poly,
     TrainingSample,
-    aligned_input_direction,
     detect_kinks_on_line,
     enumerate_singular_sheets,
     enumerate_virtual_polynomials,
@@ -36,6 +35,7 @@ from losscarto import (
     virtual_polynomial,
     wall_between,
 )
+from losscarto.attack import aligned_input_direction
 
 V = Poly.variable
 F = Fraction

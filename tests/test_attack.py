@@ -1,8 +1,8 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +11,6 @@ from hypothesis import strategies as st
 
 from losscarto import (
     AttackConfig,
-    DegeneracyError,
-    ExtractedDirection,
-    HarvestError,
     LossOracle,
     NetworkShape,
     NonFiniteLossError,
@@ -21,12 +18,10 @@ from losscarto import (
     QueryBudgetExceeded,
     RecoveryError,
     SpuriousKinkError,
-    aligned_input_direction,
+    TrainingSample,
     detect_kinks_on_line,
     enumerate_singular_sheets,
-    fit_hyperplane,
     gen_instance,
-    harvest_sheet_points,
     make_oracle,
     one_d_warmup_oracle,
     recover_architecture,
@@ -34,7 +29,14 @@ from losscarto import (
     run_attack,
 )
 from losscarto import attack as attack_module
-from losscarto.attack import _rolling_median
+from losscarto.attack import (
+    ExtractedDirection,
+    _rolling_median,
+    aligned_input_direction,
+    fit_hyperplane,
+    harvest_sheet_points,
+)
+from losscarto.errors import DegeneracyError
 
 V = Poly.variable
 F = Fraction
@@ -202,15 +204,6 @@ class TestDetectRefine:
         assert detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257, max_kinks=0) == []
         assert oracle.query_count == 257  # the grid alone
 
-    @pytest.mark.parametrize("input_dim", [0, -1, 2.0, True, "3"])
-    def test_bad_input_dim_is_rejected_before_any_query(self, input_dim):
-        oracle = one_d_warmup_oracle([(1.0, 2.0), (3.0, 1.0), (-2.0, 1.5)])
-        with pytest.raises(ValueError, match="input_dim"):
-            detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257, input_dim=input_dim)
-        with pytest.raises(ValueError, match="input_dim"):
-            refine_kink(oracle, [0.0], [1.0], (1.9, 2.1), input_dim=input_dim)
-        assert oracle.query_count == 0
-
     @pytest.mark.parametrize(
         "a,b",
         [(1.0, 1.0 + 5 / 32), (1.0, 1.0 + 6 / 32), (0.37, 0.37 + 7 / 32), (1.0, None)],
@@ -328,9 +321,8 @@ flat_walls.batched = True
 
 
 class TestGradientJump:
-    def test_first_order_kink_costs_stencil_check_screen_and_window(self):
-        # exact quadratic pieces: the models cross on the wall and the check settles it;
-        # at d_1 = 4 the wall lies in window 0 of the two windows [0, 4) and [4, 5)
+    def test_first_order_kink_costs_stencil_check_and_jump(self):
+        # exact quadratic pieces: the models cross on the wall and the check settles it
         n = np.array([1.0, -2.0, 0.5, 1.5, 0.0])
         direction = np.array([1.0, 0.2, -0.1, 0.3, 0.4])
         direction /= np.linalg.norm(direction)
@@ -347,15 +339,15 @@ class TestGradientJump:
 
         spy.batched = True
         oracle = LossOracle(spy)
-        kink = refine_kink(oracle, base, direction, bracket, input_dim=4)
+        kink = refine_kink(oracle, base, direction, bracket, measure_jump=True)
         assert abs(float(n @ np.asarray(kink.location))) < 1e-8
-        assert oracle.query_count == stencil_check + 8 * 2 + 8 * 4
-        # one batch each: stencil, check, screen (8 * ceil(N / d_1)), window (8 * d_1)
-        assert batches == [2 * (attack_module.DEGREE + 1), 2, 8 * 2, 8 * 4]
+        assert oracle.query_count == stencil_check + 8 * 5
+        # one batch each: stencil, check, and the jump's 8 rows per coordinate of the line
+        assert batches == [2 * (attack_module.DEGREE + 1), 2, 8 * 5]
         # |n.w| jumps by 2n; the Richardson jump has no spill off the support
         J = np.asarray(kink.gradient_jump)
         assert np.allclose(J, 2 * n if float(J @ n) > 0 else -2 * n, atol=1e-6)
-        assert J[4] == 0.0 and kink.jump_agreement > 1.0 - 1e-9 and kink.rejection is None
+        assert kink.jump_agreement > 1.0 - 1e-9 and kink.rejection is None
         without = LossOracle(f)
         bare = refine_kink(without, base, direction, bracket)
         assert without.query_count == stencil_check and bare.gradient_jump is None
@@ -364,7 +356,8 @@ class TestGradientJump:
     def test_flat_kink_gets_no_jump(self):
         direction = np.ones(4) / 2.0
         oracle = LossOracle(flat_walls)
-        kinks = detect_kinks_on_line(oracle, [1.0, 2.0, 3.0, 4.0], direction, (-9, 0), 257)
+        kinks = detect_kinks_on_line(oracle, [1.0, 2.0, 3.0, 4.0], direction, (-9, 0), 257,
+                                     measure_jump=True)
         assert [round(k.t, 5) for k in kinks] == [-8.0, -6.0, -4.0, -2.0]
         assert all(k.gradient_jump is None for k in kinks)
         assert all(k.jump_agreement is None for k in kinks)
@@ -384,14 +377,15 @@ class TestGradientJump:
             w = np.asarray(w)
             return abs(w[0] - c0) + abs(w[1] - c1) + 0.1 * float(w @ w)
 
-        # d_1 = 4: one window, so the screen passes and the window's two offsets decide
+        # the jump batch's two offsets decide
         kinks = detect_kinks_on_line(LossOracle(two_walls), np.zeros(4), direction, (-4, 4), 257,
-                                     input_dim=4)
+                                     measure_jump=True)
         assert len(kinks) == 1 and abs(kinks[0].t - t1) < 1e-5
         assert (kinks[0].jump_agreement < attack_module.JUMP_GATE) is gated
         assert kinks[0].rejection == ("jump-gate" if gated else None)
-        if not gated:
-            assert aligned_input_direction(kinks[0].gradient_jump, 4).kind == "weight-parameter"
+        if not gated:  # wall 1 alone: its jump is on w0 only
+            J = np.abs(kinks[0].gradient_jump)
+            assert np.flatnonzero(J > attack_module.SUPPORT_TOL * J.max()).tolist() == [0]
 
 
 def plane_kink_oracle(normal, smooth_scale=0.1):
@@ -405,7 +399,7 @@ def plane_kink_oracle(normal, smooth_scale=0.1):
     return f
 
 
-def bisection_refine_kink(oracle, base, direction, bracket, *, input_dim=None):
+def bisection_refine_kink(oracle, base, direction, bracket, *, measure_jump=False):
     """refine_kink as pure bisection against np.polynomial fits: the reference.
 
     The same stencil, spurious test and gradient jump as refine_kink, but no
@@ -440,8 +434,8 @@ def bisection_refine_kink(oracle, base, direction, bracket, *, input_dim=None):
         raise SpuriousKinkError("no kink in bracket")
     loc = base + m * direction
     gradient_jump = agreement = rejection = None
-    if input_dim is not None and jump > slope_floor:
-        J, agreement, rejection = attack_module._gradient_jump(oracle, loc, direction, jump, input_dim)
+    if measure_jump and jump > slope_floor:
+        J, agreement, rejection = attack_module._gradient_jump(oracle, loc, direction, jump)
         if J is not None:
             gradient_jump = tuple(float(v) for v in J)
     return attack_module.KinkPoint(
@@ -459,9 +453,9 @@ def bisection_refine_kink(oracle, base, direction, bracket, *, input_dim=None):
 def full_gradient_jump(oracle, point, direction):
     """(J, |cos(J(s), J(s/2))|) over all N coordinates from one 8N-row batch: the reference.
 
-    The whole gradient jump, as measured before the window screen: central
-    differences along every coordinate at +-s and +-s/2 off the wall,
-    Richardson-combined.  The agreement is 0 when either jump is zero.
+    Central differences along every coordinate at +-s and +-s/2 off the
+    wall, Richardson-combined.  The agreement is at most 1, and 0 when
+    either jump is zero.
     """
     n = len(point)
     h, s = attack_module.JUMP_STEP, attack_module.JUMP_OFFSET
@@ -473,23 +467,16 @@ def full_gradient_jump(oracle, point, direction):
     grads = (ys[:, 0] - ys[:, 1]) / (2.0 * h)  # (4, N): at +s, -s, +s/2, -s/2
     jump_s, jump_half = grads[0] - grads[1], grads[2] - grads[3]
     norms = float(np.linalg.norm(jump_s)) * float(np.linalg.norm(jump_half))
-    agreement = abs(float(np.dot(jump_s, jump_half))) / norms if norms > 0.0 else 0.0
+    agreement = min(1.0, abs(float(np.dot(jump_s, jump_half))) / norms) if norms > 0.0 else 0.0
     return 2.0 * jump_half - jump_s, agreement
 
 
-def full_jump_verdict(oracle, point, direction, slope_jump, input_dim):
-    """_gradient_jump's contract from the full jump: gated, and classified later by run_attack."""
-    J, agreement = full_gradient_jump(oracle, point, direction)
-    if agreement < attack_module.JUMP_GATE:
-        return None, agreement, "jump-gate"
-    return J, agreement, None
-
-
-def random_line_kinks(oracle, n_weights, input_dim, n_lines=12, seed=0):
+def random_line_kinks(oracle, n_weights, n_lines=12, seed=0):
     """Kinks of the scan run_attack ran before its path lines: random lines in all N weights.
 
     Line i draws base and direction from SeedSequence(seed) child i, as
-    run_attack draws its path lines, and refines at most 3 kinks.
+    run_attack draws its path lines, and refines at most 3 kinks, each
+    with its gradient jump over all N weights.
     """
     kinks = []
     for line_id in range(n_lines):
@@ -498,41 +485,17 @@ def random_line_kinks(oracle, n_weights, input_dim, n_lines=12, seed=0):
         direction = rng.normal(size=n_weights)
         direction /= np.linalg.norm(direction)
         kinks += detect_kinks_on_line(oracle, base, direction, attack_module.T_RANGE,
-                                      attack_module.GRID, max_kinks=3, input_dim=input_dim)
+                                      attack_module.GRID, max_kinks=3, measure_jump=True)
     return kinks
-
-
-def classify_jumps(kinks, input_dim):
-    """(deduplicated input directions, weight sheets, rejections) as run_attack classifies jumps."""
-    rejected = dict.fromkeys(attack_module.REJECTION_REASONS, 0)
-    weights, directions = 0, []
-    for kink in kinks:
-        assert kink.gradient_jump is not None or kink.rejection is not None  # no flat kink
-        if kink.rejection is not None:
-            rejected[kink.rejection] += 1
-            continue
-        ext = aligned_input_direction(kink.gradient_jump, input_dim)
-        if ext.kind == "weight-parameter":
-            weights += 1
-        elif ext.kind == "nonlinear":
-            rejected["nonlinear"] += 1
-        elif all(abs(float(np.dot(ext.direction, d.direction))) < 1.0 - attack_module.DEDUP_TOL
-                 for d in directions):
-            directions.append(attack_module.RecoveredDirection(
-                ext.direction, ext.node, 1.0 - kink.jump_agreement, "gradient-jump"))
-    return directions, weights, rejected
 
 
 def walls_through_a_point(seed, supports, n_weights):
     """sum_k |n_k . w| plus a bowl, each n_k on its own support, and a point on every wall.
 
     Returns (batched f, point, unit direction d, the true J . d).  Entries
-    of each n_k have magnitudes in [0.5, 2], so every support entry is far
-    above SUPPORT_TOL.  d crosses the walls at a clear angle: |n_k . d| is
-    at least 0.1 max|n_k|, so no central-difference step straddles a wall,
-    and the jump J restricted to each window of d_1 = 3 it touches has
-    |J_q . d| of at least 0.1.  (A window whose jump is orthogonal to d
-    there reads as cold in the screen: that is the screen's blind spot.)
+    of each n_k have magnitudes in [0.5, 2].  d crosses the walls at a
+    clear angle: |n_k . d| is at least 0.1 max|n_k|, so no central-difference
+    step straddles a wall, and J . d = 2 sum_k |n_k . d| is at least 0.1.
     """
     rng = np.random.default_rng(seed)
     normals = np.zeros((len(supports), n_weights))
@@ -540,16 +503,13 @@ def walls_through_a_point(seed, supports, n_weights):
         normals[k, support] = rng.choice([-1.0, 1.0], len(support)) * rng.uniform(0.5, 2.0, len(support))
     b = rng.normal(size=n_weights)
     point = b - np.linalg.lstsq(normals, normals @ b, rcond=None)[0]  # on every wall
-    window = np.arange(n_weights) // 3
     while True:
         direction = rng.normal(size=n_weights)
         direction /= np.linalg.norm(direction)
         along = normals @ direction
-        jump = 2.0 * np.sign(along) @ normals
-        per_window = np.bincount(window, jump * direction)[np.unique(window[jump != 0.0])]
-        clear = np.all(np.abs(along) >= 0.1 * np.max(np.abs(normals), axis=1))
-        if clear and np.all(np.abs(per_window) >= 0.1):
+        if np.all(np.abs(along) >= 0.1 * np.max(np.abs(normals), axis=1)):
             break
+    jump = 2.0 * np.sign(along) @ normals
 
     def f(w):
         w = np.asarray(w, dtype=float)
@@ -633,75 +593,57 @@ class TestRefineAgainstBisection:
         self.check(seed, offset, width, sixth)
 
 
-class TestScreenAgainstFullJump:
-    """_gradient_jump's screen and window against full_gradient_jump, on walls through one point.
+class TestJumpAgainstFullJump:
+    """_gradient_jump against full_gradient_jump, on walls through one point.
 
-    N = 11 and d_1 = 3: windows [0, 3), [3, 6), [6, 9) and the partial [9, 11).
+    N = 11 with supports laid out as for d_1 = 3, and N = d_1 = 3 as on
+    run_attack's path lines.
     """
 
-    N, D1 = 11, 3
-    KINDS = {  # a wall's support, from its own rng
-        "one window": lambda rng: [3 * int(rng.integers(3)) + i for i in range(3)],
-        "two windows": lambda rng: [i for q in rng.choice(4, 2, replace=False)
-                                    for i in range(3 * q, min(3 * q + 3, 11))],
-        "single weight": lambda rng: [int(rng.integers(11))],
-        "partial last window": lambda rng: [9, 10],
+    KINDS = {  # a wall's support in N weights, from its own rng
+        "first-layer column": lambda rng, n: [3 * int(rng.integers(n // 3)) + i for i in range(3)],
+        "two columns": lambda rng, n: [i for q in rng.choice(n // 3 + 1, 2, replace=False)
+                                       for i in range(3 * q, min(3 * q + 3, n))],
+        "single weight": lambda rng, n: [int(rng.integers(n))],
+        "last two weights": lambda rng, n: [n - 2, n - 1],
     }
 
     @given(
         st.integers(0, 2**32 - 1),
+        st.sampled_from([11, 3]),
         st.lists(st.sampled_from(sorted(KINDS)), min_size=1, max_size=2),
     )
-    def test_hot_windows_and_window_entries(self, seed, kinds):
+    def test_jump_is_the_full_jump_bit_for_bit(self, seed, n, kinds):
         rng = np.random.default_rng(seed)
-        supports = [sorted(set(self.KINDS[kind](rng))) for kind in kinds]
-        f, point, unit, along = walls_through_a_point(seed, supports, self.N)
-        J_full, _ = full_gradient_jump(LossOracle(f), point, unit)
-        big = np.abs(J_full) > attack_module.SUPPORT_TOL * np.max(np.abs(J_full))
-        support_windows = sorted({int(i) // self.D1 for i in np.flatnonzero(big)})
-        combined = []  # the screen's window jumps j_q, then the window's jump
+        supports = [sorted(set(self.KINDS[kind](rng, n))) for kind in kinds]
+        f, point, unit, along = walls_through_a_point(seed, supports, n)
+        J_full, agreement_full = full_gradient_jump(LossOracle(f), point, unit)
+        oracle = LossOracle(f)
+        J, agreement, rejection = attack_module._gradient_jump(oracle, point, unit, along)
+        assert oracle.query_count == 8 * n  # one batch, 8 rows per coordinate
+        assert agreement == agreement_full >= attack_module.JUMP_GATE
+        assert rejection is None and J.tolist() == J_full.tolist()
 
-        def spy(jump_s, jump_half):
-            out = richardson(jump_s, jump_half)
-            combined.append(out[0])
-            return out
-
-        richardson, oracle = attack_module._richardson, LossOracle(f)
-        with mock.patch.object(attack_module, "_richardson", spy):
-            J, agreement, rejection = attack_module._gradient_jump(oracle, point, unit, along, self.D1)
-        j = combined[0]
-        hot = np.flatnonzero(np.abs(j) > attack_module.SUPPORT_TOL * np.max(np.abs(j))).tolist()
-        assert len(j) == 4 and hot == support_windows
-        window = np.arange(self.N) // self.D1
-        if len(hot) == 1:
-            cols = window == hot[0]
-            assert rejection is None and agreement >= attack_module.JUMP_GATE
-            assert J[cols].tolist() == J_full[cols].tolist()  # bit for bit
-            assert not np.any(J[~cols])
-            assert oracle.query_count == 8 * 4 + 8 * int(np.sum(cols))
-        else:
-            assert J is None and rejection == "nonlinear" and oracle.query_count == 8 * 4
-
-    @pytest.mark.parametrize("stage", [0, 1], ids=["screen", "window"])
-    def test_zero_jump_is_a_gate_rejection(self, monkeypatch, stage):
+    def test_zero_jump_is_a_gate_rejection(self, monkeypatch):
         # J(s) = 2 J(s/2) exactly: the two offsets agree (|cos| 1.0) on a Richardson jump of 0
         measure, calls = attack_module._jump_pair, []
 
         def cancelling(*args):
             jump_s, jump_half = measure(*args)
             calls.append(len(jump_s))
-            return (2.0 * jump_half, jump_half) if len(calls) == stage + 1 else (jump_s, jump_half)
+            return 2.0 * jump_half, jump_half
 
         monkeypatch.setattr(attack_module, "_jump_pair", cancelling)
-        f, point, unit, along = walls_through_a_point(5, [[3, 4, 5]], self.N)
-        verdict = attack_module._gradient_jump(LossOracle(f), point, unit, along, self.D1)
+        f, point, unit, along = walls_through_a_point(5, [[3, 4, 5]], 11)
+        verdict = attack_module._gradient_jump(LossOracle(f), point, unit, along)
         assert verdict == (None, 0.0, "jump-gate")
-        assert calls == [4, 3][: stage + 1]
+        assert calls == [11]
 
-    def test_zero_jump_never_reaches_the_classifier(self, monkeypatch):
-        # every jump cancels: each measured kink is a jump-gate rejection, and no
-        # DegeneracyError("zero normal") escapes run_attack
-        monkeypatch.setattr(attack_module, "_jump_pair", lambda *args: (np.full(7, 2.0), np.ones(7)))
+    def test_zero_jump_never_becomes_a_direction(self, monkeypatch):
+        # every jump cancels: each measured kink is a jump-gate rejection, and no zero
+        # normal reaches the direction reading, which would divide by its norm
+        monkeypatch.setattr(attack_module, "_jump_pair",
+                            lambda oracle, centers, probes: (np.full(len(probes), 2.0), np.ones(len(probes))))
         inst = gen_instance([3, 4, 2], 5, 7)
         report = run_attack(make_oracle(inst), inst.shape.weight_count, 3, AttackConfig(n_lines=2))
         assert report.rejections["jump-gate"] == len(report.kinks) > 0 and not report.directions
@@ -811,6 +753,14 @@ class TestExtraction:
         normal[0], normal[1], normal[2] = 1.0, 2.0, -1.0
         normal[12] = 1e-9  # numerical dust outside the column
         assert aligned_input_direction(normal, s.width(1)).kind == "input-direction"
+
+    def test_support_direction_drops_dust(self):
+        # how run_attack reads a gated jump: entries at or below SUPPORT_TOL times the
+        # largest go, and the rest is a unit vector whose first nonzero entry is positive
+        tol = attack_module.SUPPORT_TOL
+        direction = attack_module._support_direction(np.array([1e-3 * tol, -2.0, 2.0 * tol, 1.0]))
+        assert direction[0] == direction[2] == 0.0
+        assert direction[1:4:2] == pytest.approx((2.0 / math.sqrt(5.0), -1.0 / math.sqrt(5.0)))
 
     def test_blind_agrees_with_white_box(self):
         s = NetworkShape([3, 4, 2])
@@ -1057,23 +1007,40 @@ class TestAttackPipeline:
         assert report.budget_exhausted
         assert report.oracle_queries == 260
 
-    def test_lost_harvest_rejects_the_kink_once(self, monkeypatch):
-        # only a flat kink is harvested; a harvest that loses the sheet costs one
-        # call and one rejection, and is not retried
-        calls = []
+    def test_flat_kink_is_rejected_without_a_query_after_its_refine(self, monkeypatch):
+        # a flat kink has no gradient jump to read: it costs its scan and refine, and nothing
+        # after them, and is counted once as flat
+        refine, refined, batches = attack_module.refine_kink, [], []
 
-        def lost(oracle, kink, *args, **kwargs):
-            calls.append(kink)
-            raise HarvestError("sheet lost")
+        def spy_refine(oracle, *args, **kwargs):
+            kink = refine(oracle, *args, **kwargs)
+            refined.append((kink, oracle.query_count))
+            return kink
 
-        monkeypatch.setattr(attack_module, "harvest_sheet_points", lost)
+        def spy(W):
+            batches.append(len(W))
+            return flat_walls(W)
+
+        spy.batched = True
+        monkeypatch.setattr(attack_module, "refine_kink", spy_refine)
         monkeypatch.setattr(attack_module, "MAX_KINKS_PER_LINE", 1)
-        report = run_attack(flat_walls, 6, 2, AttackConfig(n_lines=1))
-        assert len(report.kinks) == 1
-        assert [k.t for k in calls] == [report.kinks[0][1]]
-        assert calls[0].gradient_jump is None and calls[0].curvature_jump > 0.1
-        assert report.rejections["harvest-lost"] == 1 == report.rejected_sheets
+        report = run_attack(spy, 6, 2, AttackConfig(n_lines=1))
+        assert len(report.kinks) == 1 and len(refined) == 1
+        kink, queries = refined[0]
+        assert kink.gradient_jump is None and kink.rejection is None and kink.curvature_jump > 0.1
+        assert report.rejections == dict.fromkeys(attack_module.REJECTION_REASONS, 0) | {"flat": 1}
+        assert report.oracle_queries == queries and 8 * 2 not in batches  # no jump batch either
         assert not report.directions
+
+    def test_one_hot_input_is_recovered(self):
+        # sample 0's input (0, 3/2, 0) has the path wall v_1 = 0, a jump on one coordinate
+        inst = gen_instance([3, 4, 2], 5, 7)
+        one_hot = TrainingSample((F(0), F(3, 2), F(0)), inst.samples[0].output)
+        inst = dataclasses.replace(inst, samples=(one_hot, *inst.samples[1:]))
+        report = run_attack(make_oracle(inst), inst.shape.weight_count, 3, AttackConfig(),
+                            true_inputs=true_inputs_of(inst))
+        assert recovered_samples(report) == set(range(5))
+        assert (0.0, 1.0, 0.0) in [d.direction for d in report.directions]
 
     @pytest.mark.parametrize("widths,samples", [((3, 4, 2), 5), ((4, 6, 3), 6)])
     @pytest.mark.parametrize("seed", [7, 107, 207])
@@ -1111,42 +1078,11 @@ class TestAttackPipeline:
         for a, b in zip(checked.directions, bisected.directions):
             assert abs(float(np.dot(a.direction, b.direction))) >= 1.0 - 1e-9
 
-    @pytest.mark.parametrize("widths,samples", [((3, 4, 2), 5), ((3, 4, 4, 2), 5)])
-    def test_screen_matches_full_jump_end_to_end(self, monkeypatch, widths, samples):
-        # on random lines in all N weights (N > d_1, where the screen runs): the same kinks,
-        # samples, weight sheets and rejection total as measuring the whole jump, for fewer
-        # queries; full-jump rejections past the gate count as nonlinear
-        inst = gen_instance(list(widths), samples, 7)
-
-        def scan():
-            oracle = LossOracle(make_oracle(inst))
-            kinks = random_line_kinks(oracle, inst.shape.weight_count, widths[0])
-            return kinks, oracle.query_count, classify_jumps(kinks, widths[0])
-
-        screened, screened_queries, (screened_dirs, screened_weights, screened_rejected) = scan()
-        monkeypatch.setattr(attack_module, "_gradient_jump", full_jump_verdict)
-        full, full_queries, (full_dirs, full_weights, full_rejected) = scan()
-
-        def recovered(directions):
-            return {m.sample_index for m in attack_module._match_directions(directions, true_inputs_of(inst))
-                    if m.cosine >= attack_module.MATCH_THRESHOLD}
-
-        assert [k.t for k in screened] == [k.t for k in full] and len(screened) > 20
-        assert recovered(screened_dirs) == recovered(full_dirs) and recovered(screened_dirs)
-        assert screened_queries < full_queries
-        assert screened_weights == full_weights
-        assert sum(screened_rejected.values()) == sum(full_rejected.values())
-        assert screened_rejected["jump-gate"] <= full_rejected["jump-gate"]
-        assert full_rejected["off-wall"] == 0
-        assert len(screened_dirs) == len(full_dirs)
-        for a, b in zip(screened_dirs, full_dirs):
-            assert abs(float(np.dot(a.direction, b.direction))) >= 1.0 - 1e-12
-
-    def test_off_wall_kinks_are_labelled_and_skip_the_window(self, monkeypatch):
-        # [3,4,2]x5 seed 7.  On random lines in all N = 20 weights the screen rejects 7
-        # kinks, all refines that settled off their wall, and no window batch is spent on
-        # them.  On the path lines (one window) the window batch is each kink's only jump
-        # batch: the path scan rejects 3 kinks there, all off-wall, and recovers all 5 samples.
+    def test_off_wall_kinks_are_labelled(self, monkeypatch):
+        # [3,4,2]x5 seed 7.  On random lines in all N = 20 weights the jump batch rejects 7
+        # kinks, all refines that settled off their wall.  On the path lines the path scan
+        # rejects 3 kinks, all off-wall, and recovers all 5 samples.  Every kink measured
+        # gets one jump batch, 8 rows per coordinate of its line, whatever its verdict.
         inst = gen_instance([3, 4, 2], 5, 7)
         measure, judge = attack_module._jump_pair, attack_module._gradient_jump
         probes, verdicts = [], []  # probe rows per _jump_pair; (rejection, its probe rows)
@@ -1163,21 +1099,20 @@ class TestAttackPipeline:
 
         monkeypatch.setattr(attack_module, "_jump_pair", counted_pair)
         monkeypatch.setattr(attack_module, "_gradient_jump", judged)
-        random_line_kinks(make_oracle(inst), inst.shape.weight_count, 3)
-        off_wall = [rows for why, rows in verdicts if why == "off-wall"]
+        random_line_kinks(make_oracle(inst), inst.shape.weight_count)
         assert [why for why, _ in verdicts if why is not None] == ["off-wall"] * 7
-        assert off_wall == [[7]] * 7  # the screen's 7 windows, and no window batch
-        assert all(rows in ([7, 3], [7, 2]) for why, rows in verdicts if why is None)
+        assert all(rows == [20] for _, rows in verdicts)
 
         verdicts.clear()
         report = run_attack(make_oracle(inst), inst.shape.weight_count, 3, AttackConfig(),
                             true_inputs=true_inputs_of(inst))
         assert report.rejections == dict.fromkeys(attack_module.REJECTION_REASONS, 0) | {"off-wall": 3}
         assert recovered_samples(report) == set(range(5))
+        assert [why for why, _ in verdicts if why is not None] == ["off-wall"] * 3
         assert len(verdicts) == len(report.kinks) and all(rows == [3] for _, rows in verdicts)
 
     def test_rejections_by_reason(self, monkeypatch):
-        # [3,4,4,2]: d_1 = 3, so each path-line kink's window batch has 8 * 3 rows
+        # [3,4,4,2]: d_1 = 3, so each path-line kink's jump batch has 8 * 3 rows
         inst = gen_instance([3, 4, 4, 2], 5, 7)
         E = make_oracle(inst)
         batches = []
@@ -1189,16 +1124,14 @@ class TestAttackPipeline:
         spy.batched = True
         report = run_attack(spy, inst.shape.weight_count, 3, AttackConfig())
         data = report.to_json()
-        assert set(data["rejections"]) == {
-            "jump-gate", "off-wall", "nonlinear", "harvest-lost", "degenerate", "curved"
-        }
+        assert set(data["rejections"]) == {"jump-gate", "off-wall", "flat"}
         assert sum(data["rejections"].values()) == data["rejected_sheets"] == report.rejected_sheets > 0
         assert data["jump_gate"] == attack_module.JUMP_GATE and "heuristic" in data["jump_gate_note"]
         assert data["off_wall_ratio"] == attack_module.OFF_WALL_RATIO
         assert "heuristic" in data["off_wall_ratio_note"]
         windows = batches.count(8 * 3)
         assert windows == len(report.kinks)  # every path-line kink is measured, and only once
-        # a gate no jump can pass rejects every kink as jump-gate after its window batch,
+        # a gate no jump can pass rejects every kink as jump-gate after its jump batch,
         # which it has spent either way: no query more or fewer, and no other jump batch
         monkeypatch.setattr(attack_module, "JUMP_GATE", 2.0)
         batches.clear()
@@ -1209,9 +1142,8 @@ class TestAttackPipeline:
         assert gated.oracle_queries == report.oracle_queries
 
     def test_oracle_budget_inside_jump_batch_sets_exhausted(self):
-        # [3,4,2]: N = 20 and d_1 = 3.  run_attack's path lines have one window, so a kink's
-        # only jump batch is its window of 8 * 3 rows; a random line in all N weights
-        # screens 7 windows in 8 * 7 rows first
+        # [3,4,2]: N = 20 and d_1 = 3.  A kink's jump batch has 8 rows per coordinate of
+        # its line: 8 * 3 on run_attack's path lines, 8 * 20 on a random line in all N weights
         inst = gen_instance([3, 4, 2], 5, 7)
         n = inst.shape.weight_count
         E = make_oracle(inst)
@@ -1232,12 +1164,12 @@ class TestAttackPipeline:
         assert report.oracle_queries == budget
 
         batches.clear()
-        random_line_kinks(LossOracle(spy), n, 3, n_lines=1)
-        budget = sum(batches[: batches.index(8 * 7)]) + 5  # cut inside the first screen
+        random_line_kinks(LossOracle(spy), n, n_lines=1)
+        budget = sum(batches[: batches.index(8 * n)]) + 5  # cut inside the first jump batch
         batches.clear()
         oracle = LossOracle(spy, budget=budget)
         with pytest.raises(QueryBudgetExceeded):
-            random_line_kinks(oracle, n, 3, n_lines=1)
+            random_line_kinks(oracle, n, n_lines=1)
         assert batches[-1] == 5 and oracle.query_count == budget
 
     def test_report_round_trip(self):
@@ -1248,7 +1180,8 @@ class TestAttackPipeline:
         data = report.to_json()
         assert data["oracle_queries"] == report.oracle_queries
         assert not report.budget_exhausted and data["budget_exhausted"] is False
-        assert "residual_tol_note" in data and "jump_gate_note" in data
+        assert "jump_gate_note" in data and "off_wall_ratio_note" in data
+        assert not {"weight_sheets", "residual_tol", "residual_tol_note"} & set(data)
         assert all(d["provenance"] == "gradient-jump" for d in data["directions"])
         csv = report.kink_csv()
         assert csv.splitlines()[0] == "line_id,t,jump,refined"

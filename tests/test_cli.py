@@ -75,7 +75,7 @@ class TestVerify:
 
 
 class TestAttack:
-    def test_recovers_and_writes_reports(self, inst_path, tmp_path):
+    def test_recovers_and_writes_reports(self, inst_path, tmp_path, capsys):
         report = tmp_path / "report.json"
         kinks = tmp_path / "kinks.csv"
         code = main(
@@ -98,6 +98,9 @@ class TestAttack:
         assert data["directions"]
         assert any(m["cosine"] >= 0.999 for m in data["matches"])
         assert kinks.read_text().splitlines()[0] == "line_id,t,jump,refined"
+        # the summary line: kinks found, then rejections in all and by reason
+        assert capsys.readouterr().out.splitlines()[1] == "kinks found: 13; rejected: 1 (off-wall 1)"
+        assert data["kink_count"] == 13 and data["rejections"] == {"jump-gate": 0, "off-wall": 1, "flat": 0}
 
     def test_no_recovery_exit_code(self, inst_path, capsys):
         # a starved budget cannot even finish one scan line
