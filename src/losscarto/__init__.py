@@ -14,7 +14,6 @@ from .attack import (
     LossOracle,
     ReconstructionReport,
     detect_kinks_on_line,
-    one_d_warmup_oracle,
     recover_architecture,
     refine_kink,
     run_attack,
@@ -112,7 +111,6 @@ __all__ = [
     "loss",
     "make_loss_fn",
     "make_oracle",
-    "one_d_warmup_oracle",
     "recover_architecture",
     "refine_kink",
     "region_loss_polynomial",

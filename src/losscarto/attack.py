@@ -78,7 +78,9 @@ GRID = 257  # scan grid points per line: kinks a few cells apart stay separate
 T_RANGE = (-4.0, 4.0)  # scan interval along each unit-direction line
 MAX_KINKS_PER_LINE = 8  # strongest flagged cells refined per scan line
 DETECT_TOL = 12.0  # fourth difference over its rolling-median scale that flags a cell
-DEGREE = 4  # degree of refine_kink's one-sided models: a depth-3 loss is quartic on a line
+# degree of refine_kink's one-sided models: exact on the piecewise-quadratic path and warm-up losses
+# every pipeline scans today, and kept quartic for refine_kink on any line of a depth-3 loss
+DEGREE = 4
 REFINE_TOL = 1e-9  # widest settled bracket (check pair or bisection), near float noise on t
 SPURIOUS_TOL = 1e-7  # refine_kink's jump noise floors, relative to the loss scale
 JUMP_STEP = 1e-6  # central-difference step h of the gradient jump's batch
@@ -173,7 +175,7 @@ class KinkPoint:
     jump_agreement is |cos(J(s), J(s/2))| (see refine_kink and
     _gradient_jump).  rejection is why that measurement rejects the kink
     ('jump-gate' or 'off-wall'), and gradient_jump is then None.  All three
-    are None for a flat kink, or when the jump was not asked for.
+    are None exactly for a flat kink, which gets no jump batch.
     """
 
     t: float
@@ -186,22 +188,24 @@ class KinkPoint:
     rejection: str | None = None
 
 
-def _jump_pair(oracle: LossOracle, centers: np.ndarray, probes: np.ndarray):
-    """(J(s), J(s/2)) along each probe row, from one batch of 8 rows per probe.
+def _jump_pair(oracle: LossOracle, point: np.ndarray, unit: np.ndarray):
+    """(J(s), J(s/2)) over every coordinate, from one batch of 8 rows per coordinate.
 
-    centers (4, 1, N) are point + r*unit at r = s, -s, s/2, -s/2, unit the
-    unit line direction and s = JUMP_OFFSET.  J(r) is the central-difference
-    derivative along the probe (step JUMP_STEP) at point + r*unit minus the
-    one at point - r*unit.
+    The centers are point + r*unit at r = s, -s, s/2, -s/2, unit the unit
+    line direction and s = JUMP_OFFSET.  J(r) is the central-difference
+    gradient (step JUMP_STEP along each coordinate axis) at point + r*unit
+    minus the one at point - r*unit.
     """
-    k, n = probes.shape
+    n = len(point)
     h = JUMP_STEP
-    steps = h * probes
-    rows = np.empty((4, 2, k, n))
+    s = JUMP_OFFSET
+    centers = (point + np.array([s, -s, s / 2, -s / 2])[:, None] * unit)[:, None, :]  # (4, 1, N)
+    steps = h * np.eye(n)
+    rows = np.empty((4, 2, n, n))
     np.add(centers, steps, out=rows[:, 0])
     np.subtract(centers, steps, out=rows[:, 1])
-    ys = oracle.many(rows.reshape(-1, n)).reshape(4, 2, k)
-    grads = (ys[:, 0] - ys[:, 1]) / (2.0 * h)  # (4, k): at +s, -s, +s/2, -s/2
+    ys = oracle.many(rows.reshape(-1, n)).reshape(4, 2, n)
+    grads = (ys[:, 0] - ys[:, 1]) / (2.0 * h)  # (4, N): at +s, -s, +s/2, -s/2
     return grads[0] - grads[1], grads[2] - grads[3]
 
 
@@ -229,12 +233,9 @@ def _gradient_jump(oracle: LossOracle, point: np.ndarray, direction: np.ndarray,
     slope_jump over |d|: a ratio off by OFF_WALL_RATIO or more is
     'off-wall'.
     """
-    n = len(point)
-    s = JUMP_OFFSET
     norm = math.sqrt(float(np.dot(direction, direction)))
     unit = direction / norm
-    centers = (point + np.array([s, -s, s / 2, -s / 2])[:, None] * unit)[:, None, :]  # (4, 1, N)
-    jump, agreement = _richardson(*_jump_pair(oracle, centers, np.eye(n)))
+    jump, agreement = _richardson(*_jump_pair(oracle, point, unit))
     if agreement < JUMP_GATE:
         return None, agreement, "jump-gate"
     if not 1.0 / OFF_WALL_RATIO < abs(float(np.dot(jump, unit))) * norm / slope_jump < OFF_WALL_RATIO:
@@ -263,14 +264,7 @@ def _crossing(left: list[float], right: list[float]) -> float | None:
     return inside[0] if len(inside) == 1 else None
 
 
-def refine_kink(
-    oracle,
-    base,
-    direction,
-    bracket: tuple[float, float],
-    *,
-    measure_jump: bool = False,
-) -> KinkPoint:
+def refine_kink(oracle, base, direction, bracket: tuple[float, float]) -> KinkPoint:
     """Refine a bracketed kink at the crossing of its left/right local models.
 
     Fits exact interpolants just outside the bracket: their 2 * (DEGREE +
@@ -301,9 +295,9 @@ def refine_kink(
     settles the kink.  Only the oracle's budget caps them
     (QueryBudgetExceeded).
 
-    With measure_jump, a kink whose slope jump clears its noise floor then
-    gets its gradient jump (_gradient_jump): one more batch of 8N queries.
-    A flat kink gets none.
+    A kink whose slope jump clears its noise floor then gets its gradient
+    jump (_gradient_jump): one more batch of 8N queries.  A flat kink gets
+    none.
     """
     oracle = _as_oracle(oracle)
     base = np.asarray(base, dtype=float)
@@ -363,7 +357,7 @@ def refine_kink(
         )
     loc = base + t_star * direction
     gradient_jump = agreement = rejection = None
-    if measure_jump and jump > slope_floor:
+    if jump > slope_floor:
         J, agreement, rejection = _gradient_jump(oracle, loc, direction, jump)
         if J is not None:
             gradient_jump = tuple(J.tolist())
@@ -403,7 +397,6 @@ def detect_kinks_on_line(
     grid: int,
     *,
     max_kinks: int | None = None,
-    measure_jump: bool = False,
 ) -> list[KinkPoint]:
     """Scan a line for nonsmooth points of the loss.
 
@@ -422,12 +415,11 @@ def detect_kinks_on_line(
     max_kinks cells are refined.  Each refine costs its 2 * (DEGREE + 1)
     stencil, 2 for the check of its crossing guess, and the bisection
     steps the check leaves: at most ceil(log2(width / REFINE_TOL)), none
-    when the check settles the kink; plus 8N for the gradient jump when
-    measure_jump is set and the kink is not flat.  A bracket that proves
-    spurious is skipped; the oracle's budget running out ends the scan.
-    Kinks closer together than a few grid cells can merge or shadow each
-    other; the caller controls recall through grid and t_range.
-    measure_jump goes to refine_kink.
+    when the check settles the kink; plus 8N for the gradient jump unless
+    the kink is flat.  A bracket that proves spurious is skipped; the
+    oracle's budget running out ends the scan.  Kinks closer together than
+    a few grid cells can merge or shadow each other; the caller controls
+    recall through grid and t_range.
     """
     oracle = _as_oracle(oracle)
     base = np.asarray(base, dtype=float)
@@ -471,7 +463,7 @@ def detect_kinks_on_line(
         center = cell + 2
         lo_t, hi_t = float(ts[center - 1]), float(ts[center + 1])
         try:
-            kink = refine_kink(oracle, base, direction, (lo_t, hi_t), measure_jump=measure_jump)
+            kink = refine_kink(oracle, base, direction, (lo_t, hi_t))
         except SpuriousKinkError:
             continue
         out.append(kink)
@@ -479,7 +471,8 @@ def detect_kinks_on_line(
     return out
 
 
-# No pipeline calls this; it stays while bench/tracing.py wraps it by name.
+# No pipeline calls this; it stays while bench/tracing.py wraps it by name.  Its rescans pay for a
+# gradient jump batch per first-order kink, which it never reads.
 def harvest_sheet_points(
     oracle,
     kink: KinkPoint,
@@ -494,7 +487,6 @@ def harvest_sheet_points(
     norm at most radius, rescanning a short window around the seed t and
     refining the nearest kink.  A lost or drifted kink is retried with a
     fresh, smaller offset up to RETRIES extra times, then HarvestError.
-    Only locations are needed, so the rescans measure no gradient jumps.
     """
     base = np.asarray(kink.line[0], dtype=float)
     direction = np.asarray(kink.line[1], dtype=float)
@@ -881,8 +873,7 @@ def run_attack(
             direction = rng.normal(size=input_dim)
             direction /= np.linalg.norm(direction)
             kinks = detect_kinks_on_line(
-                counted, base, direction, T_RANGE, GRID,
-                max_kinks=MAX_KINKS_PER_LINE, measure_jump=True,
+                counted, base, direction, T_RANGE, GRID, max_kinks=MAX_KINKS_PER_LINE
             )
             for kink in kinks:
                 report.kinks.append((line_id, kink.t, kink.jump_magnitude))
@@ -913,18 +904,3 @@ def run_attack(
         report.matches = _match_directions(report.directions, true_inputs)
     report.oracle_queries = counted.query_count
     return report
-
-
-def one_d_warmup_oracle(pairs: Sequence[tuple[float, float]], budget: int | None = None) -> LossOracle:
-    """N=1 oracle h(a) = sum_i (1/2) max(0, y_i - a x_i)^2.
-
-    The same function is the [2,1,1] network loss restricted to the line
-    w = (-a, 1, 1); its kinks sit at the ratios a = y_i / x_i.
-    """
-    pts = [(float(x), float(y)) for x, y in pairs]
-
-    def h(w) -> float:
-        a = float(np.asarray(w, dtype=float).reshape(-1)[0])
-        return math.fsum(0.5 * max(0.0, y - a * x) ** 2 for x, y in pts)
-
-    return LossOracle(h, budget=budget)

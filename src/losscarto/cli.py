@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 
 import numpy as np
@@ -48,9 +49,6 @@ from .surface import (
     sheet_report,
 )
 from .virtual import factorize, virtual_polynomial
-
-_CHECKS = ("homogeneity", "piecewise", "factorization")
-
 
 class UsageError(Exception):
     pass
@@ -200,6 +198,13 @@ def _check_factorization(inst: Instance, probes: int, rng) -> tuple[int, int]:
     return ok, done
 
 
+_CHECKS = {
+    "homogeneity": _check_homogeneity,
+    "piecewise": _check_piecewise,
+    "factorization": _check_factorization,
+}
+
+
 def _cmd_gen(ns) -> int:
     widths = _parse_widths(ns.widths)
     if ns.samples < 1:
@@ -222,17 +227,10 @@ def _cmd_verify(ns) -> int:
     if ns.probes < 1:
         raise UsageError("--probes must be positive")
     inst = load_instance(ns.instance)
-    import random as _random
-
-    rng = _random.Random(ns.seed)
-    runners = {
-        "homogeneity": _check_homogeneity,
-        "piecewise": _check_piecewise,
-        "factorization": _check_factorization,
-    }
+    rng = random.Random(ns.seed)
     failed = False
     for name in names:
-        ok, total = runners[name](inst, ns.probes, rng)
+        ok, total = _CHECKS[name](inst, ns.probes, rng)
         status = "ok" if ok == total and total > 0 else "FAIL"
         if status == "FAIL":
             failed = True

@@ -32,6 +32,7 @@ All types here are immutable; functions are pure.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -113,20 +114,11 @@ class NetworkShape:
             raise IndexError(f"target node {j} out of range 1..{self.widths[k]}")
         return self._offsets[k - 1] + (j - 1) * self.widths[k - 1] + (i - 1)
 
-    def unpack(self, flat: int) -> tuple[int, int, int]:
-        """Inverse of index_of: flat -> (k, i, j)."""
-        if not 0 <= flat < self.weight_count:
-            raise IndexError(f"flat index {flat} out of range 0..{self.weight_count - 1}")
-        for k in range(1, self.depth):
-            if flat < self._offsets[k]:
-                rel = flat - self._offsets[k - 1]
-                j, i = divmod(rel, self.widths[k - 1])
-                return k, i + 1, j + 1
-        raise AssertionError("unreachable")
-
     def weight_layer_of(self, flat: int) -> int:
         """Weight layer k owning the flat index."""
-        return self.unpack(flat)[0]
+        if not 0 <= flat < self.weight_count:
+            raise IndexError(f"flat index {flat} out of range 0..{self.weight_count - 1}")
+        return bisect.bisect_right(self._offsets, flat)
 
     def layer_slice(self, k: int) -> slice:
         """Slice of the flat vector holding weight layer k."""

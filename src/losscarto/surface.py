@@ -212,6 +212,8 @@ def wall_between(
     pieces differ.
     """
     check_samples(shape, samples)
+    if not len(r1.activation_sets) == len(r2.activation_sets) == len(samples):
+        raise ShapeError("regions do not cover the sample list")
     diffs: list[tuple[int, tuple[int, int]]] = []
     for p, (a, b) in enumerate(zip(r1.activation_sets, r2.activation_sets)):
         for k in range(2, shape.depth):

@@ -26,7 +26,6 @@ from losscarto import (
     loss,
     make_loss_fn,
     make_oracle,
-    one_d_warmup_oracle,
     recover_architecture,
     region_loss_polynomial,
     region_of,
@@ -47,10 +46,12 @@ def _report(n: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_warmup_kinks():
+    # h(a) is the [2,1,1] network's loss along w = (-a, 1, 1): the line (0, 1, 1) + t (-1, 0, 0)
     pairs = [(1.0, 2.0), (3.0, 1.0)]
-    oracle = one_d_warmup_oracle(pairs, budget=1000)
+    samples = [TrainingSample((x, y), (0.0,)) for x, y in pairs]
+    oracle = LossOracle(make_loss_fn(NetworkShape([2, 1, 1]), samples), budget=1000)
     t0 = time.time()
-    kinks = detect_kinks_on_line(oracle, [0.0], [1.0], (-4.0, 4.0), 257)
+    kinks = detect_kinks_on_line(oracle, [0.0, 1.0, 1.0], [-1.0, 0.0, 0.0], (-4.0, 4.0), 257)
     elapsed = time.time() - t0
     ts = sorted(k.t for k in kinks)
     ok = (

@@ -22,8 +22,8 @@ from losscarto import (
     detect_kinks_on_line,
     enumerate_singular_sheets,
     gen_instance,
+    make_loss_fn,
     make_oracle,
-    one_d_warmup_oracle,
     recover_architecture,
     refine_kink,
     run_attack,
@@ -41,6 +41,25 @@ from losscarto.errors import DegeneracyError
 V = Poly.variable
 F = Fraction
 REFERENCES = Path(__file__).resolve().parent.parent / "bench" / "references.json"
+# the warm-up line: at w = (-a, 1, 1) the [2,1,1] network's loss is h(a), so t = a
+WARMUP_BASE, WARMUP_DIRECTION = [0.0, 1.0, 1.0], [-1.0, 0.0, 0.0]
+
+
+def warmup_oracle(pairs, budget=None):
+    """The [2,1,1] loss with one sample ((x, y), (0,)) per pair, h(a) on the warm-up line."""
+    samples = [TrainingSample((x, y), (0.0,)) for x, y in pairs]
+    return LossOracle(make_loss_fn(NetworkShape([2, 1, 1]), samples), budget=budget)
+
+
+def fsum_warmup(pairs):
+    """h(a) = sum_i (1/2) max(0, y_i - a x_i)^2 in its own loop, the reference for the network line."""
+    pts = [(float(x), float(y)) for x, y in pairs]
+
+    def h(w) -> float:
+        a = float(np.asarray(w, dtype=float).reshape(-1)[0])
+        return math.fsum(0.5 * max(0.0, y - a * x) ** 2 for x, y in pts)
+
+    return LossOracle(h)
 
 
 class TestLossOracle:
@@ -197,12 +216,28 @@ class TestDetectRefine:
         assert len(kinks) == 1 and abs(kinks[0].t - 1.0) < 1e-8
 
     def test_negative_max_kinks_is_rejected_before_any_query(self):
-        oracle = one_d_warmup_oracle([(1.0, 2.0), (3.0, 1.0), (-2.0, 1.5)])
+        oracle = warmup_oracle([(1.0, 2.0), (3.0, 1.0), (-2.0, 1.5)])
+        line = (WARMUP_BASE, WARMUP_DIRECTION, (-4, 4), 257)
         with pytest.raises(ValueError, match="max_kinks"):
-            detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257, max_kinks=-1)
+            detect_kinks_on_line(oracle, *line, max_kinks=-1)
         assert oracle.query_count == 0
-        assert detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), 257, max_kinks=0) == []
+        assert detect_kinks_on_line(oracle, *line, max_kinks=0) == []
         assert oracle.query_count == 257  # the grid alone
+
+    @pytest.mark.parametrize("pairs,queries", [
+        ([(1.0, 2.0), (3.0, 1.0)], 305),
+        ([(1.0, 2.0), (3.0, 1.0), (-2.0, 1.5)], 352),
+    ], ids=["criterion-1", "demo-01"])
+    def test_warmup_line_matches_its_own_loop(self, pairs, queries):
+        # the network's loss on the warm-up line against h(a) summed in its own loop: the
+        # same kinks bit for bit, for the same queries, and no flat kink gets a jump batch
+        net, ref = warmup_oracle(pairs), fsum_warmup(pairs)
+        got = detect_kinks_on_line(net, WARMUP_BASE, WARMUP_DIRECTION, (-4.0, 4.0), 257)
+        want = detect_kinks_on_line(ref, [0.0], [1.0], (-4.0, 4.0), 257)
+        assert len(got) == len(pairs)
+        assert [(k.t, k.curvature_jump) for k in got] == [(k.t, k.curvature_jump) for k in want]
+        assert net.query_count == ref.query_count == queries
+        assert all(k.gradient_jump is k.jump_agreement is k.rejection is None for k in got)
 
     @pytest.mark.parametrize(
         "a,b",
@@ -339,7 +374,7 @@ class TestGradientJump:
 
         spy.batched = True
         oracle = LossOracle(spy)
-        kink = refine_kink(oracle, base, direction, bracket, measure_jump=True)
+        kink = refine_kink(oracle, base, direction, bracket)
         assert abs(float(n @ np.asarray(kink.location))) < 1e-8
         assert oracle.query_count == stencil_check + 8 * 5
         # one batch each: stencil, check, and the jump's 8 rows per coordinate of the line
@@ -348,17 +383,24 @@ class TestGradientJump:
         J = np.asarray(kink.gradient_jump)
         assert np.allclose(J, 2 * n if float(J @ n) > 0 else -2 * n, atol=1e-6)
         assert kink.jump_agreement > 1.0 - 1e-9 and kink.rejection is None
-        without = LossOracle(f)
-        bare = refine_kink(without, base, direction, bracket)
-        assert without.query_count == stencil_check and bare.gradient_jump is None
-        assert bare.rejection is None and bare.t == kink.t
+        # an unbatched oracle is asked row by row: the same queries and the same kink, bit for bit
+        rows = LossOracle(f)
+        assert refine_kink(rows, base, direction, bracket) == kink
+        assert rows.query_count == stencil_check + 8 * 5
 
     def test_flat_kink_gets_no_jump(self):
         direction = np.ones(4) / 2.0
-        oracle = LossOracle(flat_walls)
-        kinks = detect_kinks_on_line(oracle, [1.0, 2.0, 3.0, 4.0], direction, (-9, 0), 257,
-                                     measure_jump=True)
+        batches = []
+
+        def spy(W):
+            batches.append(len(W))
+            return flat_walls(W)
+
+        spy.batched = True
+        kinks = detect_kinks_on_line(LossOracle(spy), [1.0, 2.0, 3.0, 4.0], direction, (-9, 0), 257)
         assert [round(k.t, 5) for k in kinks] == [-8.0, -6.0, -4.0, -2.0]
+        assert 8 * 4 not in batches  # no jump batch
+        assert all(k.rejection is None for k in kinks)
         assert all(k.gradient_jump is None for k in kinks)
         assert all(k.jump_agreement is None for k in kinks)
 
@@ -378,8 +420,7 @@ class TestGradientJump:
             return abs(w[0] - c0) + abs(w[1] - c1) + 0.1 * float(w @ w)
 
         # the jump batch's two offsets decide
-        kinks = detect_kinks_on_line(LossOracle(two_walls), np.zeros(4), direction, (-4, 4), 257,
-                                     measure_jump=True)
+        kinks = detect_kinks_on_line(LossOracle(two_walls), np.zeros(4), direction, (-4, 4), 257)
         assert len(kinks) == 1 and abs(kinks[0].t - t1) < 1e-5
         assert (kinks[0].jump_agreement < attack_module.JUMP_GATE) is gated
         assert kinks[0].rejection == ("jump-gate" if gated else None)
@@ -399,11 +440,12 @@ def plane_kink_oracle(normal, smooth_scale=0.1):
     return f
 
 
-def bisection_refine_kink(oracle, base, direction, bracket, *, measure_jump=False):
+def bisection_refine_kink(oracle, base, direction, bracket):
     """refine_kink as pure bisection against np.polynomial fits: the reference.
 
-    The same stencil, spurious test and gradient jump as refine_kink, but no
-    crossing guess and no check: every step queries the bracket's midpoint.
+    The same stencil, spurious test and gradient jump as refine_kink (a
+    kink whose slope jumps gets it, a flat one does not), but no crossing
+    guess and no check: every step queries the bracket's midpoint.
     """
     oracle = attack_module._as_oracle(oracle)
     base = np.asarray(base, dtype=float)
@@ -434,7 +476,7 @@ def bisection_refine_kink(oracle, base, direction, bracket, *, measure_jump=Fals
         raise SpuriousKinkError("no kink in bracket")
     loc = base + m * direction
     gradient_jump = agreement = rejection = None
-    if measure_jump and jump > slope_floor:
+    if jump > slope_floor:
         J, agreement, rejection = attack_module._gradient_jump(oracle, loc, direction, jump)
         if J is not None:
             gradient_jump = tuple(float(v) for v in J)
@@ -485,7 +527,7 @@ def random_line_kinks(oracle, n_weights, n_lines=12, seed=0):
         direction = rng.normal(size=n_weights)
         direction /= np.linalg.norm(direction)
         kinks += detect_kinks_on_line(oracle, base, direction, attack_module.T_RANGE,
-                                      attack_module.GRID, max_kinks=3, measure_jump=True)
+                                      attack_module.GRID, max_kinks=3)
     return kinks
 
 
@@ -643,7 +685,7 @@ class TestJumpAgainstFullJump:
         # every jump cancels: each measured kink is a jump-gate rejection, and no zero
         # normal reaches the direction reading, which would divide by its norm
         monkeypatch.setattr(attack_module, "_jump_pair",
-                            lambda oracle, centers, probes: (np.full(len(probes), 2.0), np.ones(len(probes))))
+                            lambda oracle, point, unit: (np.full(len(point), 2.0), np.ones(len(point))))
         inst = gen_instance([3, 4, 2], 5, 7)
         report = run_attack(make_oracle(inst), inst.shape.weight_count, 3, AttackConfig(n_lines=2))
         assert report.rejections["jump-gate"] == len(report.kinks) > 0 and not report.directions
@@ -899,10 +941,14 @@ def test_recall_meets_bench_references(name, counts):
 
 class TestAttackPipeline:
     def test_warmup_oracle_values(self):
-        oracle = one_d_warmup_oracle([(1.0, 2.0), (3.0, 1.0)])
-        assert oracle([0.0]) == pytest.approx(2.5)  # 0.5*4 + 0.5*1
-        assert oracle([-1.0]) == pytest.approx(12.5)  # 0.5*9 + 0.5*16
-        assert oracle([5.0]) == pytest.approx(0.0)  # both hinges inactive
+        oracle = warmup_oracle([(1.0, 2.0), (3.0, 1.0)])
+
+        def h(a):
+            return oracle(np.add(WARMUP_BASE, np.multiply(a, WARMUP_DIRECTION)))
+
+        assert h(0.0) == pytest.approx(2.5)  # 0.5*4 + 0.5*1
+        assert h(-1.0) == pytest.approx(12.5)  # 0.5*9 + 0.5*16
+        assert h(5.0) == pytest.approx(0.0)  # both hinges inactive
         assert oracle.query_count == 3
 
     def test_run_attack_deterministic(self):
@@ -1085,11 +1131,11 @@ class TestAttackPipeline:
         # gets one jump batch, 8 rows per coordinate of its line, whatever its verdict.
         inst = gen_instance([3, 4, 2], 5, 7)
         measure, judge = attack_module._jump_pair, attack_module._gradient_jump
-        probes, verdicts = [], []  # probe rows per _jump_pair; (rejection, its probe rows)
+        probes, verdicts = [], []  # coordinates per _jump_pair; (rejection, its coordinates)
 
-        def counted_pair(oracle, centers, rows):
-            probes.append(len(rows))
-            return measure(oracle, centers, rows)
+        def counted_pair(oracle, point, unit):
+            probes.append(len(point))
+            return measure(oracle, point, unit)
 
         def judged(*args):
             first = len(probes)

@@ -52,7 +52,7 @@ class TestIndexing:
         assert len(order) == s.weight_count
         for flat, (k, i, j) in enumerate(order):
             assert s.index_of(k, i, j) == flat
-            assert s.unpack(flat) == (k, i, j)
+            assert s.weight_layer_of(flat) == k
 
     @given(shapes)
     def test_layer_slice_partition(self, s):
@@ -70,7 +70,9 @@ class TestIndexing:
         with pytest.raises(IndexError):
             s.index_of(2, 1, 2)  # target out of range in the last layer
         with pytest.raises(IndexError):
-            s.unpack(6)
+            s.weight_layer_of(6)
+        with pytest.raises(IndexError):
+            s.weight_layer_of(-1)
 
     def test_bad_widths(self):
         with pytest.raises(ShapeError):

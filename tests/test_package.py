@@ -10,6 +10,7 @@ pinned here too, and one short traced benchmark run checks them end to end.
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import shutil
@@ -87,13 +88,39 @@ def _attack_config_keywords(path: Path) -> set[str]:
     return keys
 
 
+def _callers() -> list[Path]:
+    """The package, the demos and the benchmark: every caller outside the tests."""
+    return sorted((ROOT / "src" / "losscarto").glob("*.py")) + DEMOS + sorted((ROOT / "bench").glob("*.py"))
+
+
 def test_every_attack_config_field_has_a_setter():
     # a setting no caller outside the tests sets is a module constant, not a field
-    files = sorted((ROOT / "src" / "losscarto").glob("*.py")) + DEMOS
-    files += sorted((ROOT / "bench").glob("*.py"))
-    set_somewhere = set().union(*map(_attack_config_keywords, files))
+    set_somewhere = set().union(*map(_attack_config_keywords, _callers()))
     fields = set(losscarto.AttackConfig.__dataclass_fields__)
     assert sorted(fields - set_somewhere) == []
+
+
+def _keywords_passed(path: Path) -> set[tuple[str, str]]:
+    """(function, keyword) for every call f(..., keyword=...) or obj.f(..., keyword=...)."""
+    passed = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            passed.update((name, kw.arg) for kw in node.keywords if kw.arg)
+    return passed
+
+
+def test_every_keyword_only_option_has_a_setter():
+    # an option of an exported function that only the tests set does nothing for a user
+    options = {
+        (name, param.name)
+        for name in losscarto.__all__
+        if inspect.isfunction(getattr(losscarto, name))
+        for param in inspect.signature(getattr(losscarto, name)).parameters.values()
+        if param.kind is inspect.Parameter.KEYWORD_ONLY
+    }
+    passed = set().union(*map(_keywords_passed, _callers()))
+    assert options and sorted(options - passed) == []
 
 
 def test_one_forward_pass():

@@ -16,6 +16,7 @@ from losscarto import (
     Poly,
     Region,
     SamplingError,
+    ShapeError,
     TrainingSample,
     ZeroVirtualPolynomialError,
     enumerate_singular_sheets,
@@ -243,6 +244,20 @@ class TestWalls:
         r2 = across(across(r, 0, (1, 2)), 0, (2, 2))
         with pytest.raises(AdjacencyError):
             wall_between(s, samples, r, r2)
+
+    def test_regions_must_cover_the_sample_list(self):
+        # as region_loss_polynomial does: neither a bare IndexError on sample 1
+        # nor a sheet for a sample list the regions do not describe
+        s = NetworkShape([2, 2, 1])
+        samples = sample_221() + [TrainingSample((F(-1), F(3)), (F(0),))]
+        r = self._region(s, samples, (F(1), F(1), F(1), F(1), F(1), F(1)))
+        for p in (0, 1):
+            with pytest.raises(ShapeError):
+                wall_between(s, samples[:1], r, across(r, p, (2, 2)))
+        one = self._region(s, samples[:1], r.witness)
+        with pytest.raises(ShapeError):
+            wall_between(s, samples, one, across(one, 0, (1, 2)))
+        assert wall_between(s, samples, r, across(r, 1, (2, 2))).sample_index == 1
 
     def test_dead_downstream_wall_is_smooth(self):
         # flipping a layer-2 node whose layer-3 successors are all negative
