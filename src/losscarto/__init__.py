@@ -15,7 +15,6 @@ from .attack import (
     ReconstructionReport,
     detect_kinks_on_line,
     recover_architecture,
-    refine_kink,
     run_attack,
 )
 from .errors import (
@@ -112,7 +111,6 @@ __all__ = [
     "make_loss_fn",
     "make_oracle",
     "recover_architecture",
-    "refine_kink",
     "region_loss_polynomial",
     "region_of",
     "run_attack",

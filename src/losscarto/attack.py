@@ -2,10 +2,9 @@
 
 The pipeline mirrors how the loss surface is built: training inputs show
 up as the coefficient vectors of the linear walls, so the attack scans
-lines for kinks, refines each kink against left/right local polynomial
-models (a crossing guess, a two-query check, a bisection fallback),
-measures the wall normal, gates it and reads the input direction off the
-normal's support.
+lines for kinks, places each where the exact polynomial pieces on either
+side meet (no bisection), measures the wall normal, gates it and reads
+the input direction off the normal's support.
 
 run_attack chooses where it looks.  It scans the path loss
 v -> E(v, 1, ..., 1): the first d_1 flat weights (row 1 of W_1, into
@@ -14,23 +13,22 @@ above layer 2 then gets a non-negative input and passes it on, so the
 net computes A * relu(v . x_p) + B_p for each sample p, with A > 0 and
 B_p fixed.  In v the loss is piecewise quadratic with exactly one wall
 v . x_p = 0 per sample and no deep wall, and each wall's normal is its
-sample's input.  The scan, refine and jump below run unchanged on that
-d_1-variable oracle, with N' = d_1.  The all-ones weights are a
-layout-free choice.  They need no knowledge of the widths past d_1, but
-at very wide shapes (such as [8,30,30,30,4]) they make the loss so large
-that kinks read as flat; weights chosen from the recovered layout would
-not, and wait on a black-box architecture walk.
+sample's input.  The scan and jump below run unchanged on that
+d_1-variable oracle, with N' = d_1 and degree 2.  The all-ones weights
+are a layout-free choice.  They need no knowledge of the widths past
+d_1, but at very wide shapes (such as [8,30,30,30,4]) they make the loss
+so large that kinks read as flat; weights chosen from the recovered
+layout would not, and wait on a black-box architecture walk.
 
 The normal is the kink's gradient jump.  Across the path wall v . x_p = 0
 the loss pieces differ by (v . x_p) * G, so on the wall the gradient in v
-jumps by G * x_p: the input itself, times a scalar.  refine_kink measures
-that jump in one oracle batch of central differences on both sides of the
-wall, 8 rows per coordinate of the line, Richardson-extrapolated over two
-offsets (_gradient_jump).  A jump whose two offsets disagree in direction
-is rejected as jump-gate, and one whose J . d misses the models' slope
-jump, a refine that settled off its wall, as off-wall.  run_attack reads
-every other jump as an input direction.  A flat kink, one whose slope
-does not jump, has no jump to read and is rejected as flat.
+jumps by G * x_p: the input itself, times a scalar.  The scan measures
+it with central differences on both sides of the wall, Richardson-
+extrapolated over two offsets (_gradient_jumps).  A jump whose offsets
+disagree in direction is rejected as jump-gate, one whose J . d misses
+the models' slope jump as off-wall, and a flat kink, whose slope does
+not jump, as flat.  run_attack reads every other jump as an input
+direction.
 
 Everything here is double precision; exact algebra stays in polyalg.
 run_attack is black-box: it sees only the oracle, the parameter count N
@@ -38,20 +36,17 @@ and the input arity d_1, never the sample list or the architecture.
 
 The oracle is any callable w -> E(w).  LossOracle counts its queries,
 enforces the budget and raises NonFiniteLossError on a NaN or infinite
-value, so no such value reaches a fit or a median.  A batch-capable
-oracle (one with a true ``batched`` attribute, as make_loss_fn returns)
-gets each scan grid, each refine stencil, each refine's 2-row check and
-each jump batch as one (Q, N) array through LossOracle.many;
-bisection steps stay single queries.  Any other callable is asked one row
-at a time, with the same queries, counts and results.  run_attack's path
-oracle keeps the oracle's batching, and each path row is one query.
+value, so no such value reaches a fit.  A batch-capable oracle (one with
+a true ``batched`` attribute, as make_loss_fn returns) gets one (Q, N)
+array per round of a line's scan through LossOracle.many.  Any other
+callable is asked one row at a time, with the same queries, counts and
+results.  run_attack's path oracle keeps the oracle's batching, and
+each path row is one query.
 
 AttackConfig holds what a caller sets: the query budget, the number of
 scan lines and the seed.  The fineness of the scan, the reach of the
 jump stencil and the strictness of the gates are fixed heuristics, the
-module constants below; the functions read them at call time, except
-that DEGREE also fixes refine_kink's interpolation matrices when the
-module is imported.
+module constants below, which the functions read at call time.
 """
 
 from __future__ import annotations
@@ -62,7 +57,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegeneracyError,
@@ -74,15 +68,14 @@ from .errors import (
 )
 from .polyalg import Poly
 
-GRID = 257  # scan grid points per line: kinks a few cells apart stay separate
+GRID = 33  # scan grid points per line; subdivision parts kinks closer than a spacing
 T_RANGE = (-4.0, 4.0)  # scan interval along each unit-direction line
-MAX_KINKS_PER_LINE = 8  # strongest flagged cells refined per scan line
-DETECT_TOL = 12.0  # fourth difference over its rolling-median scale that flags a cell
-# degree of refine_kink's one-sided models: exact on the piecewise-quadratic path and warm-up losses
-# every pipeline scans today, and kept quartic for refine_kink on any line of a depth-3 loss
-DEGREE = 4
-REFINE_TOL = 1e-9  # widest settled bracket (check pair or bisection), near float noise on t
-SPURIOUS_TOL = 1e-7  # refine_kink's jump noise floors, relative to the loss scale
+ROUNDS = 12  # most subdivision rounds of one scan
+MIN_CELL = 1e-7  # narrowest cell a scan splits
+EXACT_TOL = 1e-10  # window tolerance relative to the loss, above float64 noise on exact pieces
+NOISE_FACTOR = 100.0  # heuristic (so labelled in reports): noisy-oracle window tolerance, in noise floors
+REFINE_TOL = 1e-9  # least gap of a crossing's check pair, near float noise on t
+SPURIOUS_TOL = 1e-7  # the scan's jump noise floors, relative to the loss scale
 JUMP_STEP = 1e-6  # central-difference step h of the gradient jump's batch
 JUMP_OFFSET = 1e-4  # distance s of the jump's gradients from the wall; also taken at s / 2
 JUMP_GATE = 0.999  # heuristic (so labelled in reports): least |cos(J(s), J(s/2))| accepted
@@ -93,14 +86,6 @@ DEGENERACY_TOL = 1e-10  # least s[N-2] / s[0] of a point cloud fit_hyperplane ac
 SUPPORT_TOL = 1e-4  # normal entries below this share of the largest are numerical dust
 DEDUP_TOL = 1e-6  # directions with |cos| >= 1 - DEDUP_TOL are one direction
 MATCH_THRESHOLD = 0.999  # |cos| at which a direction counts as a recovered sample
-
-# refine_kink's models in the bracket's own coordinate x = (t - mid) / h, h = width / DEGREE: the
-# bracket is |x| < DEGREE / 2, the left nodes sit at -(DEGREE / 2 + j) and the right ones at
-# DEGREE / 2 + j, so each side's ascending coefficients are its values times one of these
-_NODES = DEGREE / 2 + np.arange(DEGREE + 1)
-_LEFT_INVERSE = np.linalg.inv(np.vander(-_NODES, increasing=True))
-_RIGHT_INVERSE = np.linalg.inv(np.vander(_NODES, increasing=True))
-
 
 class LossOracle:
     """Callable loss wrapper with a query counter and optional hard budget.
@@ -156,26 +141,25 @@ def _as_oracle(oracle) -> LossOracle:
 
 @dataclass(frozen=True)
 class KinkPoint:
-    """A refined nonsmooth point on a scan line.
+    """A nonsmooth point on a scan line.
 
     t is the kink's coordinate along the line, location = base + t *
     direction, in the coordinates of the oracle that was scanned: for the
     kinks of run_attack, path coordinates v in d_1 dimensions (the full
     weight vector is v followed by N - d_1 ones).
 
-    jump_magnitude is the slope jump |f'(t+) - f'(t-)|.  It is zero up to
-    noise for a second-order kink (curvature jump only), which is how the
-    loss behaves across a wall where the residual happens to vanish; the
-    curvature jump is then the signal.  t is good to about REFINE_TOL
-    where the slope jumps; at a flat (C^1) kink only to about the square
-    root of the loss noise (~1e-6 in demo 01), see refine_kink.
+    jump_magnitude is the slope jump |f'(t+) - f'(t-)| of the two side
+    models at t, and curvature_jump their curvature jump, the signal of a
+    flat (C^1) kink, whose slope does not jump.  t is where the models
+    cross, or for a flat kink where their slopes meet: good to float
+    noise on exact pieces.
 
     gradient_jump is the Richardson jump J = 2 J(s/2) - J(s) of the loss
     gradient across the kink, over every coordinate of the line, and
-    jump_agreement is |cos(J(s), J(s/2))| (see refine_kink and
-    _gradient_jump).  rejection is why that measurement rejects the kink
-    ('jump-gate' or 'off-wall'), and gradient_jump is then None.  All three
-    are None exactly for a flat kink, which gets no jump batch.
+    jump_agreement is |cos(J(s), J(s/2))| (see _gradient_jumps).
+    rejection is why that measurement rejects the kink ('jump-gate' or
+    'off-wall'), and gradient_jump is then None.  All three are None
+    exactly for a flat kink, which gets no jump batch.
     """
 
     t: float
@@ -188,25 +172,25 @@ class KinkPoint:
     rejection: str | None = None
 
 
-def _jump_pair(oracle: LossOracle, point: np.ndarray, unit: np.ndarray):
-    """(J(s), J(s/2)) over every coordinate, from one batch of 8 rows per coordinate.
+def _jump_pairs(oracle: LossOracle, points: np.ndarray, unit: np.ndarray):
+    """(J(s), J(s/2)) at each of the (K, N) points, from one batch of 8 rows per coordinate each.
 
     The centers are point + r*unit at r = s, -s, s/2, -s/2, unit the unit
     line direction and s = JUMP_OFFSET.  J(r) is the central-difference
     gradient (step JUMP_STEP along each coordinate axis) at point + r*unit
     minus the one at point - r*unit.
     """
-    n = len(point)
+    k, n = points.shape
     h = JUMP_STEP
     s = JUMP_OFFSET
-    centers = (point + np.array([s, -s, s / 2, -s / 2])[:, None] * unit)[:, None, :]  # (4, 1, N)
+    centers = (points[:, None, :] + np.array([s, -s, s / 2, -s / 2])[:, None] * unit)[:, :, None, :]
     steps = h * np.eye(n)
-    rows = np.empty((4, 2, n, n))
-    np.add(centers, steps, out=rows[:, 0])
-    np.subtract(centers, steps, out=rows[:, 1])
-    ys = oracle.many(rows.reshape(-1, n)).reshape(4, 2, n)
-    grads = (ys[:, 0] - ys[:, 1]) / (2.0 * h)  # (4, N): at +s, -s, +s/2, -s/2
-    return grads[0] - grads[1], grads[2] - grads[3]
+    rows = np.empty((k, 4, 2, n, n))
+    np.add(centers, steps, out=rows[:, :, 0])
+    np.subtract(centers, steps, out=rows[:, :, 1])
+    ys = oracle.many(rows.reshape(-1, n)).reshape(k, 4, 2, n)
+    grads = (ys[:, :, 0] - ys[:, :, 1]) / (2.0 * h)  # (K, 4, N): at +s, -s, +s/2, -s/2
+    return grads[:, 0] - grads[:, 1], grads[:, 2] - grads[:, 3]
 
 
 def _richardson(jump_s: np.ndarray, jump_half: np.ndarray):
@@ -224,202 +208,194 @@ def _richardson(jump_s: np.ndarray, jump_half: np.ndarray):
     return jump, min(1.0, abs(float(np.dot(jump_s, jump_half))) / norms)
 
 
-def _gradient_jump(oracle: LossOracle, point: np.ndarray, direction: np.ndarray, slope_jump: float):
-    """(J, agreement, None) across the wall at point, or (None, agreement, rejection).
+def _gradient_jumps(oracle: LossOracle, points: np.ndarray, direction: np.ndarray, slope_jumps):
+    """(J, agreement, None) across the wall at each point, or (None, agreement, rejection).
 
-    One batch of 8 rows per coordinate of the line measures J over every
-    coordinate.  A jump whose agreement is below JUMP_GATE is 'jump-gate'.
-    On the wall, J . d (d the line's unit direction) is the models'
-    slope_jump over |d|: a ratio off by OFF_WALL_RATIO or more is
-    'off-wall'.
+    One batch of 8 rows per coordinate of the line and point measures every
+    J.  A jump whose agreement is below JUMP_GATE is 'jump-gate'.  On the
+    wall, J . d (d the line's unit direction) is the models' slope jump
+    over |d|: a ratio off by OFF_WALL_RATIO or more is 'off-wall'.
     """
     norm = math.sqrt(float(np.dot(direction, direction)))
     unit = direction / norm
-    jump, agreement = _richardson(*_jump_pair(oracle, point, unit))
-    if agreement < JUMP_GATE:
-        return None, agreement, "jump-gate"
-    if not 1.0 / OFF_WALL_RATIO < abs(float(np.dot(jump, unit))) * norm / slope_jump < OFF_WALL_RATIO:
-        return None, agreement, "off-wall"
-    return jump, agreement, None
+    verdicts = []
+    for jump_s, jump_half, slope_jump in zip(*_jump_pairs(oracle, points, unit), slope_jumps):
+        jump, agreement = _richardson(jump_s, jump_half)
+        if agreement < JUMP_GATE:
+            verdicts.append((None, agreement, "jump-gate"))
+        elif not 1.0 / OFF_WALL_RATIO < abs(float(np.dot(jump, unit))) * norm / slope_jump < OFF_WALL_RATIO:
+            verdicts.append((None, agreement, "off-wall"))
+        else:
+            verdicts.append((jump, agreement, None))
+    return verdicts
 
 
-def _horner(coeffs: list[float], x: float) -> tuple[float, float, float]:
-    """(p(x), p'(x), p''(x)) of the polynomial with ascending coeffs, by Horner."""
+def _window_errors(ts: np.ndarray, ys: np.ndarray, degree: int) -> np.ndarray:
+    """Each window of degree + 2 points' error at its last point of the interpolant through the rest.
+
+    The top divided difference times the node product, over the window's
+    largest |y|, as float noise is relative (0 where all are 0).
+    """
+    d = ys
+    for k in range(1, degree + 2):
+        d = (d[1:] - d[:-1]) / (ts[k:] - ts[:-k])
+    last = ts[degree + 1 :]
+    size = np.abs(ys[: len(last)])
+    for j in range(degree + 1):
+        d = d * (last - ts[j : j + len(last)])
+        size = np.maximum(size, np.abs(ys[j + 1 : j + 1 + len(last)]))
+    return np.abs(d) / np.where(size > 0.0, size, 1.0)
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray):
+    """(p(x), p'(x), p''(x)) of each row's ascending coeffs (K, m) at x (K,)."""
     p = d1 = d2 = 0.0  # d2 accumulates p''(x) / 2
-    for c in reversed(coeffs):
+    for c in coeffs.T[::-1]:
         d2 = d2 * x + d1
         d1 = d1 * x + p
         p = p * x + c
     return p, d1, 2.0 * d2
 
 
-def _crossing(left: list[float], right: list[float]) -> float | None:
-    """The one real root of left - right inside the bracket |x| < DEGREE / 2, else None.
+def _real_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Real roots of each row's ascending coeffs (K, m), NaN-padded to (K, m - 1).
 
-    None also when the root is not alone: a flat kink's two models touch
-    in a double root, which comes out as a close pair or a complex one.
+    Up to a quadratic in closed form, stable as the leading coefficient
+    vanishes (a double root comes twice); past it np.roots row by row.
     """
-    roots = np.roots(np.subtract(left, right)[::-1])
-    inside = [float(r.real) for r in roots if r.imag == 0.0 and abs(r.real) < DEGREE / 2]
-    return inside[0] if len(inside) == 1 else None
+    m = coeffs.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if m == 2:
+            return -coeffs[:, :1] / coeffs[:, 1:]
+        if m == 3:
+            c0, c1, c2 = coeffs.T
+            q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+            return np.array([c0 / q, q / c2]).T
+    out = np.full((len(coeffs), m - 1), np.nan)
+    for row, c in zip(out, coeffs):
+        roots = np.roots(c[::-1])
+        real = roots.real[roots.imag == 0.0]
+        row[: len(real)] = real
+    return out
 
 
-def refine_kink(oracle, base, direction, bracket: tuple[float, float]) -> KinkPoint:
-    """Refine a bracketed kink at the crossing of its left/right local models.
-
-    Fits exact interpolants just outside the bracket: their 2 * (DEGREE +
-    1) points are one oracle batch.  The two models are extrapolations of
-    the adjacent polynomial pieces, so the kink sits where they cross.  A
-    point lies on the piece whose model is closer to its value.  The
-    crossing guess t, the single real root of their difference inside the
-    bracket, is checked with one 2-query batch at t -+ 0.45 * REFINE_TOL
-    when that pair lies strictly inside the bracket: left then right
-    settles the kink; both left or both right moves the near end of the
-    bracket past the pair; right then left keeps the bracket.  Whatever
-    the check leaves is bisected, one query per step, keeping the half
-    whose model disagrees with the midpoint's value.  The comparison
-    stays decisive until the pieces agree to float noise; past that the
-    bracket can only shrink inside the noise ball, so the answer lands
-    within it.  At a flat (C^1) kink the pieces part only quadratically,
-    so that ball reaches about the square root of the loss noise (~1e-6
-    in demo 01), far wider than REFINE_TOL.  A bracket where both the
-    slope jump and the curvature jump of the two models sit below their
-    noise floors held no kink.
-
-    Bisection stops at width REFINE_TOL, or earlier where the midpoint
-    rounds to an end of the bracket (far out on the line, where
-    neighbouring doubles lie more than REFINE_TOL apart; the check pair
-    would collapse there and is skipped).  A refine costs 2 * (DEGREE + 1)
-    queries, plus 2 for the check when there is a guess, plus at most
-    ceil(log2(width / REFINE_TOL)) bisection steps, none when the check
-    settles the kink.  Only the oracle's budget caps them
-    (QueryBudgetExceeded).
-
-    A kink whose slope jump clears its noise floor then gets its gradient
-    jump (_gradient_jump): one more batch of 8N queries.  A flat kink gets
-    none.
-    """
-    oracle = _as_oracle(oracle)
-    base = np.asarray(base, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not hi > lo:
-        raise ValueError(f"empty bracket {bracket}")
-    width0 = hi - lo
-    h = width0 / DEGREE
-    mid = 0.5 * (lo + hi)
-    ts = [lo - j * h for j in range(DEGREE + 1)] + [hi + j * h for j in range(DEGREE + 1)]
-    ys = oracle.many(base + np.array(ts)[:, None] * direction)
-    # exact local polynomial models through the DEGREE + 1 points of each side, in x = (t - mid) / h
-    left = np.dot(_LEFT_INVERSE, ys[: DEGREE + 1]).tolist()
-    right = np.dot(_RIGHT_INVERSE, ys[DEGREE + 1 :]).tolist()
-
-    def on_left(t: float, value: float) -> bool:
-        x = (t - mid) / h
-        return abs(_horner(left, x)[0] - value) <= abs(_horner(right, x)[0] - value)
-
-    guess = _crossing(left, right)
-    if guess is not None:
-        t_hat = mid + guess * h
-        a, b = t_hat - 0.45 * REFINE_TOL, t_hat + 0.45 * REFINE_TOL
-        if lo < a < b < hi:
-            fa, fb = oracle.many(base + np.array([a, b])[:, None] * direction).tolist()
-            sides = (on_left(a, fa), on_left(b, fb))
-            if sides == (True, False):
-                lo, hi = a, b
-            elif sides == (True, True):
-                lo = b
-            elif sides == (False, False):
-                hi = a
-
-    m = 0.5 * (lo + hi)
-    while hi - lo > REFINE_TOL and lo < m < hi:
-        if on_left(m, oracle(base + m * direction)):
-            lo = m  # midpoint still on the left piece: kink is to the right
-        else:
-            hi = m
-        m = 0.5 * (lo + hi)
-    t_star = m
-
-    x_star = (t_star - mid) / h
-    _, slope_left, curv_left = _horner(left, x_star)
-    _, slope_right, curv_right = _horner(right, x_star)
-    jump = abs(slope_left - slope_right) / h
-    jump2 = abs(curv_left - curv_right) / h**2
-    y_scale = 1.0 + float(np.max(np.abs(ys)))
-    w0 = max(width0, 1e-12)
-    slope_floor = SPURIOUS_TOL * y_scale / w0
-    curv_floor = SPURIOUS_TOL * y_scale / w0**2
-    if jump <= slope_floor and jump2 <= curv_floor:
-        raise SpuriousKinkError(
-            f"slope jump {jump:.3e} and curvature jump {jump2:.3e} below noise floors: "
-            "no kink in bracket"
-        )
-    loc = base + t_star * direction
-    gradient_jump = agreement = rejection = None
-    if jump > slope_floor:
-        J, agreement, rejection = _gradient_jump(oracle, loc, direction, jump)
-        if J is not None:
-            gradient_jump = tuple(J.tolist())
-    return KinkPoint(
-        t=t_star,
-        location=tuple(loc.tolist()),
-        line=(tuple(base.tolist()), tuple(direction.tolist())),
-        jump_magnitude=float(jump),
-        curvature_jump=float(jump2),
-        gradient_jump=gradient_jump,
-        jump_agreement=agreement,
-        rejection=rejection,
-    )
+def _one_root(roots: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(mask, root): rows with exactly one root in [lo, hi], and that root."""
+    inside = (roots >= lo[:, None]) & (roots <= hi[:, None])
+    return inside.sum(axis=1) == 1, np.where(inside, roots, 0.0).sum(axis=1)
 
 
-def _rolling_median(x: np.ndarray, half: int) -> np.ndarray:
-    """np.median(x[max(0, i - half) : i + half + 1]) for every i, at once.
+def _scan(oracle: LossOracle, base, direction, t0: float, t1: float, grid: int, p: int) -> list:
+    """Settled kinks of one line as [t, slope jump, curvature jump, slope floor, curvature floor]."""
+    h = (t1 - t0) / (grid - 1)
+    ts = t0 + h * np.arange(-(p + 1), grid + p + 1)
+    ys = oracle.many(base + ts[:, None] * direction)
+    errors = _window_errors(ts, ys, p)
+    tol = EXACT_TOL
+    if NOISE_FACTOR * errors[errors > 0.0].min(initial=np.inf) > EXACT_TOL:
+        # no window is float64-exact: a noisy oracle, judged against its own floor (a heuristic)
+        tol = max(tol, NOISE_FACTOR * float(np.sort(errors)[len(errors) // 4]))
+    powers = np.arange(p + 1)
+    kinks, failed, last_dirty = [], set(), math.inf
+    for _ in range(ROUNDS):
+        dirty = np.zeros(len(errors) + 2, dtype=bool)
+        dirty[1:-1] = errors > tol
+        count = int(np.count_nonzero(dirty))
+        if count > 2 * last_dirty + 2 * (p + 1):
+            break  # noise: a parted cluster adds p + 1 per kink
+        last_dirty = count
+        tl = ts.tolist()
+        singles, cells = [], set()
+        # each run of dirty windows [start, end) holds its kinks in [t_lo, t_hi], lo = start + p, hi = end
+        for start, end in np.flatnonzero(dirty[1:] != dirty[:-1]).reshape(-1, 2).tolist():
+            lo, hi = start + p, end
+            # the models' last and first points, never an on-grid kink's own
+            e, s = (lo, hi) if hi > lo else (max(hi - 1, 0), min(lo + 1, len(tl) - 1))
+            if tl[s] < t0 or tl[e] > t1 or any(tl[e] <= kink[0] <= tl[s] for kink in kinks):
+                continue
+            if 0 < start and end < len(errors) and hi - lo in (0, 1) and (tl[e], tl[s]) not in failed:
+                singles.append((e, s))
+            else:
+                cells.update(range(e, s))
 
-    The NaN padding of the edge windows sorts last, so the first count
-    entries of a sorted window are its own values, count known from i.
-    x must hold no NaN of its own.
-    """
-    n = len(x)
-    pad = np.full(half, np.nan)
-    windows = np.sort(sliding_window_view(np.concatenate([pad, x, pad]), 2 * half + 1), axis=1)
-    i = np.arange(n)
-    count = np.minimum(n, i + half + 1) - np.maximum(0, i - half)
-    lo, hi = windows[i, (count - 1) // 2], windows[i, count // 2]
-    return np.where(count % 2 == 1, lo, (lo + hi) / 2)
+        checks = []
+        if singles:
+            e1, s1 = np.array(singles).T
+            k = len(singles)
+            idx = np.concatenate([e1[:, None] - p + powers, s1[:, None] + powers])
+            mid = 0.5 * (ts[e1] + ts[s1])
+            width = 0.5 * (ts[s1 + p] - ts[e1 - p])
+            mid2, width2 = np.concatenate([mid, mid]), np.concatenate([width, width])
+            x = (ts[idx] - mid2[:, None]) / width2[:, None]
+            models = np.linalg.solve(x[:, :, None] ** powers, ys[idx][:, :, None])[:, :, 0]
+            diff = models[:k] - models[k:]
+            x_lo, x_hi = (ts[e1] - mid) / width, (ts[s1] - mid) / width
+            crossing, x_cross = _one_root(_real_roots(diff), x_lo, x_hi)
+            turning, x_turn = _one_root(_real_roots(diff[:, 1:] * powers[1:]), x_lo, x_hi)
+            x_at = np.where(crossing, x_cross, x_turn)
+            value, slope, curv = _horner(models, np.concatenate([x_at, x_at]))
+            size = np.abs(ys[idx]).max(axis=1)
+            size = np.maximum(size[:k], size[k:])  # the kink's loss scale, as a window's
+            flat = ~crossing & turning & (np.abs(value[:k] - value[k:]) <= tol * size)
+            jump = np.abs(slope[:k] - slope[k:]) / width
+            floor = SPURIOUS_TOL * (1.0 + size) * (2 * p + 1) / (2.0 * width)
+            found = np.array([mid + x_at * width, jump, np.abs(curv[:k] - curv[k:]) / width**2,
+                              floor, floor * (2 * p + 1) / (2.0 * width)]).T
+            kinks += found[flat].tolist()
+            for (e, s), settles in zip(singles, (crossing | flat).tolist()):
+                if not settles:
+                    cells.update(range(e, s))
+            sel = np.flatnonzero(crossing)
+            # the pair sits where the models part by 4 tolerances: only the kink's pieces pass
+            gap = np.maximum(0.45 * REFINE_TOL, 4.0 * tol * size[sel] / np.maximum(jump[sel], 1e-300))
+            gap = np.minimum(gap, 0.5 * (ts[s1] - ts[e1])[sel])
+            checks = np.concatenate([found[sel, 0] - gap, found[sel, 0] + gap]).tolist()
+            pick = np.concatenate([sel, k + sel])  # the left model at each left point, the right at each right
+
+        new = [t for c in sorted(cells) for a, b in [(tl[c], tl[c + 1])] if b - a >= MIN_CELL and b > t0
+               and a < t1 for t in (a + 0.25 * (b - a), a + 0.5 * (b - a), a + 0.75 * (b - a)) if a < t < b]
+        if not new and not checks:
+            break
+        values = oracle.many(base + np.array(new + checks)[:, None] * direction)
+        if checks:
+            fit = _horner(models[pick], (np.array(checks) - mid2[pick]) / width2[pick])[0]
+            good = (np.abs(values[len(new):] - fit) <= tol * size[pick % k]).reshape(2, -1).all(axis=0)
+            kinks += found[sel[good]].tolist()
+            failed.update((tl[singles[j][0]], tl[singles[j][1]]) for j in sel[~good].tolist())
+        if new:
+            order = np.argsort(np.concatenate([ts, new]))
+            ts = np.concatenate([ts, new])[order]
+            ys = np.concatenate([ys, values[: len(new)]])[order]
+            errors = _window_errors(ts, ys, p)
+    return kinks
 
 
-def detect_kinks_on_line(
-    oracle,
-    base,
-    direction,
-    t_range: tuple[float, float],
-    grid: int,
-    *,
-    max_kinks: int | None = None,
-) -> list[KinkPoint]:
-    """Scan a line for nonsmooth points of the loss.
+def detect_kinks_on_line(oracle, base, direction, t_range: tuple[float, float], grid: int,
+                         degree: int) -> list[KinkPoint]:
+    """Scan a line for the kinks of a loss piecewise polynomial of degree p = degree.
 
-    The grid is one oracle batch.  Works off the centered fourth
-    difference, which spikes at h*|slope jump| for a first-order kink and
-    at h^2*|curvature jump| for a second-order one, against a smooth
-    background of order h^4.  (The second difference would miss
-    second-order kinks: it only steps.)  A grid point is flagged when its
-    fourth difference exceeds DETECT_TOL times the local scale, a rolling
-    median plus an absolute floor, so the test is invariant to the overall
-    magnitude of the loss.  Runs of flags collapse to their strongest
-    cell, and cells within 4 of a stronger one are dropped, so the kept
-    cells lie more than 4 apart.  Each kept cell's one-spacing bracket is
-    refined by refine_kink, which stays inside its bracket, so two kinks
-    of one scan lie at least 3 grid spacings apart; the strongest
-    max_kinks cells are refined.  Each refine costs its 2 * (DEGREE + 1)
-    stencil, 2 for the check of its crossing guess, and the bisection
-    steps the check leaves: at most ceil(log2(width / REFINE_TOL)), none
-    when the check settles the kink; plus 8N for the gradient jump unless
-    the kink is flat.  A bracket that proves spurious is skipped; the
-    oracle's budget running out ends the scan.  Kinks closer together than
-    a few grid cells can merge or shadow each other; the caller controls
-    recall through grid and t_range.
+    p is 2 on run_attack's path lines and the warm-up, 2 per weight layer
+    on a general line.  The grid, plus p + 1 spacings past each end of
+    t_range, is one oracle batch.  A window of p + 2 consecutive points is
+    clean when its last value is within the tolerance of the degree-p
+    interpolant through the others: EXACT_TOL of the loss, or for a noisy
+    oracle NOISE_FACTOR times the first grid's lower-quartile window error.
+    A run of dirty windows between clean ones brackets its kinks.  A run
+    of at most one cell gets exact side models through the p + 1 nearest
+    points of each clean window, and its kink is the one root of their
+    difference there, settled when a 2-query check at t -+ g finds the
+    left model on the left and the right one on the right; g is
+    0.45 * REFINE_TOL, or where the models part by 4 tolerances if that is
+    farther, so that a crossing off the wall fails.  With no single root
+    but one of the difference's derivative, where the models agree, the
+    kink is flat (C^1) and sits there, unchecked.  Every other run and
+    failed check splits its cells in 4; a round's new points and checks
+    are one batch.  The scan stops when nothing is split, after ROUNDS
+    rounds, or when the dirty windows more than double (noise), and never
+    splits a cell below MIN_CELL.  A kink whose slope and curvature jumps
+    sit below their noise floors is dropped.  The line's kinks whose slope
+    jumps get their gradient jumps (_gradient_jumps) in one batch, 8N rows
+    each.  QueryBudgetExceeded ends the scan.
     """
     oracle = _as_oracle(oracle)
     base = np.asarray(base, dtype=float)
@@ -427,48 +403,41 @@ def detect_kinks_on_line(
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not t1 > t0:
         raise ValueError(f"bad t_range {t_range}")
-    if grid < 8:
-        raise ValueError("grid too small to detect anything")
-    if max_kinks is not None and max_kinks < 0:
-        raise ValueError(f"max_kinks must be >= 0, got {max_kinks}")
-    ts = np.linspace(t0, t1, grid)
-    ys = oracle.many(base + ts[:, None] * direction)
-    d4 = np.abs(ys[:-4] - 4.0 * ys[1:-3] + 6.0 * ys[2:-2] - 4.0 * ys[3:-1] + ys[4:])
-    floor = 1e-11 * (float(np.max(np.abs(ys))) + 1.0)
-    n = len(d4)  # d4[c] is centered at grid point c + 2
-    local = _rolling_median(d4, 10)
-    flagged = d4 > np.maximum(DETECT_TOL * (local + floor), floor)
-
-    runs: list[int] = []  # strongest cell per run of flags
-    i = 0
-    while i < n:
-        if flagged[i]:
-            j = i
-            while j + 1 < n and flagged[j + 1]:
-                j += 1
-            runs.append(i + int(np.argmax(d4[i : j + 1])))
-            i = j + 1
-        else:
-            i += 1
-    runs.sort(key=lambda c: d4[c], reverse=True)
-    groups: list[int] = []
-    for cell in runs:  # adjacent runs around one kink collapse to the strongest
-        if all(abs(cell - kept) > 4 for kept in groups):
-            groups.append(cell)
-    if max_kinks is not None:
-        groups = groups[:max_kinks]
-
-    out: list[KinkPoint] = []
-    for cell in groups:
-        center = cell + 2
-        lo_t, hi_t = float(ts[center - 1]), float(ts[center + 1])
-        try:
-            kink = refine_kink(oracle, base, direction, (lo_t, hi_t))
-        except SpuriousKinkError:
-            continue
-        out.append(kink)
-    out.sort(key=lambda k: k.t)
+    _check_integer("grid", grid, 2)
+    _check_integer("degree", degree, 1)
+    rows = sorted(row for row in _scan(oracle, base, direction, t0, t1, grid, degree)
+                  if t0 <= row[0] <= t1 and (row[1] > row[3] or row[2] > row[4]))
+    measured = [row for row in rows if row[1] > row[3]]
+    points = base + np.array([row[0] for row in measured]).reshape(-1, 1) * direction
+    verdicts = iter(_gradient_jumps(oracle, points, direction, [row[1] for row in measured]))
+    out = []
+    for t, jump, jump2, slope_floor, _ in rows:
+        J = agreement = rejection = None
+        if jump > slope_floor:
+            J, agreement, rejection = next(verdicts)
+        out.append(KinkPoint(
+            t=t,
+            location=tuple((base + t * direction).tolist()),
+            line=(tuple(base.tolist()), tuple(direction.tolist())),
+            jump_magnitude=jump,
+            curvature_jump=jump2,
+            gradient_jump=None if J is None else tuple(J.tolist()),
+            jump_agreement=agreement,
+            rejection=rejection,
+        ))
     return out
+
+
+# No pipeline calls this; it stays while bench/tracing.py wraps it by name.
+def refine_kink(oracle, base, direction, bracket: tuple[float, float], degree: int) -> KinkPoint:
+    """The (first) kink detect_kinks_on_line finds in bracket at degree + 1 points.
+
+    SpuriousKinkError when the bracket holds none.
+    """
+    kinks = detect_kinks_on_line(oracle, base, direction, bracket, degree + 1, degree)
+    if not kinks:
+        raise SpuriousKinkError(f"no kink in bracket {bracket}")
+    return kinks[0]
 
 
 # No pipeline calls this; it stays while bench/tracing.py wraps it by name.  Its rescans pay for a
@@ -478,14 +447,15 @@ def harvest_sheet_points(
     kink: KinkPoint,
     n_points: int,
     radius: float,
+    degree: int,
     *,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Seed point plus n_points refined sheet points, all within 2*radius.
 
     Each point comes from perturbing the line base by a random offset of
-    norm at most radius, rescanning a short window around the seed t and
-    refining the nearest kink.  A lost or drifted kink is retried with a
+    norm at most radius, rescanning a short window around the seed t at
+    degree and taking the nearest kink.  A lost or drifted kink is retried with a
     fresh, smaller offset up to RETRIES extra times, then HarvestError.
     """
     base = np.asarray(kink.line[0], dtype=float)
@@ -507,7 +477,7 @@ def harvest_sheet_points(
                 direction,
                 (kink.t - window, kink.t + window),
                 HARVEST_WINDOW_GRID,
-                max_kinks=3,
+                degree,
             )
             if not kinks:
                 continue
@@ -781,6 +751,9 @@ class ReconstructionReport:
             "off_wall_ratio": OFF_WALL_RATIO,
             "off_wall_ratio_note": "artifact heuristic bound on |J.d| / slope jump, off-wall "
             "outside (1 / off_wall_ratio, off_wall_ratio), not derived from the model",
+            "noise_factor": NOISE_FACTOR,
+            "noise_factor_note": "artifact heuristic: for a noisy oracle, a scan window is clean "
+            "within noise_factor times the lower-quartile window error, not derived from the model",
         }
 
     def kink_csv(self) -> str:
@@ -793,22 +766,20 @@ class ReconstructionReport:
 def _match_directions(
     directions: list[RecoveredDirection], true_inputs
 ) -> list[DirectionMatch]:
-    matches = []
-    for di, rec in enumerate(directions):
-        v = np.asarray(rec.direction, dtype=float)
-        best = None
-        for si, a in enumerate(true_inputs):
-            a = np.asarray(a, dtype=float)
-            na = float(np.linalg.norm(a))
-            if na == 0.0:
-                continue
-            cos = abs(float(np.dot(a, v))) / (na * float(np.linalg.norm(v)))
-            if best is None or cos > best[1]:
-                scale = float(np.dot(a, v)) / float(np.dot(v, v))
-                best = (si, cos, scale)
-        if best is not None:
-            matches.append(DirectionMatch(di, best[0], best[1], best[2]))
-    return matches
+    """Each direction's best sample by |cosine|, from one cosine matrix; a zero input never matches."""
+    A = np.array(true_inputs, dtype=float, ndmin=2)
+    norms = np.linalg.norm(A, axis=1)
+    if not directions or not norms.any():
+        return []
+    V = np.array([rec.direction for rec in directions])
+    dots = np.dot(V, A.T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.where(norms > 0.0, np.abs(dots) / (np.linalg.norm(V, axis=1)[:, None] * norms), -1.0)
+    best = np.argmax(cos, axis=1)
+    rows = np.arange(len(V))
+    scale = dots[rows, best] / np.einsum("ij,ij->i", V, V)
+    return [DirectionMatch(di, int(si), float(c), float(sc))
+            for di, si, c, sc in zip(rows.tolist(), best, cos[rows, best], scale)]
 
 
 def _path_oracle(oracle: Callable[[np.ndarray], float], n_weights: int, input_dim: int):
@@ -835,22 +806,19 @@ def run_attack(
     *,
     true_inputs: Sequence[Sequence[float]] | None = None,
 ) -> ReconstructionReport:
-    """Black-box reconstruction: path scan, refine, jump, gate, read.
+    """Black-box reconstruction: path scan, jump, gate, read.
 
     Scans cfg.n_lines random lines of the path loss v -> E(v, 1, ..., 1)
     in the first d_1 weights (_path_oracle; see the module docstring),
-    whose only walls are v . x_p = 0, one per sample, refining the
-    strongest MAX_KINKS_PER_LINE kinks of each.  Each path row is one
-    query against cfg.budget.  A kink's gradient jump over the d_1 path
-    coordinates is x_p times a scalar.  Each jump that passes JUMP_GATE
-    on its wall (see _gradient_jump) is read as an input direction:
+    whose only walls are v . x_p = 0, one per sample, at degree 2 and
+    GRID points, and takes every kink of each.  Each path row is one
+    query against cfg.budget.  Each gradient jump that passes JUMP_GATE
+    on its wall (see _gradient_jumps) is read as an input direction:
     entries at or below SUPPORT_TOL times the largest are dropped, and
     the rest is normalised, so a one-hot input comes back too.  A flat
     kink has no jump and is rejected as 'flat'.  The kinks in
     report.kinks are (line, t, slope jump) on the path lines, and every
-    direction's node is 1.  At very wide shapes the all-ones weights make
-    the loss so large that kinks read as flat, and few samples come back
-    there.
+    direction's node is 1.
     Knows only the oracle, the weight count N and the input arity d_1.
     Recovered directions are unit vectors in input space, deduplicated at
     |cos| >= 1 - DEDUP_TOL; when true_inputs is supplied (scoring only,
@@ -872,9 +840,8 @@ def run_attack(
             base = rng.normal(size=input_dim)
             direction = rng.normal(size=input_dim)
             direction /= np.linalg.norm(direction)
-            kinks = detect_kinks_on_line(
-                counted, base, direction, T_RANGE, GRID, max_kinks=MAX_KINKS_PER_LINE
-            )
+            # the path loss is piecewise quadratic in t
+            kinks = detect_kinks_on_line(counted, base, direction, T_RANGE, GRID, 2)
             for kink in kinks:
                 report.kinks.append((line_id, kink.t, kink.jump_magnitude))
                 if kink.gradient_jump is None:
@@ -886,19 +853,16 @@ def run_attack(
     except QueryBudgetExceeded:
         report.budget_exhausted = True
 
+    kept = np.empty((len(raw_candidates), input_dim))  # kept directions, unit vectors
     for cand in raw_candidates:
-        v = np.asarray(cand.direction)
-        dup = False
-        for idx, kept in enumerate(report.directions):
-            u = np.asarray(kept.direction)
-            cos = abs(float(np.dot(u, v))) / (np.linalg.norm(u) * np.linalg.norm(v))
-            if cos >= 1.0 - DEDUP_TOL:
-                if cand.residual < kept.residual:
-                    report.directions[idx] = cand
-                dup = True
-                break
-        if not dup:
+        k = len(report.directions)
+        kept[k] = cand.direction
+        dup = np.flatnonzero(np.abs(np.dot(kept[:k], kept[k])) >= 1.0 - DEDUP_TOL)
+        if not dup.size:
             report.directions.append(cand)
+        elif cand.residual < report.directions[dup[0]].residual:
+            report.directions[dup[0]] = cand
+            kept[dup[0]] = kept[k]
 
     if true_inputs is not None:
         report.matches = _match_directions(report.directions, true_inputs)

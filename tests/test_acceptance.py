@@ -51,7 +51,8 @@ def test_criterion_1_warmup_kinks():
     samples = [TrainingSample((x, y), (0.0,)) for x, y in pairs]
     oracle = LossOracle(make_loss_fn(NetworkShape([2, 1, 1]), samples), budget=1000)
     t0 = time.time()
-    kinks = detect_kinks_on_line(oracle, [0.0, 1.0, 1.0], [-1.0, 0.0, 0.0], (-4.0, 4.0), 257)
+    # the loss is piecewise quadratic along the line: degree 2, on a 33-point grid
+    kinks = detect_kinks_on_line(oracle, [0.0, 1.0, 1.0], [-1.0, 0.0, 0.0], (-4.0, 4.0), 33, 2)
     elapsed = time.time() - t0
     ts = sorted(k.t for k in kinks)
     ok = (
@@ -199,11 +200,11 @@ def test_criterion_6_singularity_classification():
             seen_pairs.add(pair)
             sheet = wall_between(s, samples, r, r2)
             # independent numeric check: scan the float loss along the
-            # straight segment between the two witnesses
+            # straight segment between the two witnesses, quartic in t (two weight layers)
             base = np.array([float(v) for v in r.witness])
             other = np.array([float(v) for v in r2.witness])
             kinks = detect_kinks_on_line(
-                LossOracle(fn), base, other - base, (0.0, 1.0), 257
+                LossOracle(fn), base, other - base, (0.0, 1.0), 257, 4
             )
             interior = [k for k in kinks if 0.02 < k.t < 0.98]
             if sheet.singular != bool(interior):
@@ -241,7 +242,7 @@ def test_criterion_6_singularity_classification():
     sheet2 = wall_between(s2, samples2, dead_pair[0], dead_pair[1])
     base = np.array([float(v) for v in dead_pair[0].witness])
     other = np.array([float(v) for v in dead_pair[1].witness])
-    kinks2 = detect_kinks_on_line(LossOracle(fn2), base, other - base, (0.0, 1.0), 257)
+    kinks2 = detect_kinks_on_line(LossOracle(fn2), base, other - base, (0.0, 1.0), 257, 6)  # three weight layers
     interior2 = [k for k in kinks2 if 0.02 < k.t < 0.98]
     smooth_ok = (not sheet2.singular) and not interior2
     ok = ok and smooth_ok

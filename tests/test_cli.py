@@ -75,7 +75,7 @@ class TestVerify:
 
 
 class TestAttack:
-    def test_recovers_and_writes_reports(self, inst_path, tmp_path, capsys):
+    def test_recovers_and_writes_reports(self, inst_path, tmp_path, capsys, monkeypatch):
         report = tmp_path / "report.json"
         kinks = tmp_path / "kinks.csv"
         code = main(
@@ -99,8 +99,12 @@ class TestAttack:
         assert any(m["cosine"] >= 0.999 for m in data["matches"])
         assert kinks.read_text().splitlines()[0] == "line_id,t,jump,refined"
         # the summary line: kinks found, then rejections in all and by reason
-        assert capsys.readouterr().out.splitlines()[1] == "kinks found: 13; rejected: 1 (off-wall 1)"
-        assert data["kink_count"] == 13 and data["rejections"] == {"jump-gate": 0, "off-wall": 1, "flat": 0}
+        assert capsys.readouterr().out.splitlines()[1] == "kinks found: 14; rejected: 0"
+        assert data["kink_count"] == 14 and data["rejections"] == {"jump-gate": 0, "off-wall": 0, "flat": 0}
+        # a gate no jump passes: every kink is rejected, by reason, and nothing is recovered
+        monkeypatch.setattr(attack_module, "JUMP_GATE", 2.0)
+        assert main(["attack", "--instance", str(inst_path), "--budget", "120000"]) == 3
+        assert capsys.readouterr().out.splitlines()[1] == "kinks found: 14; rejected: 14 (jump-gate 14)"
 
     def test_no_recovery_exit_code(self, inst_path, capsys):
         # a starved budget cannot even finish one scan line
@@ -121,10 +125,9 @@ class TestAttack:
         # flags are checked before the instance is read
         assert main(["attack", "--instance", str(tmp_path / "ghost.json"), "--budget", "0"]) == 64
 
-    def test_config_file(self, inst_path, tmp_path, monkeypatch, capsys):
+    def test_config_file(self, inst_path, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"budget": 90000, "seed": 2}))
-        monkeypatch.setattr(attack_module, "GRID", 129)
         assert main(["attack", "--instance", str(inst_path), "--config", str(cfg)]) == 0
         for bad in ({"nope": 1}, {"paths": ["hyperplane"]}, {"grid": 4}, {"t_range": [1, 0]},
                     {"budget": "x"}, {"budget": -5}, [1, 2], {"tol": "x"}, {"radius": 0},

@@ -216,6 +216,25 @@ def test_demo_exits_zero(demo):
     assert proc.returncode == 0, proc.stderr
 
 
+def _modules_after(statement: str) -> set[str]:
+    """The modules a fresh interpreter holds after running statement, with src/ on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{statement}; import sys; print(*sys.modules, sep='\\n')"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_import_loads_only_what_numpy_does():
+    # the benchmark's setup_s is mostly a fresh interpreter's `import losscarto`: past what
+    # `import numpy` loads, it may load the package and the standard library, and nothing else
+    extra = _modules_after("import losscarto") - _modules_after("import numpy")
+    assert "losscarto.attack" in extra
+    assert sorted(name for name in extra if name.split(".")[0] not in {"losscarto", *sys.stdlib_module_names}) == []
+
+
 def _load_bench_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     module = importlib.util.module_from_spec(spec)
