@@ -1186,6 +1186,46 @@ class TestAttackPipeline:
         for walls, kinks in lines:
             assert [k.t for k in kinks] == pytest.approx(np.sort(walls[(walls >= lo) & (walls <= hi)]), abs=1e-11)
 
+    @pytest.mark.parametrize("widths,samples", [((3, 4, 2), 5), ((3, 4, 4, 2), 5)])
+    def test_crossing_check_matches_bisection_end_to_end(self, monkeypatch, widths, samples):
+        # every kink of the attack's path scans, settled by crossing and check, is where pure
+        # bisection of a bracket about it puts it, with the same slope jump, verdict and
+        # direction; and the whole attack costs fewer queries than those bisections alone
+        inst = gen_instance(list(widths), samples, 7)
+        n, X = inst.shape.weight_count, np.array(true_inputs_of(inst))
+        scan, lines = attack_module.detect_kinks_on_line, []
+
+        def spy_scan(oracle, base, direction, *args):
+            kinks = scan(oracle, base, direction, *args)
+            lines.append((base, direction, kinks))
+            return kinks
+
+        monkeypatch.setattr(attack_module, "detect_kinks_on_line", spy_scan)
+        report = run_attack(make_oracle(inst), n, widths[0], AttackConfig(),
+                            true_inputs=true_inputs_of(inst))
+        assert recovered_samples(report) == set(range(samples))
+        reference = LossOracle(attack_module._path_oracle(make_oracle(inst), n, widths[0]))
+        lo, hi = attack_module.T_RANGE
+        spacing, tol = (hi - lo) / (attack_module.GRID - 1), attack_module.REFINE_TOL
+        bisected = 0
+        for base, direction, kinks in lines:
+            walls = -(X @ base) / (X @ direction)
+            for kink in kinks:
+                # a bracket off-centre about the kink whose side models reach no other wall
+                gap = min([spacing] + [abs(w - kink.t) for w in walls if abs(w - kink.t) > 1e-6])
+                expected = bisection_refine_kink(
+                    reference, base, direction, (kink.t - 0.3 * gap, kink.t + 0.2 * gap), 2)
+                bisected += 1
+                assert abs(expected.t - kink.t) <= tol
+                assert expected.jump_magnitude == pytest.approx(kink.jump_magnitude, rel=1e-6)
+                assert expected.rejection == kink.rejection
+                assert (expected.gradient_jump is None) == (kink.gradient_jump is None)
+                if kink.gradient_jump is not None:
+                    a, b = np.array(expected.gradient_jump), np.array(kink.gradient_jump)
+                    assert abs(float(a @ b)) >= (1.0 - 1e-9) * np.linalg.norm(a) * np.linalg.norm(b)
+        assert bisected == len(report.kinks) > 0
+        assert report.oracle_queries < reference.query_count
+
     def test_off_wall_kinks_are_labelled(self, monkeypatch):
         # a jump whose J . d misses the models' slope jump by OFF_WALL_RATIO is labelled
         # off-wall, whatever its agreement; on the path lines of [3,4,2]x5 seed 7 the exact
