@@ -17,8 +17,9 @@ sample's input.  The scan and jump below run unchanged on that
 d_1-variable oracle, with N' = d_1 and degree 2.  The all-ones weights
 are a layout-free choice.  They need no knowledge of the widths past
 d_1, but at very wide shapes (such as [8,30,30,30,4]) they make the loss
-so large that kinks read as flat; weights chosen from the recovered
-layout would not, and wait on a black-box architecture walk.
+so large that kinks read as flat.  A path with every other weight at a
+small kappa and v scaled to the loss would not, and needs no layout either
+(ROADMAP item 3).
 
 The normal is the kink's gradient jump.  Across the path wall v . x_p = 0
 the loss pieces differ by (v . x_p) * G, so on the wall the gradient in v
@@ -824,10 +825,13 @@ def run_attack(
     |cos| >= 1 - DEDUP_TOL; when true_inputs is supplied (scoring only,
     never consulted by the search) each direction is matched to its best
     sample by |cosine| together with the implied scalar multiple.
-    Raises ValueError, before any query, unless N >= 1 and 1 <= d_1 <= N.
+    Raises ValueError, before any query, unless N >= 1 and 1 <= d_1 <= N
+    and every row of true_inputs, when given, has d_1 entries.
     """
     _check_integer("n_weights", n_weights, 1)
     _check_integer("input_dim", input_dim, 1, n_weights)
+    if true_inputs is not None and any(len(x) != input_dim for x in true_inputs):
+        raise ValueError(f"every row of true_inputs must have input_dim = {input_dim} entries")
     cfg = config or AttackConfig()
     counted = LossOracle(_path_oracle(oracle, n_weights, input_dim), budget=cfg.budget)
     report = ReconstructionReport(budget=cfg.budget)

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InstanceError
-from .network import NetworkShape, TrainingSample, as_fraction, check_samples, make_loss_fn
+from .network import NetworkShape, TrainingSample, as_fraction, make_loss_fn
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,6 @@ def instance_from_json(data: dict) -> Instance:
         _require(len(x) == shape.widths[0], f"sample {idx} input arity {len(x)} != d_1 = {shape.widths[0]}")
         _require(len(b) == shape.widths[-1], f"sample {idx} output arity {len(b)} != d_L = {shape.widths[-1]}")
         samples.append(TrainingSample(tuple(map(as_fraction, x)), tuple(map(as_fraction, b))))
-    check_samples(shape, samples)
 
     weights = None
     if data.get("weights") is not None:

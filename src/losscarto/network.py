@@ -192,12 +192,6 @@ class ActivationSet:
             raise IndexError(f"node {i} out of range for layer {k}")
         return self.flags[k - 2][i - 1]
 
-    def active_in_layer(self, k: int) -> tuple[int, ...]:
-        """1-based ids of active nodes in hidden layer k."""
-        return tuple(
-            i for i in range(1, self.widths[k - 1] + 1) if self.flags[k - 2][i - 1]
-        )
-
 
 @dataclass(frozen=True)
 class TrainingSample:

@@ -7,12 +7,15 @@ node's virtual polynomial moves to the adjacent region; the crossing is
 singular exactly when the two pieces differ: when every hidden layer
 above the node keeps a P-active node (see _wall_is_singular).
 
-Sheet enumeration records, for every realizable region found by witness
-sampling: the hidden-node wall polynomials themselves, their bottleneck
-factors, and the bottleneck factors of the output nodes' virtual
-polynomials.  The factors are the irreducible components the walls and
-retained defining polynomials split into; weight-only components (no
-first-layer variable) are precisely the sample-independent ones.  A
+Sheet enumeration records, for every realizable region its random
+probes hit: the hidden-node wall polynomials themselves, their
+bottleneck factors, and the bottleneck factors of the output nodes'
+virtual polynomials.  It walks each region as its key, the flag tuple
+of every sample, and builds no Region, ActivationSet or witness point;
+those are the types of the public functions only.  The factors are the
+irreducible components the walls and retained defining polynomials
+split into; weight-only components (no first-layer variable) are
+precisely the sample-independent ones.  A
 node's wall and factors depend only on the sample and on the flags of
 the layers below the node, not on the region, so one enumeration
 factorizes each (sample, node, lower flags) once; the singular bit reads
@@ -110,10 +113,6 @@ def _region_keys(shape: NetworkShape, X: np.ndarray, W: np.ndarray) -> list[Regi
     ]
 
 
-def _region(shape: NetworkShape, key: RegionKey, w: Sequence[Scalar]) -> Region:
-    return Region(tuple(ActivationSet(shape.widths, flags) for flags in key), tuple(w))
-
-
 def region_of(
     shape: NetworkShape,
     samples: Sequence[TrainingSample],
@@ -126,7 +125,7 @@ def region_of(
     key = _region_keys(shape, _integer_inputs(shape, samples), W)[0]
     if isinstance(key, int):
         raise BoundaryError(f"pre-output exactly zero in layer {key}: walls touch this point")
-    return _region(shape, key, w)
+    return Region(tuple(ActivationSet(shape.widths, flags) for flags in key), tuple(w))
 
 
 def region_loss_polynomial(
@@ -183,7 +182,7 @@ def _is_sample_independent(poly: Poly, shape: NetworkShape) -> bool:
     return min((key[0][0] for key, _ in poly.terms if key), default=first) >= first
 
 
-def _wall_is_singular(shape: NetworkShape, P: ActivationSet, k: int) -> bool:
+def _wall_is_singular(flags: tuple[tuple[bool, ...], ...], k: int) -> bool:
     """Whether crossing a nonzero wall of a layer-k hidden node changes the piece.
 
     Flipping node (i,k) changes output o by u*g_o, where u is the node's
@@ -191,9 +190,10 @@ def _wall_is_singular(shape: NetworkShape, P: ActivationSet, k: int) -> bool:
     Paths through the node and paths avoiding it have disjoint monomials,
     so the two pieces differ iff some g_o is nonzero; with u nonzero and
     fully connected layers that holds iff every hidden layer above k has
-    a P-active node.  It depends on the pattern alone, not on the sample.
+    a P-active node: every row of flags past layer k's, flags[k-2], holds
+    a True.  It depends on the pattern alone, not on the sample.
     """
-    return all(P.active_in_layer(m) for m in range(k + 1, shape.depth))
+    return all(map(any, flags[k - 1 :]))
 
 
 def wall_between(
@@ -231,13 +231,13 @@ def wall_between(
             f"no wall: node ({i},{k}) has identically zero pre-output here"
         ) from None
     independent = _is_sample_independent(wall, shape)
-    return Sheet(wall, None if independent else p, _wall_is_singular(shape, P, k))
+    return Sheet(wall, None if independent else p, _wall_is_singular(P.flags, k))
 
 
 def _node_components(
     shape: NetworkShape,
     sample: int,
-    P: ActivationSet,
+    flags: tuple[tuple[bool, ...], ...],
     node: tuple[int, int],
     cache: _Segments,
 ) -> tuple[tuple[Poly, bool], ...]:
@@ -245,11 +245,11 @@ def _node_components(
 
     A hidden node gives its wall (the product of its bottleneck factors)
     and then each factor; an output node gives only its factors.  Empty
-    when the virtual polynomial is zero.  Reads P below the node's layer
-    only, as factorize does.
+    when the virtual polynomial is zero.  Reads the flags below the
+    node's layer only, as factorize does.
     """
     try:
-        factors = _factorize(shape, sample, P, node, cache)
+        factors = _factorize(shape, sample, flags, node, cache)
     except ZeroVirtualPolynomialError:
         return ()
     polys = (factors.product(), *factors) if node[1] < shape.depth else tuple(factors)
@@ -273,8 +273,8 @@ def _random_dyadic_weights(shape: NetworkShape, rng: random.Random) -> list[Frac
 
 def _sample_regions(
     shape: NetworkShape, samples: Sequence[TrainingSample], probe_budget: int, seed: int
-) -> dict[RegionKey, Region]:
-    """Regions hit by probe_budget random probes, each witnessed by its first probe.
+) -> set[RegionKey]:
+    """Keys of the regions hit by probe_budget random probes.
 
     The probes are those of a loop of _random_dyadic_weights and region_of
     on random.Random(seed), classified _PROBE_CHUNK at a time; probes on a
@@ -282,7 +282,7 @@ def _sample_regions(
     """
     rng = random.Random(seed)
     X = _integer_inputs(shape, samples)
-    regions: dict[RegionKey, Region] = {}
+    keys: set[RegionKey] = set()
     for start in range(0, probe_budget, _PROBE_CHUNK):
         # every probe weight shares the denominator _PROBE_SCALE, so the
         # numerators are already a positive rescaling of each weight layer
@@ -290,10 +290,9 @@ def _sample_regions(
             _random_numerators(shape, rng)
             for _ in range(min(_PROBE_CHUNK, probe_budget - start))
         ]
-        for nums, key in zip(rows, _region_keys(shape, X, np.array(rows, dtype=object))):
-            if not isinstance(key, int) and key not in regions:
-                regions[key] = _region(shape, key, [Fraction(n, _PROBE_SCALE) for n in nums])
-    return regions
+        W = np.array(rows, dtype=object)
+        keys.update(key for key in _region_keys(shape, X, W) if not isinstance(key, int))
+    return keys
 
 
 def enumerate_singular_sheets(
@@ -303,7 +302,7 @@ def enumerate_singular_sheets(
     *,
     seed: int = 0,
 ) -> list[Sheet]:
-    """Sheets discovered from probe_budget random witness points.
+    """Sheets discovered from probe_budget random probe points.
 
     For every realizable region and sample this emits, deduplicated up to
     nonzero rational scale:
@@ -322,8 +321,8 @@ def enumerate_singular_sheets(
     check_samples(shape, samples)
     if probe_budget < 1:
         raise SamplingError("probe budget must be at least 1")
-    regions = _sample_regions(shape, samples, probe_budget, seed)
-    if not regions:
+    keys = _sample_regions(shape, samples, probe_budget, seed)
+    if not keys:
         raise SamplingError(f"no realizable region found in {probe_budget} probes")
 
     # a node's components depend on the sample and on the flags below its
@@ -331,18 +330,17 @@ def enumerate_singular_sheets(
     components: dict[tuple, tuple[tuple[Poly, bool], ...]] = {}
     segments = _Segments([tuple(as_fraction(v) for v in sample.input) for sample in samples])
     found: dict[Poly, Sheet] = {}
+    outputs = [(o, shape.depth) for o in range(1, shape.widths[-1] + 1)]
+    nodes = [*shape.hidden_nodes(), *outputs]
 
-    for key in sorted(regions):
-        r = regions[key]
-        for p in range(len(samples)):
-            P = r.activation_sets[p]
-            outputs = ((o, shape.depth) for o in range(1, shape.widths[-1] + 1))
-            for i, k in (*shape.hidden_nodes(), *outputs):
-                memo_key = (p, (i, k), P.flags[: k - 2])
+    for key in sorted(keys):
+        for p, flags in enumerate(key):
+            for i, k in nodes:
+                memo_key = (p, (i, k), flags[: k - 2])
                 comps = components.get(memo_key)
                 if comps is None:
-                    comps = components[memo_key] = _node_components(shape, p, P, (i, k), segments)
-                singular = k < shape.depth and _wall_is_singular(shape, P, k)
+                    comps = components[memo_key] = _node_components(shape, p, flags, (i, k), segments)
+                singular = k < shape.depth and _wall_is_singular(flags, k)
                 for norm, independent in comps:
                     prev = found.get(norm)
                     if prev is None:

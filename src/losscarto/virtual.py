@@ -22,15 +22,15 @@ flags strictly inside it only, not on the sample behind a cut nor on
 the node read off its end layer.  The builder caches them under exactly
 that key (an input start by the sample's index in the cache's input
 list, so a lookup never rehashes Fractions), each built one layer on
-from the entry one layer shorter, so
-a caller that shares one cache over many nodes, flags and samples
-propagates each (start, flags) once.  One layer step sorts the source
-terms once and appends each edge in place: the result is in canonical
-order for every target node, and no term is re-sorted.
-virtual_polynomial and factorize use a fresh cache per call,
-enumerate_virtual_polynomials one over its activation sets, and sheet
+from the entry one layer shorter, so a caller that shares one cache over
+many nodes, flags and samples propagates each (start, flags) once.  One
+layer step sorts the source terms once and appends each edge in place:
+the result is in canonical order for every target node, and no term is
+re-sorted.  virtual_polynomial and factorize use a fresh cache per call,
+enumerate_virtual_polynomials one over its flag combinations, and sheet
 enumeration in surface one over every region, sample and node, through
-_factorize.
+_factorize, which takes the pattern as its flag tuple: an ActivationSet
+is built only at the public functions.
 """
 
 from __future__ import annotations
@@ -170,13 +170,13 @@ def enumerate_virtual_polynomials(
         for m in relevant_layers
     ]
     cache = _Segments([tuple(as_fraction(v) for v in x)])
-    witness: dict[Poly, ActivationSet] = {}
+    first: dict[Poly, tuple[tuple[bool, ...], ...]] = {}
     for combo in itertools.product(*per_layer):
-        flags = combo + tuple((True,) * shape.width(m) for m in range(k, shape.depth))
-        u = _segment(shape, cache, (1, 0), combo)[i - 1]
-        witness.setdefault(u, ActivationSet(shape.widths, flags))
+        first.setdefault(_segment(shape, cache, (1, 0), combo)[i - 1], combo)
+    above = tuple((True,) * shape.width(m) for m in range(k, shape.depth))
     return [
-        (P, u) for u, P in sorted(witness.items(), key=lambda item: item[0].terms, reverse=True)
+        (ActivationSet(shape.widths, combo + above), u)
+        for u, combo in sorted(first.items(), key=lambda item: item[0].terms, reverse=True)
     ]
 
 
@@ -231,30 +231,29 @@ def factorize(
     node = _check_node(shape, node)
     _check_flags(shape, activation_set)
     cache = _Segments([tuple(as_fraction(v) for v in x)])
-    return _factorize(shape, 0, activation_set, node, cache)
+    return _factorize(shape, 0, activation_set.flags, node, cache)
 
 
 def _factorize(
     shape: NetworkShape,
     sample: int,
-    activation_set: ActivationSet,
+    flags: tuple[tuple[bool, ...], ...],
     node: tuple[int, int],
     cache: _Segments,
 ) -> Factorization:
-    """factorize of the cache's inputs[sample] on checked arguments, filling the cache.
+    """factorize of the cache's inputs[sample] under checked flags and node, filling the cache.
 
-    The factors are the cache's own Poly objects, shared by every caller
-    that reaches the same segment.
+    A cut is a row of flags below the node with one True, and a segment
+    runs from the input or a cut's active node to the next such node or
+    the node itself.  The factors are the cache's own Poly objects,
+    shared by every caller that reaches the same segment.
     """
     i, k = node
-    cuts = [m for m in range(2, k) if len(activation_set.active_in_layer(m)) == 1]
+    cuts = [(m, row.index(True) + 1) for m, row in enumerate(flags[: k - 2], 2) if sum(row) == 1]
     factors: list[Poly] = []
     segments: list[tuple[int, int]] = []
-    for s, e in zip([1, *cuts], [*cuts, k]):
-        start = (1, sample) if s == 1 else (s, activation_set.active_in_layer(s)[0])
-        pre = _segment(shape, cache, start, activation_set.flags[s - 1 : e - 2])
-        end_node = i if e == k else activation_set.active_in_layer(e)[0]
-        factor = pre[end_node - 1]
+    for (s, at), (e, end_node) in zip([(1, sample), *cuts], [*cuts, (k, i)]):
+        factor = _segment(shape, cache, (s, at), flags[s - 1 : e - 2])[end_node - 1]
         if factor.is_zero():
             raise ZeroVirtualPolynomialError(
                 f"virtual polynomial of node ({i},{k}) is zero under these flags"

@@ -223,7 +223,7 @@ def test_criterion_6_singularity_classification():
         except BoundaryError:
             continue
         a = r.activation_sets[0]
-        if a.active_in_layer(3) == () and a.is_active(1, 2):
+        if not any(a.flags[1]) and a.is_active(1, 2):
             across = flipped_key(r, (1, 2))
             w2 = None
             for _ in range(4000):

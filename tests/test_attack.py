@@ -1068,6 +1068,13 @@ class TestAttackPipeline:
             run_attack(lambda w: calls.append(w) or 0.0, n_weights, input_dim, AttackConfig(n_lines=1))
         assert calls == []
 
+    def test_short_true_inputs_raise_before_any_query(self):
+        calls = []
+        with pytest.raises(ValueError, match="true_inputs"):
+            run_attack(lambda w: calls.append(w) or 0.0, 15, 3, AttackConfig(n_lines=1),
+                       true_inputs=[(1.0, 2.0)] * 5)
+        assert calls == []
+
     def test_run_attack_respects_budget(self):
         inst = gen_instance([2, 2, 1], 2, seed=11)
         cfg = AttackConfig(n_lines=4, budget=200, seed=5)  # the whole run takes 323 queries

@@ -72,6 +72,10 @@ class TestJson:
             )
         with pytest.raises(InstanceError):
             instance_from_json(
+                {"widths": [2, 1], "samples": [{"input": [1.0, 2.0], "output": [1, 2]}], "seed": 0}
+            )
+        with pytest.raises(InstanceError):
+            instance_from_json(
                 {
                     "widths": [2, 1],
                     "samples": [{"input": [1.0, 2.0], "output": [1.0]}],
