@@ -2,16 +2,15 @@
 
 The attacker can evaluate E(w) at weight vectors of their choosing and knows
 nothing else: no gradients, no training data, no weights. It scans the path
-loss v -> E(v, 1, ..., 1), with the first d_1 weights free and every other
-weight 1: every node above layer 2 then passes its input on, so the loss in
-v has one wall v . x_p = 0 per training input and no deep wall. Kinks of the
-path loss along random lines are located where the polynomial pieces on
-either side cross (a crossing guess, a two-query check, a bisection
-fallback), and finite differences on both sides of each kink give the jump
-of the gradient: the wall's normal, which is the training input up to a
-scalar multiple. The all-ones weights need no architecture past d_1, but at
-very wide shapes such as [8,30,30,30,4] they make kinks read as flat;
-weights chosen from a recovered layout wait on a black-box architecture walk.
+loss v -> E(v, r), with the first d_1 weights free and every other weight a
+small seeded positive r_j: every node above layer 2 then passes its input
+on, so the loss in v has one wall v . x_p = 0 per training input and no deep
+wall. Kinks of the path loss along random lines are located where the
+polynomial pieces on either side cross (a crossing guess and a two-query
+check), and the side models give each kink's slope and curvature jumps.
+Those jumps group the kinks by wall, and each wall's kinks give linear
+equations whose solution is the training input up to a scalar multiple:
+no query goes past the scan.
 """
 
 import time
@@ -34,7 +33,7 @@ elapsed = time.time() - t0
 
 print(f"queries used: {report.oracle_queries} / {report.budget}")
 print(f"wall time:    {elapsed:.1f}s")
-print(f"kinks found:  {len(report.kinks)}")
+print(f"kinks found:  {len(report.kinks)} on {report.lines_scanned} lines (stop: {report.stop})")
 print(f"directions:   {len(report.directions)}")
 for m in report.matches:
     d = report.directions[m.direction_index]

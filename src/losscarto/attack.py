@@ -3,51 +3,43 @@
 The pipeline mirrors how the loss surface is built: training inputs show
 up as the coefficient vectors of the linear walls, so the attack scans
 lines for kinks, places each where the exact polynomial pieces on either
-side meet (no bisection), measures the wall normal, gates it and reads
-the input direction off the normal's support.
+side meet (no bisection), and solves for each wall from the kinks on it:
+enough nonsmooth points on one wall give the sample's input up to scale.
 
-run_attack chooses where it looks.  It scans the path loss
-v -> E(v, 1, ..., 1): the first d_1 flat weights (row 1 of W_1, into
-node 1 of layer 2) are free and every other weight is 1.  Every node
-above layer 2 then gets a non-negative input and passes it on, so the
-net computes A * relu(v . x_p) + B_p for each sample p, with A > 0 and
-B_p fixed.  In v the loss is piecewise quadratic with exactly one wall
-v . x_p = 0 per sample and no deep wall, and each wall's normal is its
-sample's input.  The scan and jump below run unchanged on that
-d_1-variable oracle, with N' = d_1 and degree 2.  The all-ones weights
-are a layout-free choice.  They need no knowledge of the widths past
-d_1, but at very wide shapes (such as [8,30,30,30,4]) they make the loss
-so large that kinks read as flat.  A path with every other weight at a
-small kappa and v scaled to the loss would not, and needs no layout either
-(ROADMAP item 3).
+run_attack scans the path loss v -> E(v, r): the first d_1 flat weights
+(row 1 of W_1, into node 1 of layer 2) are free and every other weight
+is r_j = KAPPA * u_j, u_j ~ U(0.5, 1.5) from the seed.  Every node above
+layer 2 then gets a non-negative input and passes it on, so the net
+computes A_o * relu(v . x_p) + B_po, A_o > 0, and in v the loss is
+piecewise quadratic with one wall v . x_p = 0 per sample and no deep
+wall.  Across it the pieces differ by alpha u^2 + beta_p u, u = v . x_p,
+with one alpha = sum_o A_o^2 / 2 for all samples.  The small KAPPA keeps
+a kink clear of the other samples' offsets at width, the random u_j keep
+the beta_p apart, and neither needs a layout past d_1.
 
-The normal is the kink's gradient jump.  Across the path wall v . x_p = 0
-the loss pieces differ by (v . x_p) * G, so on the wall the gradient in v
-jumps by G * x_p: the input itself, times a scalar.  The scan measures
-it with central differences on both sides of the wall, Richardson-
-extrapolated over two offsets (_gradient_jumps).  A jump whose offsets
-disagree in direction is rejected as jump-gate, one whose J . d misses
-the models' slope jump as off-wall, and a flat kink, whose slope does
-not jump, as flat.  run_attack reads every other jump as an input
-direction.
+On a line with unit direction d, a kink on sample p's wall has the
+curvature jump (right minus left) 2 alpha (d . x_p) |d . x_p| and the
+slope jump beta_p |d . x_p|.  So each kink at v_k gives two linear
+equations on x~ = sqrt(2 alpha) x_p: v_k . x~ = 0 and d . x~ = m_k, m_k
+the signed root of the curvature jump.  slope |slope| / curvature =
+beta_p |beta_p| / 2 alpha is the same on every line, a fingerprint of the
+sample.  run_attack groups kinks by fingerprint, solves each group's
+equations with no further query, and splits a group that fits no single
+wall (colliding fingerprints) by seeded draws.
 
 Everything here is double precision; exact algebra stays in polyalg.
 run_attack is black-box: it sees only the oracle, the parameter count N
 and the input arity d_1, never the sample list or the architecture.
 
-The oracle is any callable w -> E(w).  LossOracle counts its queries,
-enforces the budget and raises NonFiniteLossError on a NaN or infinite
-value, so no such value reaches a fit.  A batch-capable oracle (one with
-a true ``batched`` attribute, as make_loss_fn returns) gets one (Q, N)
-array per round of a line's scan through LossOracle.many.  Any other
-callable is asked one row at a time, with the same queries, counts and
-results.  run_attack's path oracle keeps the oracle's batching, and
-each path row is one query.
+The oracle is any callable w -> E(w), wrapped in LossOracle (query
+count, budget, no NaN or infinite value).  A batch-capable oracle gets
+one (Q, N) array per round of a line's scan, any other one row at a time,
+with the same queries and results.  run_attack's path oracle keeps the
+oracle's batching, and each path row is one query.
 
-AttackConfig holds what a caller sets: the query budget, the number of
-scan lines and the seed.  The fineness of the scan, the reach of the
-jump stencil and the strictness of the gates are fixed heuristics, the
-module constants below, which the functions read at call time.
+AttackConfig holds what a caller sets: the query budget, the least
+number of scan lines and the seed.  Everything else is a fixed
+heuristic, a module constant below, read at call time.
 """
 
 from __future__ import annotations
@@ -77,10 +69,10 @@ EXACT_TOL = 1e-10  # window tolerance relative to the loss, above float64 noise 
 NOISE_FACTOR = 100.0  # heuristic (so labelled in reports): noisy-oracle window tolerance, in noise floors
 REFINE_TOL = 1e-9  # least gap of a crossing's check pair, near float noise on t
 SPURIOUS_TOL = 1e-7  # the scan's jump noise floors, relative to the loss scale
-JUMP_STEP = 1e-6  # central-difference step h of the gradient jump's batch
-JUMP_OFFSET = 1e-4  # distance s of the jump's gradients from the wall; also taken at s / 2
-JUMP_GATE = 0.999  # heuristic (so labelled in reports): least |cos(J(s), J(s/2))| accepted
-OFF_WALL_RATIO = 2.0  # heuristic (so labelled in reports): |J . d| this factor off the slope jump is off-wall
+KAPPA = 0.2  # heuristic (so labelled in reports): scale of the path's weights past v
+FINGERPRINT_TOL = 1e-6  # heuristic (so labelled in reports): relative gap that parts two fingerprints
+FIT_TOL = 1e-7  # heuristic (so labelled in reports): a kink's equations fit a wall x within this times |x|
+SPLIT_DRAWS = 200  # heuristic (so labelled in reports): seeded draws per wall when a group is split
 RETRIES = 3  # extra rescans, at halved offsets, before a harvest loses the sheet
 HARVEST_WINDOW_GRID = 33  # grid points of each rescan window in harvest_sheet_points
 DEGENERACY_TOL = 1e-10  # least s[N-2] / s[0] of a point cloud fit_hyperplane accepts
@@ -144,23 +136,15 @@ def _as_oracle(oracle) -> LossOracle:
 class KinkPoint:
     """A nonsmooth point on a scan line.
 
-    t is the kink's coordinate along the line, location = base + t *
-    direction, in the coordinates of the oracle that was scanned: for the
-    kinks of run_attack, path coordinates v in d_1 dimensions (the full
-    weight vector is v followed by N - d_1 ones).
-
-    jump_magnitude is the slope jump |f'(t+) - f'(t-)| of the two side
-    models at t, and curvature_jump their curvature jump, the signal of a
-    flat (C^1) kink, whose slope does not jump.  t is where the models
-    cross, or for a flat kink where their slopes meet: good to float
-    noise on exact pieces.
-
-    gradient_jump is the Richardson jump J = 2 J(s/2) - J(s) of the loss
-    gradient across the kink, over every coordinate of the line, and
-    jump_agreement is |cos(J(s), J(s/2))| (see _gradient_jumps).
-    rejection is why that measurement rejects the kink ('jump-gate' or
-    'off-wall'), and gradient_jump is then None.  All three are None
-    exactly for a flat kink, which gets no jump batch.
+    t is the kink's coordinate along the line and location = base + t *
+    direction, in the scanned oracle's coordinates (for run_attack, the
+    d_1 path coordinates v).  t is where the two side models cross, or for
+    a flat (C^1) kink where their slopes meet: good to float noise on
+    exact pieces.  jump_magnitude is their slope jump |f'(t+) - f'(t-)|
+    and curvature_jump |f''(t+) - f''(t-)|.  slope_sign is the sign of
+    f'(t+) - f'(t-), and curvature_side the side the extra curvature is
+    on (+1 right, -1 left); either is 0 when its jump is within its noise
+    floor.
     """
 
     t: float
@@ -168,67 +152,8 @@ class KinkPoint:
     line: tuple[tuple[float, ...], tuple[float, ...]]  # (base, direction)
     jump_magnitude: float
     curvature_jump: float
-    gradient_jump: tuple[float, ...] | None = None
-    jump_agreement: float | None = None
-    rejection: str | None = None
-
-
-def _jump_pairs(oracle: LossOracle, points: np.ndarray, unit: np.ndarray):
-    """(J(s), J(s/2)) at each of the (K, N) points, from one batch of 8 rows per coordinate each.
-
-    The centers are point + r*unit at r = s, -s, s/2, -s/2, unit the unit
-    line direction and s = JUMP_OFFSET.  J(r) is the central-difference
-    gradient (step JUMP_STEP along each coordinate axis) at point + r*unit
-    minus the one at point - r*unit.
-    """
-    k, n = points.shape
-    h = JUMP_STEP
-    s = JUMP_OFFSET
-    centers = (points[:, None, :] + np.array([s, -s, s / 2, -s / 2])[:, None] * unit)[:, :, None, :]
-    steps = h * np.eye(n)
-    rows = np.empty((k, 4, 2, n, n))
-    np.add(centers, steps, out=rows[:, :, 0])
-    np.subtract(centers, steps, out=rows[:, :, 1])
-    ys = oracle.many(rows.reshape(-1, n)).reshape(k, 4, 2, n)
-    grads = (ys[:, :, 0] - ys[:, :, 1]) / (2.0 * h)  # (K, 4, N): at +s, -s, +s/2, -s/2
-    return grads[:, 0] - grads[:, 1], grads[:, 2] - grads[:, 3]
-
-
-def _richardson(jump_s: np.ndarray, jump_half: np.ndarray):
-    """(2 J(s/2) - J(s), |cos(J(s), J(s/2))|), the agreement at most 1.
-
-    J(r) = jump + r * (H+ + H-) d + O(r^2), so the combination cancels the
-    first-order spill of the one-sided Hessians H+-.  The agreement is 0
-    when either jump or the combination is zero: a zero normal has no
-    direction to agree on.
-    """
-    jump = 2.0 * jump_half - jump_s
-    norms = math.sqrt(float(np.dot(jump_s, jump_s))) * math.sqrt(float(np.dot(jump_half, jump_half)))
-    if norms == 0.0 or not jump.any():
-        return jump, 0.0
-    return jump, min(1.0, abs(float(np.dot(jump_s, jump_half))) / norms)
-
-
-def _gradient_jumps(oracle: LossOracle, points: np.ndarray, direction: np.ndarray, slope_jumps):
-    """(J, agreement, None) across the wall at each point, or (None, agreement, rejection).
-
-    One batch of 8 rows per coordinate of the line and point measures every
-    J.  A jump whose agreement is below JUMP_GATE is 'jump-gate'.  On the
-    wall, J . d (d the line's unit direction) is the models' slope jump
-    over |d|: a ratio off by OFF_WALL_RATIO or more is 'off-wall'.
-    """
-    norm = math.sqrt(float(np.dot(direction, direction)))
-    unit = direction / norm
-    verdicts = []
-    for jump_s, jump_half, slope_jump in zip(*_jump_pairs(oracle, points, unit), slope_jumps):
-        jump, agreement = _richardson(jump_s, jump_half)
-        if agreement < JUMP_GATE:
-            verdicts.append((None, agreement, "jump-gate"))
-        elif not 1.0 / OFF_WALL_RATIO < abs(float(np.dot(jump, unit))) * norm / slope_jump < OFF_WALL_RATIO:
-            verdicts.append((None, agreement, "off-wall"))
-        else:
-            verdicts.append((jump, agreement, None))
-    return verdicts
+    slope_sign: int
+    curvature_side: int
 
 
 def _window_errors(ts: np.ndarray, ys: np.ndarray, degree: int) -> np.ndarray:
@@ -287,7 +212,10 @@ def _one_root(roots: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 
 def _scan(oracle: LossOracle, base, direction, t0: float, t1: float, grid: int, p: int) -> list:
-    """Settled kinks of one line as [t, slope jump, curvature jump, slope floor, curvature floor]."""
+    """Settled kinks of one line as [t, slope jump, curvature jump, slope floor, curvature floor].
+
+    Both jumps are signed, right minus left.
+    """
     h = (t1 - t0) / (grid - 1)
     ts = t0 + h * np.arange(-(p + 1), grid + p + 1)
     ys = oracle.many(base + ts[:, None] * direction)
@@ -338,9 +266,9 @@ def _scan(oracle: LossOracle, base, direction, t0: float, t1: float, grid: int, 
             size = np.abs(ys[idx]).max(axis=1)
             size = np.maximum(size[:k], size[k:])  # the kink's loss scale, as a window's
             flat = ~crossing & turning & (np.abs(value[:k] - value[k:]) <= tol * size)
-            jump = np.abs(slope[:k] - slope[k:]) / width
+            jump = (slope[k:] - slope[:k]) / width
             floor = SPURIOUS_TOL * (1.0 + size) * (2 * p + 1) / (2.0 * width)
-            found = np.array([mid + x_at * width, jump, np.abs(curv[:k] - curv[k:]) / width**2,
+            found = np.array([mid + x_at * width, jump, (curv[k:] - curv[:k]) / width**2,
                               floor, floor * (2 * p + 1) / (2.0 * width)]).T
             kinks += found[flat].tolist()
             for (e, s), settles in zip(singles, (crossing | flat).tolist()):
@@ -348,7 +276,7 @@ def _scan(oracle: LossOracle, base, direction, t0: float, t1: float, grid: int, 
                     cells.update(range(e, s))
             sel = np.flatnonzero(crossing)
             # the pair sits where the models part by 4 tolerances: only the kink's pieces pass
-            gap = np.maximum(0.45 * REFINE_TOL, 4.0 * tol * size[sel] / np.maximum(jump[sel], 1e-300))
+            gap = np.maximum(0.45 * REFINE_TOL, 4.0 * tol * size[sel] / np.maximum(np.abs(jump[sel]), 1e-300))
             gap = np.minimum(gap, 0.5 * (ts[s1] - ts[e1])[sel])
             checks = np.concatenate([found[sel, 0] - gap, found[sel, 0] + gap]).tolist()
             pick = np.concatenate([sel, k + sel])  # the left model at each left point, the right at each right
@@ -394,9 +322,8 @@ def detect_kinks_on_line(oracle, base, direction, t_range: tuple[float, float], 
     are one batch.  The scan stops when nothing is split, after ROUNDS
     rounds, or when the dirty windows more than double (noise), and never
     splits a cell below MIN_CELL.  A kink whose slope and curvature jumps
-    sit below their noise floors is dropped.  The line's kinks whose slope
-    jumps get their gradient jumps (_gradient_jumps) in one batch, 8N rows
-    each.  QueryBudgetExceeded ends the scan.
+    sit below their noise floors is dropped; no query goes past the scan.
+    QueryBudgetExceeded ends the scan.
     """
     oracle = _as_oracle(oracle)
     base = np.asarray(base, dtype=float)
@@ -406,27 +333,13 @@ def detect_kinks_on_line(oracle, base, direction, t_range: tuple[float, float], 
         raise ValueError(f"bad t_range {t_range}")
     _check_integer("grid", grid, 2)
     _check_integer("degree", degree, 1)
-    rows = sorted(row for row in _scan(oracle, base, direction, t0, t1, grid, degree)
-                  if t0 <= row[0] <= t1 and (row[1] > row[3] or row[2] > row[4]))
-    measured = [row for row in rows if row[1] > row[3]]
-    points = base + np.array([row[0] for row in measured]).reshape(-1, 1) * direction
-    verdicts = iter(_gradient_jumps(oracle, points, direction, [row[1] for row in measured]))
-    out = []
-    for t, jump, jump2, slope_floor, _ in rows:
-        J = agreement = rejection = None
-        if jump > slope_floor:
-            J, agreement, rejection = next(verdicts)
-        out.append(KinkPoint(
-            t=t,
-            location=tuple((base + t * direction).tolist()),
-            line=(tuple(base.tolist()), tuple(direction.tolist())),
-            jump_magnitude=jump,
-            curvature_jump=jump2,
-            gradient_jump=None if J is None else tuple(J.tolist()),
-            jump_agreement=agreement,
-            rejection=rejection,
-        ))
-    return out
+    line = (tuple(base.tolist()), tuple(direction.tolist()))
+    return [KinkPoint(t, tuple((base + t * direction).tolist()), line, abs(jump), abs(jump2),
+                      int(math.copysign(abs(jump) > slope_floor, jump)),
+                      int(math.copysign(abs(jump2) > curvature_floor, jump2)))
+            for t, jump, jump2, slope_floor, curvature_floor in sorted(
+                _scan(oracle, base, direction, t0, t1, grid, degree))
+            if t0 <= t <= t1 and (abs(jump) > slope_floor or abs(jump2) > curvature_floor)]
 
 
 # No pipeline calls this; it stays while bench/tracing.py wraps it by name.
@@ -441,8 +354,7 @@ def refine_kink(oracle, base, direction, bracket: tuple[float, float], degree: i
     return kinks[0]
 
 
-# No pipeline calls this; it stays while bench/tracing.py wraps it by name.  Its rescans pay for a
-# gradient jump batch per first-order kink, which it never reads.
+# No pipeline calls this; it stays while bench/tracing.py wraps it by name.
 def harvest_sheet_points(
     oracle,
     kink: KinkPoint,
@@ -670,14 +582,12 @@ def _check_integer(what: str, value, least: int, most: int | None = None) -> Non
 class AttackConfig:
     """What a run_attack caller sets: query budget, scan lines and seed.
 
-    n_lines is the number of path lines, each a random line in the d_1
-    path coordinates (see run_attack).  The seed draws each line's base
-    and direction.  Every other setting is a module constant.  JUMP_GATE
-    and OFF_WALL_RATIO among them are artifact heuristics (flagged as such
-    in reports): a gradient jump whose two offsets agree in direction
-    below JUMP_GATE is dropped, and so is one whose J . d is off the
-    models' slope jump by a factor of OFF_WALL_RATIO or more, rather than
-    read as a direction.
+    n_lines is the least number of path lines (random lines in the d_1
+    path coordinates), and how many lines in a row may add no wall before
+    the scan stops.  The seed draws the path's weights, the lines and the
+    split's draws.  Every other setting is a module constant; KAPPA,
+    FINGERPRINT_TOL, FIT_TOL and SPLIT_DRAWS are flagged as heuristics in
+    reports.
     """
 
     budget: int = 200_000
@@ -700,7 +610,7 @@ class AttackConfig:
 class RecoveredDirection:
     direction: tuple[float, ...]
     node: int | None  # the second-layer node whose wall it is: 1, the path's node
-    # 'gradient-jump', the only source: the kink's gradient jump, residual 1 - |cos(J(s), J(s/2))|
+    # 'triangulated', the only source; residual: the largest misfit of its wall's equations over |x~|
     residual: float
     provenance: str
 
@@ -713,7 +623,7 @@ class DirectionMatch:
     scale: float
 
 
-REJECTION_REASONS = ("jump-gate", "off-wall", "flat")
+REJECTION_REASONS = ("faint", "unmatched")
 
 
 @dataclass
@@ -723,11 +633,12 @@ class ReconstructionReport:
     architecture: tuple[int, ...] | str = "not attempted"
     oracle_queries: int = 0
     kinks: list[tuple[int, float, float]] = field(default_factory=list)
-    # rejected kinks by reason: the jump gate failed, J . d missed the slope jump
-    # (off its wall), or the slope did not jump (a flat kink, with no jump to read)
+    # rejected kinks by reason: faint (no curvature jump, so no equation) or unmatched (on no wall)
     rejections: dict[str, int] = field(default_factory=lambda: dict.fromkeys(REJECTION_REASONS, 0))
     budget: int | None = None
     budget_exhausted: bool = False
+    lines_scanned: int = 0
+    stop: str = ""  # why the scan stopped: 'explained', 'stalled' or 'budget' (see run_attack)
 
     @property
     def rejected_sheets(self) -> int:
@@ -744,17 +655,17 @@ class ReconstructionReport:
             "rejected_sheets": self.rejected_sheets,
             "rejections": dict(self.rejections),
             "kink_count": len(self.kinks),
+            "lines_scanned": self.lines_scanned,
+            "stop": self.stop,
             "budget": self.budget,
             "budget_exhausted": self.budget_exhausted,
-            "jump_gate": JUMP_GATE,
-            "jump_gate_note": "artifact heuristic threshold on |cos(J(s), J(s/2))|, "
-            "not derived from the model",
-            "off_wall_ratio": OFF_WALL_RATIO,
-            "off_wall_ratio_note": "artifact heuristic bound on |J.d| / slope jump, off-wall "
-            "outside (1 / off_wall_ratio, off_wall_ratio), not derived from the model",
-            "noise_factor": NOISE_FACTOR,
-            "noise_factor_note": "artifact heuristic: for a noisy oracle, a scan window is clean "
-            "within noise_factor times the lower-quartile window error, not derived from the model",
+        } | {key: value for name, value, note in (
+            ("kappa", KAPPA, "every path weight past v is kappa times a seeded U(0.5, 1.5)"),
+            ("fingerprint_tol", FINGERPRINT_TOL, "kinks whose fingerprints part by more are on two walls"),
+            ("fit_tol", FIT_TOL, "a kink is on a wall x when its equations fit within fit_tol * |x|"),
+            ("split_draws", SPLIT_DRAWS, "seeded draws per wall when a fingerprint group is split"),
+            ("noise_factor", NOISE_FACTOR, "a noisy oracle's scan windows are clean within this many floors"),
+        ) for key, value in ((name, value), (f"{name}_note", f"artifact heuristic: {note}; not from the model"))
         }
 
     def kink_csv(self) -> str:
@@ -783,20 +694,94 @@ def _match_directions(
             for di, si, c, sc in zip(rows.tolist(), best, cos[rows, best], scale)]
 
 
-def _path_oracle(oracle: Callable[[np.ndarray], float], n_weights: int, input_dim: int):
-    """The d_1-variable loss v -> E(v, 1, ..., 1), batch-capable when the oracle is.
+def _path_oracle(oracle: Callable[[np.ndarray], float], n_weights: int, input_dim: int, seed: int):
+    """The d_1-variable loss v -> E(v, r), batch-capable when the oracle is; a row is one query.
 
-    v is the first d_1 flat weights, row 1 of W_1 into node 1 of layer 2,
-    and every other weight is 1.  Each row is one query to oracle.
+    v is the first d_1 flat weights (row 1 of W_1) and every other weight
+    is r_j = KAPPA * u_j, u_j ~ U(0.5, 1.5) drawn by default_rng(seed).
     """
-    ones = np.ones(n_weights - input_dim)
+    rest = KAPPA * np.random.default_rng(seed).uniform(0.5, 1.5, n_weights - input_dim)
 
     def path(v):
         v = np.asarray(v, dtype=float)
-        return oracle(np.concatenate([v, np.broadcast_to(ones, v.shape[:-1] + ones.shape)], axis=-1))
+        return oracle(np.concatenate([v, np.broadcast_to(rest, v.shape[:-1] + rest.shape)], axis=-1))
 
     path.batched = getattr(oracle, "batched", False)
     return path
+
+
+def _fit(P: np.ndarray, D: np.ndarray, M: np.ndarray):
+    """(x, misfit): the least-squares P x = 0, D x = M, misfit its largest row error over |x|.
+
+    None unless the system has rank d_1 (singular values below FIT_TOL of
+    the largest count as 0) and misfit is within FIT_TOL.
+    """
+    A = np.concatenate([P, D])
+    b = np.concatenate([np.zeros(len(M)), M])
+    x, _, rank, _ = np.linalg.lstsq(A, b, rcond=FIT_TOL)
+    misfit = float(np.abs(np.dot(A, x) - b).max() / np.linalg.norm(x)) if rank == len(x) else math.inf
+    return (x, misfit) if misfit <= FIT_TOL else None
+
+
+def _split(P, D, M, lines, seed: int) -> list:
+    """Walls (x, misfit) peeled off a group whose kinks fit no single wall.
+
+    Each round solves SPLIT_DRAWS seeded draws of ceil((d_1 + 1) / 2)
+    kinks from distinct lines and keeps, of the draws whose own kinks fit,
+    the one with the most inliers (both equations within FIT_TOL |x|).
+    Their fit is a wall, and they are peeled off, until too few lines are
+    left or a round finds no wall.
+    """
+    size = (P.shape[1] + 2) // 2
+    rng = np.random.default_rng(seed)
+    left, walls = np.arange(len(M)), []
+    while len(set(lines[left].tolist())) >= size:
+        draws = []
+        for _ in range(SPLIT_DRAWS):  # one kink each from size distinct lines
+            order = rng.permutation(left)
+            draws.append(rng.choice(order[np.unique(lines[order], return_index=True)[1]], size, replace=False))
+        draws = np.array(draws)
+        # each draw's least-squares solution of P x = 0, D x = M
+        pinv = np.linalg.pinv(np.concatenate([P[draws], D[draws]], axis=1), rcond=FIT_TOL)
+        X = np.einsum("qij,qj->qi", pinv[:, :, size:], M[draws])
+        bound = FIT_TOL * np.linalg.norm(X, axis=1)[:, None]
+        fits = (np.abs(np.dot(X, P.T)) <= bound) & (np.abs(np.dot(X, D.T) - M) <= bound)
+        own = np.take_along_axis(fits, draws, axis=1).all(axis=1)
+        best = np.argmax(np.where(own, fits[:, left].sum(axis=1), -1))
+        inliers = np.intersect1d(np.flatnonzero(fits[best]), left)
+        wall = _fit(P[inliers], D[inliers], M[inliers]) if own.any() else None
+        if wall is None:
+            break
+        walls.append(wall)
+        left = np.setdiff1d(left, inliers)
+    return walls
+
+
+def _walls(P, D, M, F, lines, seed: int, cache: dict) -> list:
+    """Walls (x, misfit) of the kinks: each fingerprint group's fit, or its split.
+
+    Sorted fingerprints F (NaN for a faint kink, which is left out) group
+    where neighbours differ by at most FINGERPRINT_TOL of the larger.  A
+    group of more than d_1 / 2 kinks that fits (_fit) is one wall, any
+    other is split (_split).  cache holds each group's walls by members.
+    """
+    order = np.argsort(F, kind="stable")[: np.count_nonzero(~np.isnan(F))]  # NaNs sort last
+    f = F[order]
+    gaps = np.abs(np.diff(f)) > FINGERPRINT_TOL * np.maximum(np.abs(f[1:]), np.abs(f[:-1]))
+    walls = []
+    for group in np.split(order, np.flatnonzero(gaps) + 1):
+        key = tuple(group.tolist())
+        if key not in cache:
+            wall = _fit(P[group], D[group], M[group]) if 2 * len(group) > P.shape[1] else None
+            cache[key] = [wall] if wall else _split(P[group], D[group], M[group], lines[group], seed)
+        walls += cache[key]
+    return walls
+
+
+def _on_walls(P: np.ndarray, walls: list) -> np.ndarray:
+    """Which unit kink locations P lie on a wall: |P_k . x| within FIT_TOL |x| for some wall x."""
+    X = np.array([x for x, _ in walls]).reshape(-1, P.shape[1])
+    return (np.abs(np.dot(P, X.T)) <= FIT_TOL * np.linalg.norm(X, axis=1)).any(axis=1)
 
 
 def run_attack(
@@ -807,66 +792,79 @@ def run_attack(
     *,
     true_inputs: Sequence[Sequence[float]] | None = None,
 ) -> ReconstructionReport:
-    """Black-box reconstruction: path scan, jump, gate, read.
+    """Black-box reconstruction: path scan, then a query-free solve for each wall.
 
-    Scans cfg.n_lines random lines of the path loss v -> E(v, 1, ..., 1)
-    in the first d_1 weights (_path_oracle; see the module docstring),
-    whose only walls are v . x_p = 0, one per sample, at degree 2 and
-    GRID points, and takes every kink of each.  Each path row is one
-    query against cfg.budget.  Each gradient jump that passes JUMP_GATE
-    on its wall (see _gradient_jumps) is read as an input direction:
-    entries at or below SUPPORT_TOL times the largest are dropped, and
-    the rest is normalised, so a one-hot input comes back too.  A flat
-    kink has no jump and is rejected as 'flat'.  The kinks in
-    report.kinks are (line, t, slope jump) on the path lines, and every
-    direction's node is 1.
-    Knows only the oracle, the weight count N and the input arity d_1.
-    Recovered directions are unit vectors in input space, deduplicated at
-    |cos| >= 1 - DEDUP_TOL; when true_inputs is supplied (scoring only,
-    never consulted by the search) each direction is matched to its best
-    sample by |cosine| together with the implied scalar multiple.
-    Raises ValueError, before any query, unless N >= 1 and 1 <= d_1 <= N
-    and every row of true_inputs, when given, has d_1 entries.
+    Scans random lines of the path loss (_path_oracle and the module
+    docstring) at degree 2 and GRID points; each path row is one query
+    against cfg.budget.  A kink whose curvature does not jump gives no
+    equation and is rejected as 'faint'.  From line cfg.n_lines on, the
+    kinks are solved for walls after every line (_walls), and the scan
+    stops once every kink lies on a wall (|v_k . x| within FIT_TOL |v_k|
+    |x|), 'explained'; once cfg.n_lines lines in a row add no wall,
+    'stalled'; or when the budget runs out, 'budget'.  A kink on no wall
+    is rejected as 'unmatched'.  Each wall's x, without its entries at or
+    below SUPPORT_TOL times the largest, is read as a unit input direction
+    (a one-hot input comes back exactly) at node 1, deduplicated at |cos|
+    >= 1 - DEDUP_TOL.  report.kinks holds (line, t, slope jump).  Knows
+    only the oracle, N and d_1; true_inputs, when given, only scores the
+    directions: each is matched to its best sample by |cosine|, with the
+    implied scalar multiple.  Raises ValueError, before any query, unless
+    N >= 1 and 1 <= d_1 <= N and every row of true_inputs has d_1 entries.
     """
     _check_integer("n_weights", n_weights, 1)
     _check_integer("input_dim", input_dim, 1, n_weights)
     if true_inputs is not None and any(len(x) != input_dim for x in true_inputs):
         raise ValueError(f"every row of true_inputs must have input_dim = {input_dim} entries")
     cfg = config or AttackConfig()
-    counted = LossOracle(_path_oracle(oracle, n_weights, input_dim), budget=cfg.budget)
+    counted = LossOracle(_path_oracle(oracle, n_weights, input_dim, cfg.seed), budget=cfg.budget)
     report = ReconstructionReport(budget=cfg.budget)
 
-    raw_candidates: list[RecoveredDirection] = []
+    found: list[tuple] = []  # per kink: location, line direction, m_k, fingerprint, line
+    cache: dict = {}
+
+    def columns():  # (P, D, M, F, lines): unit kink locations, then the rest of found, as arrays
+        V, D, M, F, lines = zip(*found) if found else ((),) * 5
+        V, D = np.reshape(V, (-1, input_dim)), np.reshape(D, (-1, input_dim))
+        return V / np.linalg.norm(V, axis=1, keepdims=True), D, np.array(M), np.array(F), np.array(lines, int)
+
+    walls, most, last_new = [], 0, cfg.n_lines
     try:
-        for line_id in range(cfg.n_lines):
-            # the line's child of SeedSequence(seed).spawn(n_lines), built when it is reached
+        while True:
+            line_id = report.lines_scanned
+            # the line's child of SeedSequence(seed).spawn(...), built when it is reached
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(line_id,)))
             base = rng.normal(size=input_dim)
             direction = rng.normal(size=input_dim)
             direction /= np.linalg.norm(direction)
             # the path loss is piecewise quadratic in t
-            kinks = detect_kinks_on_line(counted, base, direction, T_RANGE, GRID, 2)
-            for kink in kinks:
+            for kink in detect_kinks_on_line(counted, base, direction, T_RANGE, GRID, 2):
                 report.kinks.append((line_id, kink.t, kink.jump_magnitude))
-                if kink.gradient_jump is None:
-                    report.rejections[kink.rejection or "flat"] += 1
-                else:
-                    raw_candidates.append(RecoveredDirection(
-                        _support_direction(np.asarray(kink.gradient_jump)), 1,
-                        1.0 - kink.jump_agreement, "gradient-jump"))
+                found.append((kink.location, direction, kink.curvature_side * math.sqrt(kink.curvature_jump),
+                              kink.slope_sign * kink.jump_magnitude**2 / kink.curvature_jump
+                              if kink.curvature_side else math.nan, line_id))
+            report.lines_scanned += 1
+            if report.lines_scanned < cfg.n_lines:
+                continue
+            cols = columns()
+            walls = _walls(*cols, cfg.seed, cache)
+            if len(walls) > most:
+                most, last_new = len(walls), report.lines_scanned
+            explained = _on_walls(cols[0], walls).all()
+            if explained or report.lines_scanned - last_new >= cfg.n_lines:
+                report.stop = "explained" if explained else "stalled"
+                break
     except QueryBudgetExceeded:
-        report.budget_exhausted = True
+        report.budget_exhausted, report.stop = True, "budget"
+        cols = columns()
+        walls = _walls(*cols, cfg.seed, cache)
 
-    kept = np.empty((len(raw_candidates), input_dim))  # kept directions, unit vectors
-    for cand in raw_candidates:
-        k = len(report.directions)
-        kept[k] = cand.direction
-        dup = np.flatnonzero(np.abs(np.dot(kept[:k], kept[k])) >= 1.0 - DEDUP_TOL)
-        if not dup.size:
-            report.directions.append(cand)
-        elif cand.residual < report.directions[dup[0]].residual:
-            report.directions[dup[0]] = cand
-            kept[dup[0]] = kept[k]
+    faint = np.isnan(cols[3])
+    report.rejections["faint"] = int(faint.sum())
+    report.rejections["unmatched"] = int((~faint & ~_on_walls(cols[0], walls)).sum())
+    for x, misfit in sorted(walls, key=lambda wall: wall[1]):  # of duplicates, the best fit comes first
+        direction = _support_direction(x)
+        if all(abs(float(np.dot(direction, kept.direction))) < 1.0 - DEDUP_TOL for kept in report.directions):
+            report.directions.append(RecoveredDirection(direction, 1, misfit, "triangulated"))
 
     if true_inputs is not None:
         report.matches = _match_directions(report.directions, true_inputs)

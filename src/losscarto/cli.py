@@ -264,7 +264,8 @@ def _cmd_attack(ns) -> int:
         true_inputs=true_inputs,
     )
     exhausted = "; budget exhausted" if report.budget_exhausted else ""
-    print(f"oracle queries: {report.oracle_queries} / {cfg.budget}{exhausted}")
+    print(f"oracle queries: {report.oracle_queries} / {cfg.budget}{exhausted}; "
+          f"lines scanned: {report.lines_scanned} ({report.stop})")
     reasons = ", ".join(f"{why} {n}" for why, n in report.rejections.items() if n)
     print(f"kinks found: {len(report.kinks)}; rejected: {report.rejected_sheets}"
           + (f" ({reasons})" if reasons else ""))

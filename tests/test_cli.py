@@ -98,18 +98,25 @@ class TestAttack:
         assert data["directions"]
         assert any(m["cosine"] >= 0.999 for m in data["matches"])
         assert kinks.read_text().splitlines()[0] == "line_id,t,jump,refined"
-        # the summary line: kinks found, then rejections in all and by reason
-        assert capsys.readouterr().out.splitlines()[1] == "kinks found: 14; rejected: 0"
-        assert data["kink_count"] == 14 and data["rejections"] == {"jump-gate": 0, "off-wall": 0, "flat": 0}
-        # a gate no jump passes: every kink is rejected, by reason, and nothing is recovered
-        monkeypatch.setattr(attack_module, "JUMP_GATE", 2.0)
+        # the summary lines: queries, lines scanned and why the scan stopped; then kinks found,
+        # and rejections in all and by reason
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith("; lines scanned: 8 (explained)")
+        assert out[1] == "kinks found: 14; rejected: 2 (faint 2)"
+        assert data["kink_count"] == 14 and data["rejections"] == {"faint": 2, "unmatched": 0}
+        assert data["lines_scanned"] == 8 and data["stop"] == "explained"
+        # a fit no wall passes: every kink with a curvature jump is unmatched, the scan stalls,
+        # and nothing is recovered
+        monkeypatch.setattr(attack_module, "FIT_TOL", 0.0)
         assert main(["attack", "--instance", str(inst_path), "--budget", "120000"]) == 3
-        assert capsys.readouterr().out.splitlines()[1] == "kinks found: 14; rejected: 14 (jump-gate 14)"
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith("; lines scanned: 16 (stalled)")
+        assert out[1] == "kinks found: 27; rejected: 27 (faint 2, unmatched 25)"
 
     def test_no_recovery_exit_code(self, inst_path, capsys):
-        # a starved budget cannot even finish one scan line
+        # a starved budget ends the scan inside its second line, before any wall is solved
         assert main(["attack", "--instance", str(inst_path), "--budget", "50"]) == 3
-        assert "oracle queries: 50 / 50; budget exhausted" in capsys.readouterr().out
+        assert "oracle queries: 50 / 50; budget exhausted; lines scanned: 1 (budget)" in capsys.readouterr().out
 
     def test_non_finite_loss_exit_code(self, tmp_path, capsys):
         # the loss overflows to inf at every weight vector the attack tries
