@@ -23,4 +23,4 @@ print("true ratios y/x:      ", sorted(y / x for x, y in pairs))
 print("recovered kinks:      ", sorted(round(k.t, 9) for k in kinks))
 print("oracle queries:       ", oracle.query_count)
 for k in sorted(kinks, key=lambda k: k.t):
-    print(f"  t={k.t:+.9f}  curvature jump={k.curvature_jump:.4f}")
+    print(f"  t={k.t:+.9f}  curvature jump (right minus left)={k.curvature_jump:+.4f}")

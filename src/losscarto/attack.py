@@ -140,20 +140,16 @@ class KinkPoint:
     direction, in the scanned oracle's coordinates (for run_attack, the
     d_1 path coordinates v).  t is where the two side models cross, or for
     a flat (C^1) kink where their slopes meet: good to float noise on
-    exact pieces.  jump_magnitude is their slope jump |f'(t+) - f'(t-)|
-    and curvature_jump |f''(t+) - f''(t-)|.  slope_sign is the sign of
-    f'(t+) - f'(t-), and curvature_side the side the extra curvature is
-    on (+1 right, -1 left); either is 0 when its jump is within its noise
-    floor.
+    exact pieces.  slope_jump is f'(t+) - f'(t-) and curvature_jump
+    f''(t+) - f''(t-), both signed right minus left, and either is 0.0
+    when it is within its noise floor (never both).
     """
 
     t: float
     location: tuple[float, ...]
     line: tuple[tuple[float, ...], tuple[float, ...]]  # (base, direction)
-    jump_magnitude: float
+    slope_jump: float
     curvature_jump: float
-    slope_sign: int
-    curvature_side: int
 
 
 def _window_errors(ts: np.ndarray, ys: np.ndarray, degree: int) -> np.ndarray:
@@ -212,9 +208,10 @@ def _one_root(roots: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 
 def _scan(oracle: LossOracle, base, direction, t0: float, t1: float, grid: int, p: int) -> list:
-    """Settled kinks of one line as [t, slope jump, curvature jump, slope floor, curvature floor].
+    """Settled kinks of one line as [t, slope jump, curvature jump].
 
-    Both jumps are signed, right minus left.
+    Both jumps are signed, right minus left, and a jump within its noise
+    floor is 0.0.
     """
     h = (t1 - t0) / (grid - 1)
     ts = t0 + h * np.arange(-(p + 1), grid + p + 1)
@@ -267,9 +264,10 @@ def _scan(oracle: LossOracle, base, direction, t0: float, t1: float, grid: int, 
             size = np.maximum(size[:k], size[k:])  # the kink's loss scale, as a window's
             flat = ~crossing & turning & (np.abs(value[:k] - value[k:]) <= tol * size)
             jump = (slope[k:] - slope[:k]) / width
+            jump2 = (curv[k:] - curv[:k]) / width**2
             floor = SPURIOUS_TOL * (1.0 + size) * (2 * p + 1) / (2.0 * width)
-            found = np.array([mid + x_at * width, jump, (curv[k:] - curv[:k]) / width**2,
-                              floor, floor * (2 * p + 1) / (2.0 * width)]).T
+            found = np.array([mid + x_at * width, np.where(np.abs(jump) > floor, jump, 0.0),
+                              np.where(np.abs(jump2) > floor * (2 * p + 1) / (2.0 * width), jump2, 0.0)]).T
             kinks += found[flat].tolist()
             for (e, s), settles in zip(singles, (crossing | flat).tolist()):
                 if not settles:
@@ -321,25 +319,26 @@ def detect_kinks_on_line(oracle, base, direction, t_range: tuple[float, float], 
     failed check splits its cells in 4; a round's new points and checks
     are one batch.  The scan stops when nothing is split, after ROUNDS
     rounds, or when the dirty windows more than double (noise), and never
-    splits a cell below MIN_CELL.  A kink whose slope and curvature jumps
-    sit below their noise floors is dropped; no query goes past the scan.
-    QueryBudgetExceeded ends the scan.
+    splits a cell below MIN_CELL.  Each jump within its noise floor reads
+    0.0, and a kink with both at 0.0 is dropped; no query goes past the
+    scan.  QueryBudgetExceeded ends the scan.  Raises ValueError, before
+    any query, unless base and direction are finite 1-D arrays of one
+    length and t_range is a finite interval.
     """
     oracle = _as_oracle(oracle)
     base = np.asarray(base, dtype=float)
     direction = np.asarray(direction, dtype=float)
+    if base.ndim != 1 or base.shape != direction.shape or not np.isfinite([base, direction]).all():
+        raise ValueError("base and direction must be finite 1-D arrays of one length")
     t0, t1 = float(t_range[0]), float(t_range[1])
-    if not t1 > t0:
+    if not -math.inf < t0 < t1 < math.inf:
         raise ValueError(f"bad t_range {t_range}")
     _check_integer("grid", grid, 2)
     _check_integer("degree", degree, 1)
     line = (tuple(base.tolist()), tuple(direction.tolist()))
-    return [KinkPoint(t, tuple((base + t * direction).tolist()), line, abs(jump), abs(jump2),
-                      int(math.copysign(abs(jump) > slope_floor, jump)),
-                      int(math.copysign(abs(jump2) > curvature_floor, jump2)))
-            for t, jump, jump2, slope_floor, curvature_floor in sorted(
-                _scan(oracle, base, direction, t0, t1, grid, degree))
-            if t0 <= t <= t1 and (abs(jump) > slope_floor or abs(jump2) > curvature_floor)]
+    return [KinkPoint(t, tuple((base + t * direction).tolist()), line, jump, jump2)
+            for t, jump, jump2 in sorted(_scan(oracle, base, direction, t0, t1, grid, degree))
+            if t0 <= t <= t1 and (jump or jump2)]
 
 
 # No pipeline calls this; it stays while bench/tracing.py wraps it by name.
@@ -588,6 +587,9 @@ class AttackConfig:
     split's draws.  Every other setting is a module constant; KAPPA,
     FINGERPRINT_TOL, FIT_TOL and SPLIT_DRAWS are flagged as heuristics in
     reports.
+    The 'explained' stop sees only the kinks found so far, so a wall no
+    line has crossed is never looked for: two flat walls scanned with
+    n_lines=2 stop at one.
     """
 
     budget: int = 200_000
@@ -632,7 +634,7 @@ class ReconstructionReport:
     matches: list[DirectionMatch] = field(default_factory=list)
     architecture: tuple[int, ...] | str = "not attempted"
     oracle_queries: int = 0
-    kinks: list[tuple[int, float, float]] = field(default_factory=list)
+    kinks: list[tuple[int, KinkPoint]] = field(default_factory=list)  # (line id, kink), in scan order
     # rejected kinks by reason: faint (no curvature jump, so no equation) or unmatched (on no wall)
     rejections: dict[str, int] = field(default_factory=lambda: dict.fromkeys(REJECTION_REASONS, 0))
     budget: int | None = None
@@ -669,10 +671,9 @@ class ReconstructionReport:
         }
 
     def kink_csv(self) -> str:
-        lines = ["line_id,t,jump,refined"]  # every kink is refined; the column keeps the format
-        for line_id, t, jump in self.kinks:
-            lines.append(f"{line_id},{t!r},{jump!r},true")
-        return "\n".join(lines) + "\n"
+        # jump is the slope jump's size; every kink is refined, and the column keeps the format
+        rows = [f"{line_id},{kink.t!r},{abs(kink.slope_jump)!r},true" for line_id, kink in self.kinks]
+        return "\n".join(["line_id,t,jump,refined", *rows]) + "\n"
 
 
 def _match_directions(
@@ -780,6 +781,7 @@ def _walls(P, D, M, F, lines, seed: int, cache: dict) -> list:
 
 def _on_walls(P: np.ndarray, walls: list) -> np.ndarray:
     """Which unit kink locations P lie on a wall: |P_k . x| within FIT_TOL |x| for some wall x."""
+    # by location alone: a faint kink has no m_k equation, and asking for one would never explain it
     X = np.array([x for x, _ in walls]).reshape(-1, P.shape[1])
     return (np.abs(np.dot(P, X.T)) <= FIT_TOL * np.linalg.norm(X, axis=1)).any(axis=1)
 
@@ -805,7 +807,7 @@ def run_attack(
     is rejected as 'unmatched'.  Each wall's x, without its entries at or
     below SUPPORT_TOL times the largest, is read as a unit input direction
     (a one-hot input comes back exactly) at node 1, deduplicated at |cos|
-    >= 1 - DEDUP_TOL.  report.kinks holds (line, t, slope jump).  Knows
+    >= 1 - DEDUP_TOL.  report.kinks holds (line id, KinkPoint).  Knows
     only the oracle, N and d_1; true_inputs, when given, only scores the
     directions: each is matched to its best sample by |cosine|, with the
     implied scalar multiple.  Raises ValueError, before any query, unless
@@ -819,15 +821,16 @@ def run_attack(
     counted = LossOracle(_path_oracle(oracle, n_weights, input_dim, cfg.seed), budget=cfg.budget)
     report = ReconstructionReport(budget=cfg.budget)
 
-    found: list[tuple] = []  # per kink: location, line direction, m_k, fingerprint, line
-    cache: dict = {}
+    def columns():  # (P, D, M, F, lines) of report.kinks: unit locations, directions, m_k, fingerprints, ids
+        lines, kinks = zip(*report.kinks) if report.kinks else ((), ())
+        rows = np.reshape([k.location + k.line[1] + (k.slope_jump, k.curvature_jump) for k in kinks],
+                          (-1, 2 * input_dim + 2))
+        P, D, S, C = rows[:, :input_dim], rows[:, input_dim:-2], rows[:, -2], rows[:, -1]
+        F = S * np.abs(S) / np.where(C != 0.0, np.abs(C), np.nan)  # NaN for a faint kink
+        return (P / np.linalg.norm(P, axis=1, keepdims=True), D, np.copysign(np.sqrt(np.abs(C)), C), F,
+                np.array(lines, int))
 
-    def columns():  # (P, D, M, F, lines): unit kink locations, then the rest of found, as arrays
-        V, D, M, F, lines = zip(*found) if found else ((),) * 5
-        V, D = np.reshape(V, (-1, input_dim)), np.reshape(D, (-1, input_dim))
-        return V / np.linalg.norm(V, axis=1, keepdims=True), D, np.array(M), np.array(F), np.array(lines, int)
-
-    walls, most, last_new = [], 0, cfg.n_lines
+    walls, most, last_new, cache = [], 0, cfg.n_lines, {}  # cache: _walls' fits by group
     try:
         while True:
             line_id = report.lines_scanned
@@ -836,12 +839,8 @@ def run_attack(
             base = rng.normal(size=input_dim)
             direction = rng.normal(size=input_dim)
             direction /= np.linalg.norm(direction)
-            # the path loss is piecewise quadratic in t
-            for kink in detect_kinks_on_line(counted, base, direction, T_RANGE, GRID, 2):
-                report.kinks.append((line_id, kink.t, kink.jump_magnitude))
-                found.append((kink.location, direction, kink.curvature_side * math.sqrt(kink.curvature_jump),
-                              kink.slope_sign * kink.jump_magnitude**2 / kink.curvature_jump
-                              if kink.curvature_side else math.nan, line_id))
+            kinks = detect_kinks_on_line(counted, base, direction, T_RANGE, GRID, 2)  # piecewise quadratic in t
+            report.kinks += [(line_id, kink) for kink in kinks]
             report.lines_scanned += 1
             if report.lines_scanned < cfg.n_lines:
                 continue

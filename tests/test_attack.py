@@ -213,7 +213,7 @@ class TestDetectRefine:
         kinks = detect_kinks_on_line(LossOracle(f), [0.0], [1.0], (-4, 4), GRID, 2)
         assert len(kinks) == 1
         assert abs(kinks[0].t - kink_at) < 1e-12
-        assert kinks[0].jump_magnitude == pytest.approx(2.0, rel=1e-9)
+        assert kinks[0].slope_jump == pytest.approx(2.0, rel=1e-9)
 
     def test_second_order_kink(self):
         # max(0, t - c)^2 is C^1: only the curvature jumps (by 2); the kink sits where the slopes meet
@@ -248,7 +248,7 @@ class TestDetectRefine:
 
         kinks = detect_kinks_on_line(LossOracle(f), [0.0], [1.0], (-4, 4), GRID, 2)
         assert [k.t for k in kinks] == pytest.approx([-2.0, 1.0], abs=1e-12)
-        assert [k.jump_magnitude for k in kinks] == pytest.approx([0.02, 10.0], rel=1e-9)
+        assert [k.slope_jump for k in kinks] == pytest.approx([0.02, 10.0], rel=1e-9)
 
     def test_bad_degree_or_grid_is_rejected_before_any_query(self):
         oracle = warmup_oracle([(1.0, 2.0), (3.0, 1.0), (-2.0, 1.5)])
@@ -256,6 +256,28 @@ class TestDetectRefine:
         for grid, degree in ((GRID, 0), (GRID, -1), (GRID, 2.0), (GRID, True), (1, 2), (33.0, 2)):
             with pytest.raises(ValueError, match="degree|grid"):
                 detect_kinks_on_line(oracle, *line, grid, degree)
+        # and a t_range that is no finite interval: an infinite end would pass t1 > t0 and spend
+        # a grid before the oracle's loss goes infinite
+        inf, nan = math.inf, math.nan
+        for t_range in ((1, 0), (0, 0), (-inf, 4), (-4, inf), (-inf, inf), (nan, 4), (-4, nan)):
+            with pytest.raises(ValueError, match="t_range"):
+                detect_kinks_on_line(oracle, WARMUP_BASE, WARMUP_DIRECTION, t_range, GRID, 2)
+        assert oracle.query_count == 0
+
+    def test_mismatched_or_non_finite_line_is_rejected_before_any_query(self):
+        # a base of length 3 and a direction of length 1 would broadcast to the diagonal
+        oracle = warmup_oracle([(1.0, 2.0), (3.0, 1.0)])
+        for base, direction in (
+            (WARMUP_BASE, [1.0]),
+            ([0.0], WARMUP_DIRECTION),
+            ([WARMUP_BASE], WARMUP_DIRECTION),
+            ([WARMUP_BASE], [WARMUP_DIRECTION]),
+            (0.0, 1.0),
+            ([0.0, math.nan, 1.0], WARMUP_DIRECTION),
+            (WARMUP_BASE, [-math.inf, 0.0, 0.0]),
+        ):
+            with pytest.raises(ValueError, match="base and direction"):
+                detect_kinks_on_line(oracle, base, direction, (-4, 4), GRID, 2)
         assert oracle.query_count == 0
 
     @pytest.mark.parametrize("pairs,queries", [
@@ -265,17 +287,17 @@ class TestDetectRefine:
     def test_warmup_line_matches_its_own_loop(self, pairs, queries):
         # the network's loss on the warm-up line against h(a) summed in its own loop: the
         # same kinks bit for bit, for the same queries (the grid alone: every warm-up kink is
-        # flat), each at its hinge y / x, its extra curvature x^2 on the side where y - a x > 0
+        # flat), each at its hinge y / x, its curvature jump (right minus left) -x |x|: the extra
+        # x^2 is on the side where y - a x > 0
         net, ref = warmup_oracle(pairs), fsum_warmup(pairs)
         got = detect_kinks_on_line(net, WARMUP_BASE, WARMUP_DIRECTION, (-4.0, 4.0), GRID, 2)
         want = detect_kinks_on_line(ref, [0.0], [1.0], (-4.0, 4.0), GRID, 2)
         assert [k.t for k in got] == pytest.approx(sorted(y / x for x, y in pairs), abs=1e-13)
         assert [(k.t, k.curvature_jump) for k in got] == [(k.t, k.curvature_jump) for k in want]
         assert net.query_count == ref.query_count == queries
-        assert [k.slope_sign for k in got] == [0] * len(pairs)
+        assert [k.slope_jump for k in got] == [0.0] * len(pairs)
         xs = [x for x, y in sorted(pairs, key=lambda pair: pair[1] / pair[0])]
-        assert [k.curvature_side for k in got] == [-1 if x > 0 else 1 for x in xs]
-        assert [k.curvature_jump for k in got] == pytest.approx([x * x for x in xs])
+        assert [k.curvature_jump for k in got] == pytest.approx([-x * abs(x) for x in xs])
 
     @pytest.mark.parametrize(
         "a,b",
@@ -308,8 +330,8 @@ class TestDetectRefine:
     @example([(1e-3, 1.0, 0.0), (1e-3, -1.0, 0.5), (1e-3, 0.5, 0.0)], 0.0)  # inside one cell
     def test_kinks_of_one_scan_are_its_breakpoints(self, steps, phase):
         # a continuous piecewise quadratic with known breakpoints: the scan returns each
-        # breakpoint once, to float noise, with its slope jump and both jumps' signs (right
-        # minus left), and no other kink
+        # breakpoint once, to float noise, with its signed slope jump (right minus left) and
+        # its curvature jump's sign, and no other kink
         breaks = list(np.cumsum([gap for gap, _, _ in steps]) - 3.9 + phase * 0.25)
         breaks = [b for b in breaks if b < 3.9]
         jumps = [jump for _, jump, _ in steps][: len(breaks)]
@@ -317,10 +339,9 @@ class TestDetectRefine:
         oracle = LossOracle(piecewise_quadratic(breaks, jumps, curvatures))
         kinks = detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), GRID, 2)
         assert [k.t for k in kinks] == pytest.approx(breaks, abs=1e-9)
-        assert [k.jump_magnitude for k in kinks] == pytest.approx(np.abs(jumps), rel=1e-6)
-        assert [k.slope_sign for k in kinks] == np.sign(jumps).tolist()
-        # the curvature jump is 2c: its side is never the wrong one (0 where it is within noise)
-        assert all(k.curvature_side in (0, np.sign(c)) for k, c in zip(kinks, curvatures))
+        assert [k.slope_jump for k in kinks] == pytest.approx(jumps, rel=1e-6)
+        # the curvature jump is 2c: its sign is never the wrong one (0 where it is within noise)
+        assert all(np.sign(k.curvature_jump) in (0, np.sign(c)) for k, c in zip(kinks, curvatures))
 
     def test_tight_cluster_is_found(self):
         # four unit kinks 2-3 spacings of the (-4, 4) x 257 grid apart, at its cells 9, 11, 14
@@ -329,7 +350,7 @@ class TestDetectRefine:
         oracle = LossOracle(piecewise_quadratic(spots, [2.0] * 4, [0.0] * 4, (0.0, 0.0, 0.2)))
         kinks = detect_kinks_on_line(oracle, [0.0], [1.0], (-4, 4), GRID, 2)
         assert [k.t for k in kinks] == pytest.approx(spots, abs=1e-12)
-        assert [k.jump_magnitude for k in kinks] == pytest.approx([2.0] * 4, rel=1e-9)
+        assert [k.slope_jump for k in kinks] == pytest.approx([2.0] * 4, rel=1e-9)
         assert oracle.query_count <= 100
 
     def test_smooth_line_is_clean(self):
@@ -451,8 +472,8 @@ class TestGradientJump:
         assert abs(float(n @ np.asarray(kink.location))) < 1e-12
         assert batches == [stencil, 2] and oracle.query_count == stencil + 2
         # |n.w| adds 2 |n.d| to the slope, rising across the wall; the bowl's curvature is smooth
-        assert kink.jump_magnitude == pytest.approx(2.0 * abs(float(n @ direction)), rel=1e-9)
-        assert kink.slope_sign == 1 and kink.curvature_side == 0
+        assert kink.slope_jump == pytest.approx(2.0 * abs(float(n @ direction)), rel=1e-9)
+        assert kink.curvature_jump == 0.0
         # an unbatched oracle is asked row by row: the same queries and the same kink, bit for bit
         rows = LossOracle(f)
         assert refine_kink(rows, base, direction, bracket, 2) == kink
@@ -471,7 +492,7 @@ class TestGradientJump:
         kinks = detect_kinks_on_line(LossOracle(spy), [1.0, 2.0, 3.0, 4.0], direction, (-9, 0), 257, 2)
         assert [k.t for k in kinks] == pytest.approx([-8.0, -6.0, -4.0, -2.0], abs=1e-12)
         assert batches == [257 + 2 * 3]  # the grid alone: a flat kink gets no check
-        assert all(k.slope_sign == 0 and k.curvature_side == 1 for k in kinks)
+        assert all(k.slope_jump == 0.0 and k.curvature_jump > 0.0 for k in kinks)
         assert [k.curvature_jump for k in kinks] == pytest.approx([0.5] * 4, rel=1e-9)  # 2 (d_k)^2
 
 
@@ -492,7 +513,8 @@ def bisection_refine_kink(oracle, base, direction, bracket, degree):
     Fits degree-p models through p + 1 points spaced width / p beyond each
     end of the bracket, and queries the bracket's midpoint at every step,
     keeping the half whose model disagrees with it.  Then the spurious
-    test, and the signs of the jumps that pass it.
+    test, and the signed jumps (right minus left), each 0.0 within its
+    floor.
     """
     oracle = attack_module._as_oracle(oracle)
     base = np.asarray(base, dtype=float)
@@ -518,7 +540,8 @@ def bisection_refine_kink(oracle, base, direction, bracket, degree):
     y_scale = 1.0 + max(abs(v) for v in ys)
     w0 = max(width0, 1e-12)
     slope_floor = attack_module.SPURIOUS_TOL * y_scale / w0
-    if jump <= slope_floor and jump2 <= attack_module.SPURIOUS_TOL * y_scale / w0**2:
+    curvature_floor = attack_module.SPURIOUS_TOL * y_scale / w0**2
+    if jump <= slope_floor and jump2 <= curvature_floor:
         raise SpuriousKinkError("no kink in bracket")
     loc = base + m * direction
     slope = p_right.deriv()(m) - p_left.deriv()(m)
@@ -527,10 +550,8 @@ def bisection_refine_kink(oracle, base, direction, bracket, degree):
         t=m,
         location=tuple(float(v) for v in loc),
         line=(tuple(float(v) for v in base), tuple(float(v) for v in direction)),
-        jump_magnitude=float(jump),
-        curvature_jump=float(jump2),
-        slope_sign=int(np.sign(slope)) if jump > slope_floor else 0,
-        curvature_side=int(np.sign(curvature)) if jump2 > attack_module.SPURIOUS_TOL * y_scale / w0**2 else 0,
+        slope_jump=float(slope) if jump > slope_floor else 0.0,
+        curvature_jump=float(curvature) if jump2 > curvature_floor else 0.0,
     )
 
 
@@ -1074,10 +1095,10 @@ class TestAttackPipeline:
                     reference, base, direction, (kink.t - 0.3 * gap, kink.t + 0.2 * gap), 2)
                 bisected += 1
                 assert abs(expected.t - kink.t) <= tol
-                assert expected.jump_magnitude == pytest.approx(kink.jump_magnitude, rel=1e-6)
-                # the scan's wider window may put a faint jump below its floor, never on the wrong side
-                assert kink.slope_sign in (0, expected.slope_sign) and expected.slope_sign
-                assert kink.curvature_side in (0, expected.curvature_side)
+                assert kink.slope_jump == pytest.approx(expected.slope_jump, rel=1e-6) and expected.slope_jump
+                # the scan's wider window may put a faint curvature jump below its floor, never on
+                # the wrong side
+                assert np.sign(kink.curvature_jump) in (0, np.sign(expected.curvature_jump))
         assert bisected == len(report.kinks) > 0
         assert report.oracle_queries < reference.query_count
 
@@ -1164,6 +1185,19 @@ class TestAttackPipeline:
         assert csv.splitlines()[0] == "line_id,t,jump,refined"
         assert len(csv.splitlines()) == len(report.kinks) + 1
 
+    def test_report_kinks_are_the_scans_kinks(self, monkeypatch):
+        # report.kinks is every KinkPoint the line scans returned, in order, with its line id,
+        # and the kink CSV is read off it: the slope jump's size, 0.0 within its floor
+        inst = gen_instance([3, 4, 2], 5, 7)
+        scans = spy_on(monkeypatch, "detect_kinks_on_line")
+        report = run_attack(make_oracle(inst), inst.shape.weight_count, 3, AttackConfig())
+        assert len(scans) == report.lines_scanned
+        assert report.kinks == [(line_id, k) for line_id, kinks in enumerate(scans) for k in kinks]
+        assert report.to_json()["kink_count"] == len(report.kinks) > 0
+        rows = report.kink_csv().splitlines()
+        assert rows[0] == "line_id,t,jump,refined"
+        assert rows[1:] == [f"{line_id},{k.t!r},{abs(k.slope_jump)!r},true" for line_id, k in report.kinks]
+
     def test_config_json_keys(self):
         cfg = AttackConfig.from_json({"budget": 1000, "n_lines": 5, "seed": 3})
         assert (cfg.budget, cfg.n_lines, cfg.seed) == (1000, 5, 3)
@@ -1233,9 +1267,10 @@ class TestTriangulation:
         for direction, kinks in scans:
             for k in kinks:
                 p = int(np.argmin(np.abs(X @ np.array(k.location)) / np.linalg.norm(X, axis=1)))
-                if k.curvature_side:
-                    scales.append(k.curvature_side * math.sqrt(k.curvature_jump) / float(direction @ X[p]))
-                    fingerprints.setdefault(p, []).append(k.slope_sign * k.jump_magnitude**2 / k.curvature_jump)
+                s, c = k.slope_jump, k.curvature_jump
+                if c:
+                    scales.append(math.copysign(math.sqrt(abs(c)), c) / float(direction @ X[p]))
+                    fingerprints.setdefault(p, []).append(s * abs(s) / abs(c))
         assert len(scales) >= 25 and min(scales) > 0.0
         assert np.ptp(scales) <= 1e-8 * np.median(scales)
         # and each sample's fingerprint is one number, within the grouping tolerance
@@ -1291,10 +1326,10 @@ class TestTriangulation:
                             true_inputs=true_inputs_of(inst))
         X = np.array(true_inputs_of(inst))
         prints = {0: [], 1: []}
-        for k in (k for kinks in scans for k in kinks if k.curvature_side):
+        for k in (k for kinks in scans for k in kinks if k.curvature_jump):
             p = int(np.argmin(np.abs(X @ np.array(k.location)) / np.linalg.norm(X, axis=1)))
             if p in prints:
-                prints[p].append(k.slope_sign * k.jump_magnitude**2 / k.curvature_jump)
+                prints[p].append(k.slope_jump * abs(k.slope_jump) / abs(k.curvature_jump))
         both = prints[0] + prints[1]
         assert prints[0] and prints[1] and np.ptp(both) <= attack_module.FINGERPRINT_TOL * np.abs(both).max()
         assert all(p in recovered_samples(report) or report.rejections["unmatched"] for p in (0, 1))
