@@ -125,10 +125,9 @@ def build_parser() -> _Parser:
 
 
 def _random_flags(shape, rng) -> ActivationSet:
-    mapping = {}
-    for i, k in shape.hidden_nodes():
-        mapping[(i, k)] = rng.random() < 0.5
-    return ActivationSet.from_mapping(shape, mapping)
+    # one draw per hidden node, layer-major then node order as hidden_nodes()
+    rows = tuple(tuple(rng.random() < 0.5 for _ in range(d)) for d in shape.widths[1:-1])
+    return ActivationSet(shape.widths, rows)
 
 
 def _check_homogeneity(inst: Instance, probes: int, rng) -> tuple[int, int]:
@@ -177,15 +176,13 @@ def _check_factorization(inst: Instance, probes: int, rng) -> tuple[int, int]:
     while done < probes and attempts < 20 * probes:
         attempts += 1
         act = _random_flags(shape, rng)
-        # force a bottleneck at a random interior hidden layer when one exists
-        interior = [k for k in range(2, shape.depth)]
-        if interior:
-            cut = interior[rng.randrange(len(interior))]
+        # force a bottleneck at a random hidden layer when one exists
+        if shape.depth > 2:
+            cut = rng.randrange(2, shape.depth)
             keep = rng.randrange(1, shape.width(cut) + 1)
-            mapping = {(i, k): act.is_active(i, k) for i, k in shape.hidden_nodes()}
-            for i in range(1, shape.width(cut) + 1):
-                mapping[(i, cut)] = i == keep
-            act = ActivationSet.from_mapping(shape, mapping)
+            rows = list(act.flags)
+            rows[cut - 2] = tuple(i == keep for i in range(1, shape.width(cut) + 1))
+            act = ActivationSet(shape.widths, tuple(rows))
         node = (rng.randrange(1, shape.width(shape.depth) + 1), shape.depth)
         x = inst.samples[done % len(inst.samples)].input
         u = virtual_polynomial(shape, x, act, node)

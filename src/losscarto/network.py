@@ -33,8 +33,9 @@ All types here are immutable; functions are pure.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -59,34 +60,30 @@ def as_fraction(x: Scalar | str) -> Fraction:
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
 
 
+@dataclass(frozen=True, slots=True)
 class NetworkShape:
-    """Architecture d_1..d_L plus the frozen flat weight indexing."""
+    """Architecture d_1..d_L plus the frozen flat weight indexing.
 
-    __slots__ = ("widths", "_offsets")
+    widths: any non-string sequence of integers (NumPy's too, not bools).
+    """
 
-    def __init__(self, widths: Sequence[int]):
-        widths = tuple(int(d) for d in widths)
+    widths: tuple[int, ...]
+    _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if isinstance(self.widths, (str, bytes)) or not np.iterable(self.widths):
+            raise ShapeError(f"widths must be a sequence of integers, got {self.widths!r}")
+        widths = tuple(self.widths)
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in widths):
+            raise ShapeError(f"layer widths must be integers, got {widths}")
+        widths = tuple(map(int, widths))
         if len(widths) < 2:
             raise ShapeError(f"need at least input and output layer, got {widths}")
         if any(d < 1 for d in widths):
             raise ShapeError(f"layer widths must be positive, got {widths}")
         object.__setattr__(self, "widths", widths)
-        offsets = [0]
-        for k in range(len(widths) - 1):
-            offsets.append(offsets[-1] + widths[k + 1] * widths[k])
-        object.__setattr__(self, "_offsets", tuple(offsets))
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("NetworkShape is immutable")
-
-    def __repr__(self) -> str:
-        return f"NetworkShape({list(self.widths)})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NetworkShape) and self.widths == other.widths
-
-    def __hash__(self) -> int:
-        return hash(self.widths)
+        sizes = (widths[k + 1] * widths[k] for k in range(len(widths) - 1))
+        object.__setattr__(self, "_offsets", tuple(accumulate(sizes, initial=0)))
 
     @property
     def depth(self) -> int:

@@ -10,19 +10,20 @@ above the node keeps a P-active node (see _wall_is_singular).
 Sheet enumeration records, for every realizable region its random
 probes hit: the hidden-node wall polynomials themselves, their
 bottleneck factors, and the bottleneck factors of the output nodes'
-virtual polynomials.  It walks each region as its key, the flag tuple
-of every sample, and builds no Region, ActivationSet or witness point;
-those are the types of the public functions only.  The factors are the
-irreducible components the walls and retained defining polynomials
-split into; weight-only components (no first-layer variable) are
-precisely the sample-independent ones.  A
-node's wall and factors depend only on the sample and on the flags of
-the layers below the node, not on the region, so one enumeration
-factorizes each (sample, node, lower flags) once; the singular bit reads
-the layers above and is decided per region.  Below that, one segment
-cache (see virtual) is shared by the whole enumeration: a segment behind
-a cut is one polynomial for every sample, and a layer's pre-outputs
-serve every node of it, so each is propagated and normalized once.
+virtual polynomials.  A region's key is every sample's flag tuple, and
+a sample's sheets depend on its own flag tuple (its pattern) alone, so
+enumeration walks each distinct (sample, pattern) pair once and builds
+no Region, ActivationSet or witness point; those are the types of the
+public functions only.  The factors are the irreducible components the
+walls and retained defining polynomials split into; weight-only
+components (no first-layer variable) are precisely the sample-independent
+ones.  A node's wall and factors depend only on the sample and on the
+flags of the layers below the node, so one enumeration factorizes each
+(sample, node, lower flags) once; the singular bit reads the layers
+above and is decided per pattern.  Below that, one segment cache (see
+virtual) is shared by the whole enumeration: a segment behind a cut is
+one polynomial for every sample, and a layer's pre-outputs serve every
+node of it, so each is propagated and normalized once.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .network import (
     check_samples,
 )
 from .polyalg import Poly
-from .virtual import _Segments, _factorize, factorize, virtual_polynomial
+from .virtual import _Segments, _check_flags, _factorize, factorize, virtual_polynomial
 
 RegionKey = tuple[tuple[tuple[bool, ...], ...], ...]
 
@@ -214,6 +215,8 @@ def wall_between(
     check_samples(shape, samples)
     if not len(r1.activation_sets) == len(r2.activation_sets) == len(samples):
         raise ShapeError("regions do not cover the sample list")
+    for act in (*r1.activation_sets, *r2.activation_sets):
+        _check_flags(shape, act)
     diffs: list[tuple[int, tuple[int, int]]] = []
     for p, (a, b) in enumerate(zip(r1.activation_sets, r2.activation_sets)):
         for k in range(2, shape.depth):
@@ -304,8 +307,9 @@ def enumerate_singular_sheets(
 ) -> list[Sheet]:
     """Sheets discovered from probe_budget random probe points.
 
-    For every realizable region and sample this emits, deduplicated up to
-    nonzero rational scale:
+    For every sample's pattern in every realizable region, each distinct
+    (sample, pattern) pair once, this emits, deduplicated up to nonzero
+    rational scale:
 
     * each hidden node's nonzero wall polynomial, marked singular when
       every hidden layer above it keeps an active node, which is when
@@ -333,20 +337,20 @@ def enumerate_singular_sheets(
     outputs = [(o, shape.depth) for o in range(1, shape.widths[-1] + 1)]
     nodes = [*shape.hidden_nodes(), *outputs]
 
-    for key in sorted(keys):
-        for p, flags in enumerate(key):
-            for i, k in nodes:
-                memo_key = (p, (i, k), flags[: k - 2])
-                comps = components.get(memo_key)
-                if comps is None:
-                    comps = components[memo_key] = _node_components(shape, p, flags, (i, k), segments)
-                singular = k < shape.depth and _wall_is_singular(flags, k)
-                for norm, independent in comps:
-                    prev = found.get(norm)
-                    if prev is None:
-                        found[norm] = Sheet(norm, None if independent else p, singular)
-                    elif singular and not prev.singular:
-                        found[norm] = Sheet(norm, prev.sample_index, True)
+    # first-seen order keeps each sheet's sample_index and singular bit
+    for p, flags in dict.fromkeys((p, flags) for key in sorted(keys) for p, flags in enumerate(key)):
+        for i, k in nodes:
+            memo_key = (p, (i, k), flags[: k - 2])
+            comps = components.get(memo_key)
+            if comps is None:
+                comps = components[memo_key] = _node_components(shape, p, flags, (i, k), segments)
+            singular = k < shape.depth and _wall_is_singular(flags, k)
+            for norm, independent in comps:
+                prev = found.get(norm)
+                if prev is None:
+                    found[norm] = Sheet(norm, None if independent else p, singular)
+                elif singular and not prev.singular:
+                    found[norm] = Sheet(norm, prev.sample_index, True)
 
     return sorted(found.values(), key=lambda s: s.poly.terms, reverse=True)
 

@@ -34,7 +34,6 @@ from losscarto import (
     virtual_polynomial,
     wall_between,
 )
-from losscarto.attack import aligned_input_direction
 
 V = Poly.variable
 F = Fraction
@@ -293,9 +292,21 @@ def test_criterion_9_architecture_recovery():
     _report(9, "architecture recovered exactly from sheet sets", ok, str(results))
 
 
+def _wall_row_cosine(s, poly, x):
+    """|cos| between x and a degree-1 sheet's coefficients on the W_1 row that holds it."""
+    coeffs = {key[0][0]: float(c) for key, c in poly.terms}
+    for j in range(1, s.width(2) + 1):
+        row = [s.index_of(1, i, j) for i in range(1, s.width(1) + 1)]
+        if set(coeffs) <= set(row):
+            a = np.array([coeffs.get(v, 0.0) for v in row])
+            return abs(float(a @ x)) / (np.linalg.norm(a) * np.linalg.norm(x))
+    return 0.0  # not on one W_1 row
+
+
 def test_criterion_10_sample_scale_invariance():
     rng = random.Random(31)
     ok = True
+    walls = 0
     for trial in range(20):
         widths = [rng.randint(2, 3), rng.randint(1, 3), 1]
         s = NetworkShape(widths)
@@ -321,27 +332,16 @@ def test_criterion_10_sample_scale_invariance():
         if set_a != set_b:
             ok = False
             break
-        # first-layer wall directions agree up to sign
-        for sh in sheets_a:
-            if sh.poly.is_zero() or sh.poly.total_degree() != 1:
-                continue
-            vec = np.zeros(s.weight_count)
-            for key, c in sh.poly.terms:
-                if key:
-                    vec[key[0][0]] = float(c)
-            ext = aligned_input_direction(vec, s.width(1))
-            if ext.kind != "input-direction":
-                continue
-            twin = next(t for t in sheets_b if t.poly == sh.poly)
-            vec2 = np.zeros(s.weight_count)
-            for key, c in twin.poly.terms:
-                if key:
-                    vec2[key[0][0]] = float(c)
-            ext2 = aligned_input_direction(vec2, s.width(1))
-            cos = abs(float(np.dot(ext.direction, ext2.direction)))
-            if cos < 1.0 - 1e-12:
-                ok = False
+        # each sample's first-layer walls lie along its input, before and after the doubling
+        for sheets, inputs in ((sheets_a, samples), (sheets_b, doubled)):
+            for sh in sheets:
+                if sh.sample_index is None or sh.poly.total_degree() != 1:
+                    continue
+                x = np.array([float(v) for v in inputs[sh.sample_index].input])
+                walls += 1
+                if _wall_row_cosine(s, sh.poly, x) < 1.0 - 1e-12:
+                    ok = False
         if not ok:
             break
-    _report(10, "doubling a training sample leaves the sheet set invariant", ok,
-            "20 paired instances")
+    _report(10, "doubling a training sample leaves the sheet set invariant", ok and walls > 0,
+            f"20 paired instances, {walls} first-layer walls along their inputs")

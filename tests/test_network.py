@@ -75,10 +75,22 @@ class TestIndexing:
             s.weight_layer_of(-1)
 
     def test_bad_widths(self):
-        with pytest.raises(ShapeError):
-            NetworkShape([3])
-        with pytest.raises(ShapeError):
-            NetworkShape([2, 0, 1])
+        # neither truncated ([2.7, 1] is not [2, 1]) nor read digit by digit ("342")
+        for widths in ([3], [2, 0, 1], [2.7, 1], [2.0, 1], "342", b"\x03\x04", [True, 2], 3, None):
+            with pytest.raises(ShapeError):
+                NetworkShape(widths)
+
+    def test_value_semantics(self):
+        s = NetworkShape([3, 4, 2])
+        for twin in (NetworkShape((3, 4, 2)), NetworkShape(np.array([3, 4, 2]))):
+            assert twin == s and hash(twin) == hash(s)
+            assert all(type(d) is int for d in twin.widths)
+        assert s != NetworkShape([3, 4, 1]) and s != (3, 4, 2)
+        assert {s: "a", NetworkShape((3, 4, 2)): "b"} == {s: "b"}
+        for name in ("widths", "_offsets"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, (1, 1))
+        assert s.widths == (3, 4, 2) and s.weight_count == 20
 
     def test_as_matrices_agrees_with_index_of(self):
         # the forward pass reads weight layer k as its slice reshaped to (d_{k+1}, d_k)

@@ -256,6 +256,18 @@ class TestWalls:
             wall_between(s, samples, one, across(one, 0, (1, 2)))
         assert wall_between(s, samples, r, across(r, 1, (2, 2))).sample_index == 1
 
+    def test_regions_must_match_the_shape(self):
+        # as region_loss_polynomial does: a ShapeError, not a bare IndexError from the flag diff
+        samples = sample_221()
+        r = self._region(NetworkShape([2, 2, 1]), samples, (F(1), F(1), F(1), F(1), F(1), F(1)))
+        r2 = across(r, 0, (1, 2))
+        for widths in ([2, 2, 2, 1], [2, 3, 1]):
+            s = NetworkShape(widths)
+            with pytest.raises(ShapeError):
+                region_loss_polynomial(s, samples, r)
+            with pytest.raises(ShapeError):
+                wall_between(s, samples, r, r2)
+
     def test_dead_downstream_wall_is_smooth(self):
         # flipping a layer-2 node whose layer-3 successors are all negative
         # cannot change the loss piece
@@ -522,6 +534,9 @@ class TestMemoisedEnumeration:
     )
     @example([2, 1, 2, 1], 2, 32, 0)  # a width-1 layer is dead wherever its node is negative
     @example([2, 3, 1, 2, 1], 3, 32, 5)
+    # d_1 = 1 makes every input proportional, so the samples share their sheets and each
+    # sheet's sample_index is whichever sample the walk reaches first
+    @example([1, 2, 2, 1], 3, 32, 0)
     def test_matches_unmemoised_reference(self, widths, n_samples, probes, seed):
         s = NetworkShape(widths)
         samples = random_samples(s, n_samples, random.Random(seed))
