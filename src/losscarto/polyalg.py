@@ -12,7 +12,8 @@ canonicalizes its input, merging a variable repeated in one key; results
 of the ring operations, whose keys are canonical already, go through the
 trusted Poly._canonical instead, which only sorts.  Poly._presorted trusts
 the order too: normalized and negation keep every key, and so the order,
-and the segment builder in virtual emits its terms in order.
+and the segment builder and Factorization.product in virtual emit their
+terms in order.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def _merge_keys(a: TermKey, b: TermKey) -> TermKey:
 class Poly:
     """Immutable exact polynomial; supports +, -, * and scalar ops."""
 
-    __slots__ = ("_terms", "_hash", "_normal")
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[TermKey, Scalar] | Iterable[tuple[TermKey, Scalar]] = ()):
         if isinstance(terms, Mapping):
@@ -135,22 +136,11 @@ class Poly:
         return tuple(sorted(seen))
 
     def normalized(self) -> "Poly":
-        """Scale so the leading coefficient is 1 (canonical up-to-scale form).
-
-        Computed once per Poly: sheet enumeration normalizes each shared
-        factor many times, and the same object back makes dict lookups
-        hit on identity.
-        """
-        try:
-            return self._normal
-        except AttributeError:
-            pass
+        """Scale so the leading coefficient is 1 (canonical up-to-scale form)."""
         if not self._terms or self._terms[0][1] == 1:
-            return self  # not stored: a Poly referring to itself is a cycle
+            return self
         lead = self._terms[0][1]
-        out = Poly._presorted(tuple((k, c / lead) for k, c in self._terms))
-        object.__setattr__(self, "_normal", out)
-        return out
+        return Poly._presorted(tuple((k, c / lead) for k, c in self._terms))
 
     # ring operations
 
@@ -163,12 +153,13 @@ class Poly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # computed once: hashing every Fraction coefficient takes a modular
-        # inverse each, and sheet enumeration looks polys up repeatedly
+        # computed once, and from each coefficient's numerator and denominator:
+        # hashing a Fraction takes a modular inverse, while a Fraction in lowest
+        # terms already names its value, so equal polys still hash equal
         try:
             return self._hash
         except AttributeError:
-            h = hash(self._terms)
+            h = hash(tuple((k, c.numerator, c.denominator) for k, c in self._terms))
             object.__setattr__(self, "_hash", h)
             return h
 

@@ -23,7 +23,9 @@ flags of the layers below the node, so one enumeration factorizes each
 above and is decided per pattern.  Below that, one segment cache (see
 virtual) is shared by the whole enumeration: a segment behind a cut is
 one polynomial for every sample, and a layer's pre-outputs serve every
-node of it, so each is propagated and normalized once.
+node of it, so each is propagated once.  Inputs enter it divided by
+their first nonzero entry and a cut's segment starts from 1, so every
+wall and factor comes out normalized by construction (see _lead_scaled).
 """
 
 from __future__ import annotations
@@ -237,6 +239,18 @@ def wall_between(
     return Sheet(wall, None if independent else p, _wall_is_singular(P.flags, k))
 
 
+def _lead_scaled(x: Sequence[Scalar]) -> tuple[Fraction, ...]:
+    """x divided by its first nonzero entry (the zero input as it is).
+
+    W_1 is indexed by target node, then input, and a canonical lead term
+    has the lowest first variable: for a polynomial built from x, the edge
+    from x's first nonzero entry, whose coefficient is that entry.
+    """
+    fs = [as_fraction(v) for v in x]
+    lead = next((f for f in fs if f), 1)
+    return tuple(f / lead for f in fs)
+
+
 def _node_components(
     shape: NetworkShape,
     sample: int,
@@ -244,30 +258,40 @@ def _node_components(
     node: tuple[int, int],
     cache: _Segments,
 ) -> tuple[tuple[Poly, bool], ...]:
-    """Sample cache.inputs[sample]'s candidates at node, as (normalized poly, sample independent).
+    """Sample cache.inputs[sample]'s candidates at node, as (poly, sample independent).
 
     A hidden node gives its wall (the product of its bottleneck factors)
     and then each factor; an output node gives only its factors.  Empty
     when the virtual polynomial is zero.  Reads the flags below the
-    node's layer only, as factorize does.
+    node's layer only, as factorize does.  A factor is sample independent
+    iff its segment starts past layer 1; the wall holds the input factor.
     """
     try:
         factors = _factorize(shape, sample, flags, node, cache)
     except ZeroVirtualPolynomialError:
         return ()
-    polys = (factors.product(), *factors) if node[1] < shape.depth else tuple(factors)
-    norms = [q.normalized() for q in polys]
-    return tuple((g, _is_sample_independent(g, shape)) for g in norms)
+    comps = tuple((f, start > 1) for f, (start, _) in zip(factors, factors.segments))
+    return ((factors.product(), False), *comps) if node[1] < shape.depth else comps
 
 
 # probe weights are n / _PROBE_SCALE for integers |n| <= _PROBE_SCALE
 _PROBE_SCALE = 1 << 20
+_PROBE_SPAN = 2 * _PROBE_SCALE + 1
 # enumerate_singular_sheets classifies its probes this many at a time
 _PROBE_CHUNK = 256
 
 
 def _random_numerators(shape: NetworkShape, rng: random.Random) -> list[int]:
-    return [rng.randint(-_PROBE_SCALE, _PROBE_SCALE) for _ in range(shape.weight_count)]
+    # rng.randint(-_PROBE_SCALE, _PROBE_SCALE) per weight: its own getrandbits loop
+    # without its call chain, so each value and the final state stay the same
+    getrandbits, bits = rng.getrandbits, _PROBE_SPAN.bit_length()
+    out = []
+    for _ in range(shape.weight_count):
+        r = getrandbits(bits)
+        while r >= _PROBE_SPAN:
+            r = getrandbits(bits)
+        out.append(r - _PROBE_SCALE)
+    return out
 
 
 def _random_dyadic_weights(shape: NetworkShape, rng: random.Random) -> list[Fraction]:
@@ -332,7 +356,7 @@ def enumerate_singular_sheets(
     # a node's components depend on the sample and on the flags below its
     # layer only (all factorize reads), not on the region: compute each once
     components: dict[tuple, tuple[tuple[Poly, bool], ...]] = {}
-    segments = _Segments([tuple(as_fraction(v) for v in sample.input) for sample in samples])
+    segments = _Segments([_lead_scaled(sample.input) for sample in samples])
     found: dict[Poly, Sheet] = {}
     outputs = [(o, shape.depth) for o in range(1, shape.widths[-1] + 1)]
     nodes = [*shape.hidden_nodes(), *outputs]

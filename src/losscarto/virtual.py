@@ -13,7 +13,9 @@ When the P-active subnetwork pinches to a single node at some interior
 layer, the polynomial factors as the product of the segment outputs
 between consecutive pinch points; factorize computes exactly that
 decomposition and the product recovers the virtual polynomial exactly.
-Both read only the flags of layers below the node.
+Both read only the flags of layers below the node.  The factors' variables
+lie in consecutive layer ranges, so the product concatenates their term
+keys, already in canonical order, with no merge and no sort.
 
 All of them propagate through one segment builder.  A segment starts at
 the input, with the sample as coefficients, or at a cut's unique active
@@ -185,11 +187,18 @@ class Factorization:
     """Ordered factors of a virtual polynomial, one per bottleneck segment.
 
     Behaves as a sequence of Poly; `segments` records the (start, end)
-    layer of the subnetwork each factor is the symbolic output of.
+    layer of the subnetwork each factor is the symbolic output of.  Each
+    segment starts where the one before it ends, so each factor's variables
+    lie below the next factor's, as product needs; construction checks it.
     """
 
     factors: tuple[Poly, ...]
     segments: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        ends, starts = [e for _, e in self.segments[:-1]], [s for s, _ in self.segments[1:]]
+        if len(self.factors) != len(self.segments) or ends != starts:
+            raise ValueError(f"{len(self.factors)} factors need as many chained segments: {self.segments}")
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -201,9 +210,11 @@ class Factorization:
         return self.factors[idx]
 
     def product(self) -> Poly:
+        # a factor's keys are path monomials of one length, below every key of the
+        # next factor: each ka + kb is a distinct canonical key, met in canonical order
         out = self.factors[0]
         for f in self.factors[1:]:
-            out = out * f
+            out = Poly._presorted(tuple((ka + kb, ca * cb) for ka, ca in out.terms for kb, cb in f.terms))
         return out
 
 

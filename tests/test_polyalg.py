@@ -81,6 +81,23 @@ class TestRing:
         for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
             assert twin == p and hash(twin) == hash(p)
 
+    @given(polys(), st.data())
+    def test_hash_follows_equality(self, p, data):
+        # equal through the constructor, the ring, normalized and pickle: hash equal
+        n = p.normalized()
+        routes = [n, (Fraction(-7, 3) * p).normalized(), Poly(dict(n.terms)), n * 1 + 0,
+                  pickle.loads(pickle.dumps(n))]
+        assert all(r == n and hash(r) == hash(n) for r in routes)
+        if p.is_zero():
+            return
+        # one coefficient changed, its numerator and denominator swapped included
+        key, c = data.draw(st.sampled_from(p.terms))
+        other = data.draw(st.sampled_from([c + 1, -c, Fraction(c.denominator, c.numerator)]))
+        q = Poly({**dict(p.terms), key: other})
+        if other != c:
+            both = {p, q}
+            assert q != p and len(both) == 2 and p in both and q in both
+
     def test_poly_never_equals_a_scalar(self):
         # a Poly equal to an int would need the int's hash, which a Poly does not have
         c = Poly.constant(3)
@@ -117,7 +134,8 @@ class TestTrustedConstructor:
         # re-validating through the public constructor changes nothing
         for r in (p + q, p * q, -p, p - q, p.normalized()):
             assert Poly(dict(r.terms)).terms == r.terms
-        assert p.normalized() is p.normalized()  # computed once
+        n = p.normalized()
+        assert n.normalized() is n  # a normal form is its own
 
 
 class TestStructure:

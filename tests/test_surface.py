@@ -31,11 +31,13 @@ from losscarto import (
 )
 from losscarto.surface import (
     _PROBE_CHUNK,
+    _PROBE_SCALE,
     Sheet,
     _integer_inputs,
     _integer_weights,
     _is_sample_independent,
     _random_dyadic_weights,
+    _random_numerators,
     _region_keys,
     _sample_piece,
     _sample_regions,
@@ -197,6 +199,18 @@ class TestIntegerClassification:
             assert key[0][-1] == (sign > 0,)
             # the same near-tie in floats, exact dyadics as well
             assert region_of(s, samples, [float(v) for v in w]).key == key
+
+    @pytest.mark.parametrize("widths", [[1, 1], [2, 1], [3, 4, 2], [2, 2, 2, 2, 1]])
+    @pytest.mark.parametrize("seed", [0, 7, 11, 2**70 + 3])
+    def test_numerators_are_the_randint_stream(self, widths, seed):
+        # the inlined draw loop against randint itself, values and final state
+        s = NetworkShape(widths)
+        got, want = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert _random_numerators(s, got) == [
+                want.randint(-_PROBE_SCALE, _PROBE_SCALE) for _ in range(s.weight_count)
+            ]
+        assert got.getstate() == want.getstate()
 
     @pytest.mark.parametrize(
         "budget", [1, _PROBE_CHUNK - 1, _PROBE_CHUNK, _PROBE_CHUNK + 1, 2 * _PROBE_CHUNK + 1]
@@ -537,6 +551,10 @@ class TestMemoisedEnumeration:
     # d_1 = 1 makes every input proportional, so the samples share their sheets and each
     # sheet's sample_index is whichever sample the walk reaches first
     @example([1, 2, 2, 1], 3, 32, 0)
+    # enumeration divides each input by its first nonzero entry: here samples lead with
+    # one or two zero entries, and the first nonzero entry is negative
+    @example([3, 2, 2, 1], 3, 32, 13)
+    @example([3, 1, 2, 1], 2, 32, 13)
     def test_matches_unmemoised_reference(self, widths, n_samples, probes, seed):
         s = NetworkShape(widths)
         samples = random_samples(s, n_samples, random.Random(seed))
@@ -617,3 +635,21 @@ class TestSampleIndependence:
         p = Poly(data.draw(st.dictionaries(keys.map(tuple), st.integers(1, 3), max_size=4)))
         want = all(s.weight_layer_of(v) != 1 for v in p.variables())
         assert _is_sample_independent(p, s) == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.lists(st.integers(1, 3), min_size=3, max_size=5),
+        st.integers(1, 3),
+        st.integers(0, 10**6),
+    )
+    @example([2, 2, 2, 2, 1], 2, 1)
+    @example([3, 1, 2, 1], 2, 13)
+    def test_enumeration_marks_exactly_the_input_free_sheets(self, widths, n_samples, seed):
+        # enumeration reads independence off each factor's segment start, not its terms
+        s = NetworkShape(widths)
+        samples = random_samples(s, n_samples, random.Random(seed))
+        try:
+            sheets = enumerate_singular_sheets(s, samples, 32, seed=seed)
+        except SamplingError:
+            return
+        assert all((sh.sample_index is None) == _is_sample_independent(sh.poly, s) for sh in sheets)

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from losscarto import (
     ActivationSet,
     EnumerationBudgetError,
+    Factorization,
     NetworkShape,
     Poly,
     ZeroVirtualPolynomialError,
@@ -160,6 +162,35 @@ class TestFactorization:
         fac = factorize(s, x, act, (1, 3))
         assert len(fac) == 1
         assert fac.product() == virtual_polynomial(s, x, act, (1, 3))
+
+    def test_segments_must_chain(self):
+        f = V(0)
+        Factorization((f, f), ((1, 3), (3, 5)))
+        with pytest.raises(ValueError):
+            Factorization((f, f), ((1, 3),))
+        with pytest.raises(ValueError):
+            Factorization((f, f), ((1, 3), (4, 5)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_product_matches_ring_product(self, data):
+        # product concatenates keys; the generic multiplication merges and
+        # sorts them. Layers are often width-1 cuts, so many nodes factor
+        s = NetworkShape(data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=6)))
+        rows = []
+        for d in s.widths[1:-1]:
+            one_hot = st.integers(0, d - 1).map(lambda a, d=d: tuple(j == a for j in range(d)))
+            rows.append(data.draw(one_hot | st.lists(st.booleans(), min_size=d, max_size=d).map(tuple)))
+        P = ActivationSet(s.widths, tuple(rows))
+        x = data.draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=s.width(1),
+                               max_size=s.width(1)))
+        for k in range(2, s.depth + 1):
+            for i in range(1, s.width(k) + 1):
+                u = virtual_polynomial(s, x, P, (i, k))
+                if u.is_zero():
+                    continue
+                fac = factorize(s, x, P, (i, k))
+                assert fac.product() == functools.reduce(Poly.__mul__, fac) == u
 
     def test_zero_rejected(self):
         s = NetworkShape([2, 2, 1])
