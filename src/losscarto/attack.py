@@ -45,7 +45,6 @@ heuristic, a module constant below, read at call time.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
@@ -59,6 +58,7 @@ from .errors import (
     RecoveryError,
     SpuriousKinkError,
 )
+from .network import _check_integer
 from .polyalg import Poly
 
 GRID = 33  # scan grid points per line; subdivision parts kinks closer than a spacing
@@ -95,6 +95,8 @@ class LossOracle:
     """
 
     def __init__(self, fn: Callable[[np.ndarray], float], budget: int | None = None):
+        if budget is not None:
+            _check_integer("budget", budget, 0)
         self._fn = fn
         self.query_count = 0
         self.budget = budget
@@ -507,15 +509,8 @@ def recover_architecture(defining_polys: Sequence[Poly]) -> tuple[int, ...]:
     are ambiguous (weight parameter vs one-hot input) and stay out of the
     induction.
     """
-    polys: list[Poly] = []
-    seen: set[Poly] = set()
-    for p in defining_polys:
-        if p.is_zero():
-            continue
-        q = p.normalized()
-        if q not in seen:
-            seen.add(q)
-            polys.append(q)
+    # the widths are read off variable supports, so scale and repeats change nothing
+    polys = [p for p in defining_polys if not p.is_zero()]
 
     columns: list[set[int]] = []
     for p in polys:
@@ -567,14 +562,6 @@ def recover_architecture(defining_polys: Sequence[Poly]) -> tuple[int, ...]:
 
 
 # end-to-end pipeline
-
-
-def _check_integer(what: str, value, least: int, most: int | None = None) -> None:
-    """ValueError unless value is an integer (not a bool) from least to most."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least
-            or (most is not None and value > most)):
-        bound = f">= {least}" if most is None else f"in {least}..{most}"
-        raise ValueError(f"{what} must be an integer {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -758,24 +745,23 @@ def _split(P, D, M, lines, seed: int) -> list:
     return walls
 
 
-def _walls(P, D, M, F, lines, seed: int, cache: dict) -> list:
+def _walls(P, D, M, F, lines, seed: int) -> list:
     """Walls (x, misfit) of the kinks: each fingerprint group's fit, or its split.
 
     Sorted fingerprints F (NaN for a faint kink, which is left out) group
     where neighbours differ by at most FINGERPRINT_TOL of the larger.  A
     group of more than d_1 / 2 kinks that fits (_fit) is one wall, any
-    other is split (_split).  cache holds each group's walls by members.
+    other is split (_split).  Both are deterministic in the group's rows,
+    lines and seed, so a group an earlier call solved is solved again to
+    the same walls; a run usually solves once, at line n_lines.
     """
     order = np.argsort(F, kind="stable")[: np.count_nonzero(~np.isnan(F))]  # NaNs sort last
     f = F[order]
     gaps = np.abs(np.diff(f)) > FINGERPRINT_TOL * np.maximum(np.abs(f[1:]), np.abs(f[:-1]))
     walls = []
     for group in np.split(order, np.flatnonzero(gaps) + 1):
-        key = tuple(group.tolist())
-        if key not in cache:
-            wall = _fit(P[group], D[group], M[group]) if 2 * len(group) > P.shape[1] else None
-            cache[key] = [wall] if wall else _split(P[group], D[group], M[group], lines[group], seed)
-        walls += cache[key]
+        wall = _fit(P[group], D[group], M[group]) if 2 * len(group) > P.shape[1] else None
+        walls += [wall] if wall else _split(P[group], D[group], M[group], lines[group], seed)
     return walls
 
 
@@ -830,7 +816,7 @@ def run_attack(
         return (P / np.linalg.norm(P, axis=1, keepdims=True), D, np.copysign(np.sqrt(np.abs(C)), C), F,
                 np.array(lines, int))
 
-    walls, most, last_new, cache = [], 0, cfg.n_lines, {}  # cache: _walls' fits by group
+    walls, most, last_new = [], 0, cfg.n_lines
     try:
         while True:
             line_id = report.lines_scanned
@@ -845,7 +831,7 @@ def run_attack(
             if report.lines_scanned < cfg.n_lines:
                 continue
             cols = columns()
-            walls = _walls(*cols, cfg.seed, cache)
+            walls = _walls(*cols, cfg.seed)
             if len(walls) > most:
                 most, last_new = len(walls), report.lines_scanned
             explained = _on_walls(cols[0], walls).all()
@@ -855,7 +841,7 @@ def run_attack(
     except QueryBudgetExceeded:
         report.budget_exhausted, report.stop = True, "budget"
         cols = columns()
-        walls = _walls(*cols, cfg.seed, cache)
+        walls = _walls(*cols, cfg.seed)
 
     faint = np.isnan(cols[3])
     report.rejections["faint"] = int(faint.sum())

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InstanceError
-from .network import NetworkShape, TrainingSample, as_fraction, make_loss_fn
+from .network import NetworkShape, TrainingSample, _check_integer, as_fraction, make_loss_fn
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,7 @@ def gen_instance(
 ) -> Instance:
     """Random instance: inputs/outputs uniform in [-1, 1), seeded weights."""
     shape = NetworkShape(widths)
-    if n_samples < 1:
-        raise InstanceError("need at least one training sample")
+    _check_integer("n_samples", n_samples, 1, error=InstanceError)
     rng = random.Random(seed)
     samples = []
     for _ in range(n_samples):

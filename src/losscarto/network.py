@@ -33,6 +33,7 @@ All types here are immutable; functions are pure.
 from __future__ import annotations
 
 import bisect
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -58,6 +59,14 @@ def as_fraction(x: Scalar | str) -> Fraction:
     if isinstance(x, np.integer):
         return Fraction(int(x))
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
+
+
+def _check_integer(what: str, value, least: int, most: int | None = None, error=ValueError) -> None:
+    """error unless value is an integer (not a bool) from least to most."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least
+            or (most is not None and value > most)):
+        bound = f">= {least}" if most is None else f"in {least}..{most}"
+        raise error(f"{what} must be an integer {bound}, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

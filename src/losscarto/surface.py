@@ -25,7 +25,8 @@ virtual) is shared by the whole enumeration: a segment behind a cut is
 one polynomial for every sample, and a layer's pre-outputs serve every
 node of it, so each is propagated once.  Inputs enter it divided by
 their first nonzero entry and a cut's segment starts from 1, so every
-wall and factor comes out normalized by construction (see _lead_scaled).
+wall and factor comes out normalized by construction (see _lead_scaled);
+wall_between lead-scales its sample's input the same way.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .network import (
     NetworkShape,
     Scalar,
     TrainingSample,
+    _check_integer,
     _pre_outputs,
     as_fraction,
     check_samples,
@@ -79,13 +81,6 @@ def _integer_inputs(shape: NetworkShape, samples: Sequence[TrainingSample]) -> n
     """(d_1, M) object array of ints: column p is sample p's input, scaled up to integers."""
     cols = [_scaled_by_lcm(s.input) for s in samples]
     return np.array(cols, dtype=object).reshape(len(samples), shape.widths[0]).T
-
-
-def _integer_weights(shape: NetworkShape, w: Sequence[Scalar]) -> list[int]:
-    """w with each weight layer scaled up to integers by its own lcm."""
-    return [
-        v for k in range(1, shape.depth) for v in _scaled_by_lcm(w[shape.layer_slice(k)])
-    ]
 
 
 def _region_keys(shape: NetworkShape, X: np.ndarray, W: np.ndarray) -> list[RegionKey | int]:
@@ -124,7 +119,7 @@ def region_of(
     """Region containing w; BoundaryError when any pre-output is exactly zero."""
     check_samples(shape, samples)
     shape.check_weights(w)
-    W = np.array([_integer_weights(shape, w)], dtype=object)
+    W = np.array([_scaled_by_lcm(w)], dtype=object)
     key = _region_keys(shape, _integer_inputs(shape, samples), W)[0]
     if isinstance(key, int):
         raise BoundaryError(f"pre-output exactly zero in layer {key}: walls touch this point")
@@ -179,12 +174,6 @@ class Sheet:
         }
 
 
-def _is_sample_independent(poly: Poly, shape: NetworkShape) -> bool:
-    # a key lists its variables in ascending order, and weight layer 1 comes first
-    first = shape.layer_slice(1).stop
-    return min((key[0][0] for key, _ in poly.terms if key), default=first) >= first
-
-
 def _wall_is_singular(flags: tuple[tuple[bool, ...], ...], k: int) -> bool:
     """Whether crossing a nonzero wall of a layer-k hidden node changes the piece.
 
@@ -207,12 +196,15 @@ def wall_between(
 ) -> Sheet:
     """Sheet separating two regions that differ in exactly one node flag.
 
-    The sheet polynomial is the flipped node's wall, normalized as
-    enumeration records it: its virtual polynomial under the shared flags
-    (its own flag is irrelevant to its pre-output), the product of its
-    bottleneck factors; the singular bit asks whether every hidden layer
-    above the node keeps an active node, which is when the two exact
-    pieces differ.
+    The sheet polynomial is the flipped node's wall, built as enumeration
+    builds it: the product of the bottleneck factors of its virtual
+    polynomial under the shared flags (its own flag is irrelevant to its
+    pre-output), from the sample's input divided by its first nonzero
+    entry, so it comes out normalized (_lead_scaled).  Every monomial of
+    a hidden node's wall holds a first-layer weight, so sample_index is
+    the flipped sample's.  The singular bit asks whether every hidden
+    layer above the node keeps an active node, which is when the two
+    exact pieces differ.
     """
     check_samples(shape, samples)
     if not len(r1.activation_sets) == len(r2.activation_sets) == len(samples):
@@ -230,13 +222,12 @@ def wall_between(
     p, (i, k) = diffs[0]
     P = r1.activation_sets[p]
     try:
-        wall = factorize(shape, samples[p].input, P, (i, k)).product().normalized()
+        wall = factorize(shape, _lead_scaled(samples[p].input), P, (i, k)).product()
     except ZeroVirtualPolynomialError:
         raise AdjacencyError(
             f"no wall: node ({i},{k}) has identically zero pre-output here"
         ) from None
-    independent = _is_sample_independent(wall, shape)
-    return Sheet(wall, None if independent else p, _wall_is_singular(P.flags, k))
+    return Sheet(wall, p, _wall_is_singular(P.flags, k))
 
 
 def _lead_scaled(x: Sequence[Scalar]) -> tuple[Fraction, ...]:
@@ -312,7 +303,7 @@ def _sample_regions(
     keys: set[RegionKey] = set()
     for start in range(0, probe_budget, _PROBE_CHUNK):
         # every probe weight shares the denominator _PROBE_SCALE, so the
-        # numerators are already a positive rescaling of each weight layer
+        # numerators are already a positive rescaling of w, as in region_of
         rows = [
             _random_numerators(shape, rng)
             for _ in range(min(_PROBE_CHUNK, probe_budget - start))
@@ -347,8 +338,7 @@ def enumerate_singular_sheets(
     Raises SamplingError when no probe lands strictly inside a region.
     """
     check_samples(shape, samples)
-    if probe_budget < 1:
-        raise SamplingError("probe budget must be at least 1")
+    _check_integer("probe budget", probe_budget, 1, error=SamplingError)
     keys = _sample_regions(shape, samples, probe_budget, seed)
     if not keys:
         raise SamplingError(f"no realizable region found in {probe_budget} probes")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,6 +73,11 @@ class TestLossOracle:
         with pytest.raises(QueryBudgetExceeded):
             oracle([1.0])
         assert oracle.query_count == 5  # the failed query is not charged
+
+    @pytest.mark.parametrize("budget", [-1, 2.5, True, "10"])
+    def test_budget_must_be_a_nonnegative_integer(self, budget):
+        with pytest.raises(ValueError, match="budget must be an integer >= 0"):
+            LossOracle(lambda w: 0.0, budget=budget)
 
     def test_counts(self):
         oracle = LossOracle(lambda w: 0.0)
@@ -772,6 +778,20 @@ class TestRecoverArchitecture:
             z3.append(sum((cols[i] * V(s.index_of(2, i + 1, j)) for i in range(3)), Poly.zero()))
         z4 = sum((z3[i] * V(s.index_of(3, i + 1, 1)) for i in range(2)), Poly.zero())
         assert recover_architecture(cols + z3 + [z4]) == (3, 3, 2, 1)
+
+    def test_order_repeats_and_scale_change_nothing(self):
+        # the widths are read off variable supports alone
+        s = NetworkShape([3, 3, 2, 1])
+        samples = [TrainingSample((F(1), F(2), F(3)), (F(1),)),
+                   TrainingSample((F(2), F(-1), F(1)), (F(0),))]
+        polys = [sh.poly for sh in enumerate_singular_sheets(s, samples, 200, seed=1)]
+        assert recover_architecture(polys) == (3, 3, 2, 1)
+        for seed in range(20):
+            rng = random.Random(seed)
+            mixed = polys + rng.choices(polys, k=len(polys))  # every sheet, some twice or more
+            rng.shuffle(mixed)
+            scaled = [F(rng.choice((-7, -2, -1, 1, 3, 5)), rng.randint(1, 8)) * p for p in mixed]
+            assert recover_architecture(scaled) == (3, 3, 2, 1)
 
     def test_no_linear_sheets(self):
         with pytest.raises(RecoveryError):

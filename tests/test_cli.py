@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 from losscarto import attack as attack_module
 from losscarto.cli import main
 from losscarto.instances import load_instance, make_oracle
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -227,3 +233,22 @@ class TestEnvironment:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "losscarto" in capsys.readouterr().out
+
+
+class TestEntryPoint:
+    def test_module_entry_exits_with_main_code(self, tmp_path):
+        # python -m losscarto runs cli.entry(), which hands main's code to sys.exit
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+        out = tmp_path / "inst.json"
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", "losscarto", *args], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        ok = run("gen", "--widths", "2,2,1", "--samples", "2", "--seed", "3", "--out", str(out))
+        assert ok.returncode == 0, ok.stderr
+        assert json.loads(out.read_text())["widths"] == [2, 2, 1]
+        bad = run("gen", "--widths", "2;2", "--out", str(tmp_path / "x.json"))
+        assert bad.returncode == 64 and bad.stderr.startswith("usage error: --widths")
+        assert not (tmp_path / "x.json").exists()

@@ -45,8 +45,10 @@ class TestGen:
         assert inst.resolved_weights() == inst.weights
 
     def test_needs_samples(self):
-        with pytest.raises(InstanceError):
-            gen_instance([2, 2, 1], 0, seed=0)
+        # a count that is not a positive integer, rejected before any draw
+        for n in (0, 2.5, True):
+            with pytest.raises(InstanceError, match="n_samples must be an integer >= 1"):
+                gen_instance([2, 2, 1], n, seed=0)
 
 
 class TestJson:

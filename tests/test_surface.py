@@ -34,13 +34,12 @@ from losscarto.surface import (
     _PROBE_SCALE,
     Sheet,
     _integer_inputs,
-    _integer_weights,
-    _is_sample_independent,
     _random_dyadic_weights,
     _random_numerators,
     _region_keys,
     _sample_piece,
     _sample_regions,
+    _scaled_by_lcm,
     _wall_is_singular,
 )
 from losscarto import virtual
@@ -147,7 +146,7 @@ class TestIntegerClassification:
                     region_of(shape, samples, w)
             else:
                 assert region_of(shape, samples, w).key == key
-        W = np.array([_integer_weights(shape, w) for w in weights], dtype=object)
+        W = np.array([_scaled_by_lcm(w) for w in weights], dtype=object)
         assert _region_keys(shape, _integer_inputs(shape, samples), W) == want
         return want
 
@@ -185,6 +184,27 @@ class TestIntegerClassification:
             2, 3, (((True, True), (True, True)),), 2,
         ]
         assert forward(s, both, [samples[0].input])[1][0, 0] == 0
+
+    def test_layers_with_different_denominators(self):
+        # thirds in W_1 and 1/1024 in W_2: one lcm over all of w scales every layer alike
+        s = NetworkShape([2, 2, 2, 1])
+        samples = [TrainingSample((F(1), F(2)), (0,))]
+        w1 = [F(1, 3), F(1, 3), F(1, 3), F(-2, 3)]  # layer 2 is (1, -1)
+        both = [F(1, 3)] * 4  # layer 2 is (1, 1)
+        w2 = [F(3, 1024), F(-5, 1024), F(-1, 1024), F(7, 1024)]
+        tie2 = [F(1, 3), F(1, 3), F(2, 3), F(-1, 3), *w2, F(1), F(1)]
+        tie3 = [*both, F(1, 1024), F(-1, 1024), *w2[2:], F(1), F(1)]
+        near3 = [*both, F(1, 1024), -(F(1, 1024) - TINY), *w2[2:], F(1), F(1)]
+        clear = [*w1, *w2, F(1), F(1)]  # layer 3 is (3/1024, -1/1024)
+        assert self.check(s, samples, [tie2, tie3, near3, clear]) == [
+            2, 3, (((True, True), (True, True)),), (((True, False), (True, False)),),
+        ]
+        rng = random.Random(3)
+        rows = [
+            [F(rng.randint(-9, 9), d) for d, n in ((3, 4), (1024, 4), (7, 2)) for _ in range(n)]
+            for _ in range(20)
+        ]
+        self.check(s, samples, rows)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_near_ties(self, sign):
@@ -304,6 +324,43 @@ class TestWalls:
         with pytest.raises(AdjacencyError):
             wall_between(s, samples, r1, across(r1, 0, (1, 3)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 3), min_size=3, max_size=5),
+        x=st.lists(st.fractions(-3, 3, max_denominator=3), min_size=3, max_size=3),
+        seed=st.integers(0, 10**6),
+    )
+    # the wall is built from x divided by its first nonzero entry: here that entry
+    # is the second one, or a negative first one
+    @example(widths=[3, 2, 2, 1], x=[F(0), F(-2), F(1, 3)], seed=1)
+    @example(widths=[3, 2, 2, 1], x=[F(-3, 2), F(2), F(0)], seed=1)
+    @example(widths=[1, 2, 2, 1], x=[F(0), F(1), F(1)], seed=1)  # the zero input: no wall
+    def test_matches_the_raw_input_formula(self, widths, x, seed):
+        # the lead-scaled wall against factorizing the raw input and normalizing after
+        s = NetworkShape(widths)
+        rng = random.Random(seed)
+        samples = [*random_samples(s, 1, rng), TrainingSample(x[: s.width(1)], [0] * s.width(s.depth))]
+        sets = tuple(
+            ActivationSet.from_mapping(s, {node: rng.random() < 0.6 for node in s.hidden_nodes()})
+            for _ in samples
+        )
+        region = Region(sets, ())
+        for p, (i, k) in [(p, node) for p in range(2) for node in s.hidden_nodes()]:
+            P = sets[p]
+            try:
+                want = factorize(s, samples[p].input, P, (i, k)).product().normalized()
+            except ZeroVirtualPolynomialError:
+                with pytest.raises(AdjacencyError, match=rf"^no wall: node \({i},{k}\) has identically"):
+                    wall_between(s, samples, region, across(region, p, (i, k)))
+                continue
+            sheet = wall_between(s, samples, region, across(region, p, (i, k)))
+            assert (sheet.poly, sheet.sample_index, sheet.singular) == (
+                want, p, _wall_is_singular(P.flags, k)
+            )
+            # every monomial holds a first-layer weight, so the wall is never input-free
+            terms = sheet.poly.terms
+            assert all(any(s.weight_layer_of(v) == 1 for v, _ in key) for key, _ in terms)
+
 
 class TestSingularBit:
     @settings(max_examples=60, deadline=None)
@@ -362,6 +419,16 @@ class TestSheetEnumeration:
         s = NetworkShape([2, 2, 1])
         with pytest.raises(SamplingError):
             enumerate_singular_sheets(s, sample_221(), 0, seed=0)
+
+    @pytest.mark.parametrize("budget", [2.5, True, "64"])
+    def test_probe_budget_must_be_an_integer(self, budget):
+        # rejected before any probe, as a budget below 1 is, not deep inside range()
+        s = NetworkShape([2, 2, 1])
+        sb = [TrainingSample((F(-3), F(5)), (F(2),))]
+        with pytest.raises(SamplingError, match="probe budget must be an integer >= 1"):
+            enumerate_singular_sheets(s, sample_221(), budget, seed=0)
+        with pytest.raises(SamplingError, match="probe budget must be an integer >= 1"):
+            sample_independent_sheets(s, sample_221(), sb, budget, seed=0)
 
     def test_sample_independent_intersection(self):
         s = NetworkShape([2, 2, 1])
@@ -625,17 +692,6 @@ class TestMemoisedEnumeration:
 
 
 class TestSampleIndependence:
-    @settings(max_examples=40)
-    @given(st.lists(st.integers(1, 3), min_size=2, max_size=4), st.data())
-    def test_matches_weight_layer_of_every_variable(self, widths, data):
-        s = NetworkShape(widths)
-        keys = st.lists(
-            st.tuples(st.integers(0, s.weight_count - 1), st.integers(1, 2)), max_size=3
-        )
-        p = Poly(data.draw(st.dictionaries(keys.map(tuple), st.integers(1, 3), max_size=4)))
-        want = all(s.weight_layer_of(v) != 1 for v in p.variables())
-        assert _is_sample_independent(p, s) == want
-
     @settings(max_examples=20, deadline=None)
     @given(
         st.lists(st.integers(1, 3), min_size=3, max_size=5),
@@ -652,4 +708,6 @@ class TestSampleIndependence:
             sheets = enumerate_singular_sheets(s, samples, 32, seed=seed)
         except SamplingError:
             return
-        assert all((sh.sample_index is None) == _is_sample_independent(sh.poly, s) for sh in sheets)
+        for sh in sheets:
+            input_free = all(s.weight_layer_of(v) != 1 for v in sh.poly.variables())
+            assert (sh.sample_index is None) == input_free
