@@ -83,15 +83,16 @@ MATCH_THRESHOLD = 0.999  # |cos| at which a direction counts as a recovered samp
 class LossOracle:
     """Callable loss wrapper with a query counter and optional hard budget.
 
-    The counter increments exactly once per query; when a budget is set,
-    the query that would exceed it raises QueryBudgetExceeded before
-    touching the underlying function, so query_count never passes budget.
-    A NaN or infinite loss raises NonFiniteLossError (that query counts).
-
-    many(W) answers the rows of a (Q, N) array as Q queries, charged and
-    checked exactly as Q calls in row order would be.  A function whose
-    ``batched`` attribute is true (make_loss_fn's) gets the rows that fit
-    the budget in one call; any other function is called once per row.
+    many(W) answers the rows of a (Q, N) array as Q queries, in row order,
+    and is the one place queries are charged; a call is a one-row many.
+    When a budget is set, the rows past it are never passed to the
+    underlying function, and QueryBudgetExceeded is raised once the rows
+    within it are answered, so query_count never passes budget.  A NaN or
+    infinite loss raises NonFiniteLossError, charging the rows up to and
+    including it.  A function whose ``batched`` attribute is true
+    (make_loss_fn's) gets the rows that fit the budget in one call; any
+    other function is called once per row, up to the first non-finite
+    value.  A function that raises charges nothing for that many.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], float], budget: int | None = None):
@@ -102,22 +103,22 @@ class LossOracle:
         self.budget = budget
 
     def __call__(self, w) -> float:
-        if self.budget is not None and self.query_count >= self.budget:
-            raise QueryBudgetExceeded(f"oracle budget of {self.budget} queries exhausted")
-        self.query_count += 1
-        value = float(self._fn(np.asarray(w, dtype=float)))
-        if not math.isfinite(value):
-            raise NonFiniteLossError(f"loss oracle returned {value} at query {self.query_count}")
-        return value
+        return float(self.many(np.asarray(w, dtype=float)[None])[0])
 
     def many(self, W) -> np.ndarray:
         W = np.asarray(W, dtype=float)
-        if not getattr(self._fn, "batched", False):
-            return np.array([self(w) for w in W], dtype=float)
         fits = len(W)
         if self.budget is not None:
             fits = min(fits, max(self.budget - self.query_count, 0))
-        ys = np.asarray(self._fn(W[:fits]), dtype=float).reshape(fits) if fits else np.empty(0)
+        if getattr(self._fn, "batched", False):
+            ys = np.asarray(self._fn(W[:fits]), dtype=float).reshape(fits) if fits else np.empty(0)
+        else:
+            ys = []
+            for w in W[:fits]:
+                ys.append(float(self._fn(w)))
+                if not math.isfinite(ys[-1]):
+                    break
+            ys = np.array(ys, dtype=float)
         finite = np.isfinite(ys)
         if not finite.all():
             bad = int(finite.argmin())  # the first non-finite row
@@ -467,7 +468,7 @@ class ExtractedDirection:
     node: int | None = None
 
 
-# No pipeline calls this; it stays while bench/tracing.py wraps it by name and criterion 10's test uses it.
+# No pipeline calls this; it stays while bench/tracing.py wraps it by name, and only TestExtraction tests it.
 def aligned_input_direction(normal, input_dim: int) -> ExtractedDirection:
     """Blind normal classification knowing only d_1.
 

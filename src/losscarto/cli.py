@@ -29,6 +29,7 @@ from .errors import (
     InstanceError,
     LosscartoError,
     SamplingError,
+    ShapeError,
 )
 from .instances import (
     Instance,
@@ -39,7 +40,7 @@ from .instances import (
     read_json,
     save_instance,
 )
-from .network import ActivationSet, loss
+from .network import ActivationSet, NetworkShape, loss
 from .polyalg import layerwise_degree
 from .surface import (
     _random_dyadic_weights,
@@ -61,12 +62,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_widths(text: str) -> tuple[int, ...]:
     try:
-        widths = tuple(int(part) for part in text.split(","))
+        return NetworkShape([int(part) for part in text.split(",")]).widths
+    except ShapeError as exc:  # a ValueError too, so caught first
+        raise UsageError(f"--widths: {exc}")
     except ValueError:
         raise UsageError(f"--widths expects comma-separated integers, got {text!r}")
-    if len(widths) < 2 or any(d < 1 for d in widths):
-        raise UsageError("--widths needs at least two positive integers")
-    return widths
 
 
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:

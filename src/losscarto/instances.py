@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InstanceError
-from .network import NetworkShape, TrainingSample, _check_integer, as_fraction, make_loss_fn
+from .errors import InstanceError, ShapeError
+from .network import NetworkShape, TrainingSample, _check_integer, as_fraction, check_samples, make_loss_fn
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,7 @@ def gen_instance(
     """Random instance: inputs/outputs uniform in [-1, 1), seeded weights."""
     shape = NetworkShape(widths)
     _check_integer("n_samples", n_samples, 1, error=InstanceError)
+    seed = _seed(seed)
     rng = random.Random(seed)
     samples = []
     for _ in range(n_samples):
@@ -94,6 +95,12 @@ def _require(cond: bool, msg: str) -> None:
         raise InstanceError(msg)
 
 
+def _seed(value) -> int:
+    """The seed an instance stores: an integer, not a bool (a NumPy integer becomes an int)."""
+    _require(isinstance(value, (int, np.integer)) and not isinstance(value, bool), "'seed' must be an integer")
+    return int(value)
+
+
 def _as_number_list(val, what: str) -> list[float]:
     _require(isinstance(val, list) and len(val) > 0, f"{what} must be a non-empty list")
     out = []
@@ -108,17 +115,10 @@ def _as_number_list(val, what: str) -> list[float]:
 
 
 def instance_from_json(data: dict) -> Instance:
+    """The instance a JSON value describes; the shape rules' ShapeError is raised as InstanceError."""
     _require(isinstance(data, dict), "instance must be a JSON object")
     _require("widths" in data, "missing 'widths'")
-    widths = data["widths"]
-    _require(
-        isinstance(widths, list)
-        and len(widths) >= 2
-        and all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in widths),
-        "'widths' must be a list of >= 2 positive integers",
-    )
-    shape = NetworkShape(widths)
-
+    _require(isinstance(data["widths"], list), "'widths' must be a list")
     _require("samples" in data, "missing 'samples'")
     raw_samples = data["samples"]
     _require(isinstance(raw_samples, list) and len(raw_samples) > 0, "'samples' must be a non-empty list")
@@ -127,19 +127,19 @@ def instance_from_json(data: dict) -> Instance:
         _require(isinstance(row, dict) and set(row) >= {"input", "output"}, f"sample {idx} needs 'input' and 'output'")
         x = _as_number_list(row["input"], f"sample {idx} input")
         b = _as_number_list(row["output"], f"sample {idx} output")
-        _require(len(x) == shape.widths[0], f"sample {idx} input arity {len(x)} != d_1 = {shape.widths[0]}")
-        _require(len(b) == shape.widths[-1], f"sample {idx} output arity {len(b)} != d_L = {shape.widths[-1]}")
         samples.append(TrainingSample(tuple(map(as_fraction, x)), tuple(map(as_fraction, b))))
-
     weights = None
     if data.get("weights") is not None:
-        vals = _as_number_list(data["weights"], "weights")
-        _require(len(vals) == shape.weight_count, f"weights length {len(vals)} != N = {shape.weight_count}")
-        weights = tuple(as_fraction(v) for v in vals)
+        weights = tuple(map(as_fraction, _as_number_list(data["weights"], "weights")))
+    try:
+        shape = NetworkShape(data["widths"])
+        check_samples(shape, samples)
+        if weights is not None:
+            shape.check_weights(weights)
+    except ShapeError as exc:
+        raise InstanceError(str(exc)) from None
 
-    seed = data.get("seed")
-    if seed is not None:
-        _require(isinstance(seed, int) and not isinstance(seed, bool), "'seed' must be an integer")
+    seed = None if data.get("seed") is None else _seed(data["seed"])
     _require(weights is not None or seed is not None, "instance needs 'weights' or 'seed'")
     return Instance(shape=shape, samples=tuple(samples), weights=weights, seed=seed)
 

@@ -46,18 +46,16 @@ from .errors import ShapeError
 Scalar = int | float | Fraction
 
 
-def as_fraction(x: Scalar | str) -> Fraction:
-    """Exact conversion; floats map to the dyadic rational they denote.
-
-    NumPy integer scalars (an entry of an integer array) convert exactly
-    too, through Python's int.
-    """
+def as_fraction(x: Scalar) -> Fraction:
+    """Exact conversion of a Python or NumPy number; a float of any width is the dyadic rational it denotes."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, float, str)):
+    if isinstance(x, (int, float)):
         return Fraction(x)
     if isinstance(x, np.integer):
         return Fraction(int(x))
+    if isinstance(x, np.floating):
+        return Fraction(*x.as_integer_ratio())
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
 
 
@@ -227,11 +225,11 @@ def _pre_outputs(shape: NetworkShape, W: np.ndarray, X: np.ndarray) -> list[np.n
     so that exact values stay exact.
     """
     lead = W.shape[:-1]
-    d, off = shape.widths, shape._offsets
+    d = shape.widths
     zs = []
     H = X
     for k in range(1, len(d)):
-        Z = W[..., off[k - 1]:off[k]].reshape(*lead, d[k], d[k - 1]) @ H
+        Z = W[..., shape.layer_slice(k)].reshape(*lead, d[k], d[k - 1]) @ H
         zs.append(Z)
         if k < len(d) - 1:
             H = np.maximum(Z, 0)

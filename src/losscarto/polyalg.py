@@ -9,11 +9,11 @@ structural equality is mathematical equality and hashing works.
 
 Float coefficients never appear here.  The public constructor checks and
 canonicalizes its input, merging a variable repeated in one key; results
-of the ring operations, whose keys are canonical already, go through the
-trusted Poly._canonical instead, which only sorts.  Poly._presorted trusts
-the order too: normalized and negation keep every key, and so the order,
-and the segment builder and Factorization.product in virtual emit their
-terms in order.
+of the ring operations, whose keys are canonical already, are only sorted
+(_sorted_terms) and handed to the trusted Poly._presorted.  Every other
+caller of _presorted emits its terms in order: normalized and negation
+keep every key, and so the order, and the segment builder and
+Factorization.product in virtual build them in order.
 """
 
 from __future__ import annotations
@@ -75,16 +75,6 @@ class Poly:
         object.__setattr__(self, "_terms", _sorted_terms(acc))
 
     @classmethod
-    def _canonical(cls, acc: Mapping[TermKey, Fraction]) -> "Poly":
-        """Trusted constructor: keys already canonical, coefficients Fractions.
-
-        Drops zero coefficients and sorts, skipping the key and coefficient
-        checks of the public constructor; the ring operations produce
-        such mappings.
-        """
-        return cls._presorted(_sorted_terms(acc))
-
-    @classmethod
     def _presorted(cls, terms: tuple[tuple[TermKey, Fraction], ...]) -> "Poly":
         """Trusted constructor: canonical keys, nonzero Fractions, canonical order."""
         out = object.__new__(cls)
@@ -111,6 +101,7 @@ class Poly:
 
     @staticmethod
     def variable(v: int) -> "Poly":
+        """The polynomial x_v; kept as the tests' reference constructor."""
         return Poly({((int(v), 1),): 1})
 
     # inspection
@@ -136,7 +127,7 @@ class Poly:
         return tuple(sorted(seen))
 
     def normalized(self) -> "Poly":
-        """Scale so the leading coefficient is 1 (canonical up-to-scale form)."""
+        """Scale so the leading coefficient is 1; kept as the tests' reference normal form."""
         if not self._terms or self._terms[0][1] == 1:
             return self
         lead = self._terms[0][1]
@@ -173,7 +164,7 @@ class Poly:
         acc = dict(self._terms)
         for k, c in other._terms:
             acc[k] = acc.get(k, Fraction(0)) + c
-        return Poly._canonical(acc)
+        return Poly._presorted(_sorted_terms(acc))
 
     __radd__ = __add__
 
@@ -198,7 +189,7 @@ class Poly:
             for kb, cb in other._terms:
                 k = _merge_keys(ka, kb)
                 acc[k] = acc.get(k, Fraction(0)) + ca * cb
-        return Poly._canonical(acc)
+        return Poly._presorted(_sorted_terms(acc))
 
     __rmul__ = __mul__
 

@@ -1,7 +1,7 @@
 """Semi-algebraic map of the loss surface: regions, pieces, walls, sheets.
 
-A region is a choice of realized activation set per training sample with
-a witness weight point strictly off every wall.  On a region the loss is
+A region is a choice of activation set per training sample that some
+weight point strictly off every wall realizes.  On a region the loss is
 one exact polynomial (the piece).  Crossing the zero set of a flipped
 node's virtual polynomial moves to the adjacent region; the crossing is
 singular exactly when the two pieces differ: when every hidden layer
@@ -13,17 +13,17 @@ bottleneck factors, and the bottleneck factors of the output nodes'
 virtual polynomials.  A region's key is every sample's flag tuple, and
 a sample's sheets depend on its own flag tuple (its pattern) alone, so
 enumeration walks each distinct (sample, pattern) pair once and builds
-no Region, ActivationSet or witness point; those are the types of the
-public functions only.  The factors are the irreducible components the
-walls and retained defining polynomials split into; weight-only
-components (no first-layer variable) are precisely the sample-independent
-ones.  A node's wall and factors depend only on the sample and on the
-flags of the layers below the node, so one enumeration factorizes each
-(sample, node, lower flags) once; the singular bit reads the layers
-above and is decided per pattern.  Below that, one segment cache (see
-virtual) is shared by the whole enumeration: a segment behind a cut is
-one polynomial for every sample, and a layer's pre-outputs serve every
-node of it, so each is propagated once.  Inputs enter it divided by
+no Region or ActivationSet; those are the types of the public functions
+only.  The factors are the irreducible components the walls and retained
+defining polynomials split into; weight-only components (no first-layer
+variable) are precisely the sample-independent ones.  A node's wall and
+factors depend only on the sample and on the flags of the layers below
+the node, so one enumeration factorizes each (sample, node, lower flags)
+once; the singular bit reads the layers above and is decided per
+pattern.  Below that, one segment cache (see virtual) is shared by the
+whole enumeration: a segment behind a cut is one polynomial for every
+sample, and a layer's pre-outputs serve every node of it, so each is
+propagated once.  Inputs enter it divided by
 their first nonzero entry and a cut's segment starts from 1, so every
 wall and factor comes out normalized by construction (see _lead_scaled);
 wall_between lead-scales its sample's input the same way.
@@ -60,10 +60,9 @@ RegionKey = tuple[tuple[tuple[bool, ...], ...], ...]
 
 @dataclass(frozen=True)
 class Region:
-    """Per-sample activation sets plus one witness weight point."""
+    """Per-sample activation sets; the weight point that realizes them is the caller's."""
 
     activation_sets: tuple[ActivationSet, ...]
-    witness: tuple[Scalar, ...]
 
     @property
     def key(self) -> RegionKey:
@@ -123,7 +122,7 @@ def region_of(
     key = _region_keys(shape, _integer_inputs(shape, samples), W)[0]
     if isinstance(key, int):
         raise BoundaryError(f"pre-output exactly zero in layer {key}: walls touch this point")
-    return Region(tuple(ActivationSet(shape.widths, flags) for flags in key), tuple(w))
+    return Region(tuple(ActivationSet(shape.widths, flags) for flags in key))
 
 
 def region_loss_polynomial(

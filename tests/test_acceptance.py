@@ -185,14 +185,14 @@ def test_criterion_6_singularity_classification():
             r = region_of(s, samples, w)
         except BoundaryError:
             continue
-        witnesses.setdefault(r.key, r)
+        witnesses.setdefault(r.key, (r, w))
 
     ok = True
     detail = []
     seen_pairs = set()
-    for r in witnesses.values():
+    for r, w in witnesses.values():
         for node in ((1, 2), (2, 2)):
-            r2 = witnesses[flipped_key(r, node)]
+            r2, w2 = witnesses[flipped_key(r, node)]
             pair = frozenset((r.key, r2.key))
             if pair in seen_pairs:
                 continue
@@ -200,8 +200,8 @@ def test_criterion_6_singularity_classification():
             sheet = wall_between(s, samples, r, r2)
             # independent numeric check: scan the float loss along the
             # straight segment between the two witnesses, quartic in t (two weight layers)
-            base = np.array([float(v) for v in r.witness])
-            other = np.array([float(v) for v in r2.witness])
+            base = np.array([float(v) for v in w])
+            other = np.array([float(v) for v in w2])
             kinks = detect_kinks_on_line(
                 LossOracle(fn), base, other - base, (0.0, 1.0), 257, 4
             )
@@ -234,13 +234,14 @@ def test_criterion_6_singularity_classification():
                 except BoundaryError:
                     continue
                 if r2.key == across:
-                    w2 = r2
+                    w2 = tuple(cand)
                     break
             if w2 is not None:
-                dead_pair = (r, w2)
-    sheet2 = wall_between(s2, samples2, dead_pair[0], dead_pair[1])
-    base = np.array([float(v) for v in dead_pair[0].witness])
-    other = np.array([float(v) for v in dead_pair[1].witness])
+                dead_pair = ((r, w), (r2, w2))
+    (r, w), (r2, w2) = dead_pair
+    sheet2 = wall_between(s2, samples2, r, r2)
+    base = np.array([float(v) for v in w])
+    other = np.array([float(v) for v in w2])
     kinks2 = detect_kinks_on_line(LossOracle(fn2), base, other - base, (0.0, 1.0), 257, 6)  # three weight layers
     interior2 = [k for k in kinks2 if 0.02 < k.t < 0.98]
     smooth_ok = (not sheet2.singular) and not interior2

@@ -135,6 +135,27 @@ class TestLossOracle:
         assert oracle.query_count == 4  # rows 0..2 and the NaN row 3, as four calls would be
         assert len(calls) == (1 if batched else 4)  # a per-row function never sees rows 4 and 5
 
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_raising_function_charges_nothing(self, batched):
+        # queries are charged once the function has answered: a batch it raises
+        # on is charged nothing, row by row as at once
+        calls = []
+
+        def fn(w):
+            calls.append(w)
+            if (np.asarray(w)[..., 0] > 1.5).any():
+                raise ArithmeticError("no loss here")
+            return np.asarray(w)[..., 0] * 1.0
+
+        fn.batched = batched
+        oracle = LossOracle(fn, budget=10)
+        assert oracle([1.0]) == 1.0 and oracle.query_count == 1
+        assert calls[0].shape == ((1, 1) if batched else (1,))  # a call is a one-row many
+        with pytest.raises(ArithmeticError):
+            oracle.many(np.arange(4.0)[:, None])
+        assert oracle.query_count == 1
+        assert len(calls) == (2 if batched else 4)  # the per-row function stops at row 2
+
 
 def batched_first_coordinate(calls):
     """Batch-capable test loss w -> w[0] that records each array it is given."""
@@ -1241,6 +1262,29 @@ class TestAttackPipeline:
         true_inputs = [tuple(float(v) for v in s.input) for s in inst.samples]
         report = run_attack(make_oracle(inst), 6, 2, cfg, true_inputs=true_inputs)
         assert any(m.cosine > 0.999 for m in report.matches)
+
+    @pytest.mark.parametrize("seed", [7, 107, 207])
+    def test_noisy_duplicate_walls_are_deduplicated(self, monkeypatch, seed):
+        # relative noise of 1e-10 splits a fingerprint group, so one sample's wall comes
+        # back more than once (9, 15 and 26 walls for 5 samples); the directions
+        # keep one of each, and every sample is still recovered
+        inst = gen_instance([3, 4, 2], 5, seed)
+        exact, rng = make_oracle(inst), np.random.default_rng(0)
+
+        def noisy(W):
+            y = exact(W)
+            return y * (1.0 + 1e-10 * rng.normal(size=np.shape(y)))
+
+        noisy.batched = True
+        walls = spy_on(monkeypatch, "_walls")
+        true_inputs = [tuple(float(v) for v in s.input) for s in inst.samples]
+        report = run_attack(noisy, inst.shape.weight_count, 3, AttackConfig(seed=7), true_inputs=true_inputs)
+        assert len(report.directions) < len(walls[-1])
+        D = np.array([d.direction for d in report.directions])
+        cos = np.abs(D @ D.T)[np.triu_indices(len(D), 1)]
+        assert (cos < 1.0 - attack_module.DEDUP_TOL).all()
+        recovered = {m.sample_index for m in report.matches if m.cosine >= attack_module.MATCH_THRESHOLD}
+        assert recovered == set(range(5))
 
 
 def one_hot_labels(inst):

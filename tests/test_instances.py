@@ -50,6 +50,21 @@ class TestGen:
             with pytest.raises(InstanceError, match="n_samples must be an integer >= 1"):
                 gen_instance([2, 2, 1], n, seed=0)
 
+    def test_seed_follows_the_loaders_rule(self, tmp_path):
+        # a NumPy integer is stored as an int, so the saved file loads back
+        inst = gen_instance([2, 2, 1], 2, seed=np.int64(3))
+        assert type(inst.seed) is int and inst == gen_instance([2, 2, 1], 2, seed=3)
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        assert load_instance(path) == inst
+        # a seed the loader rejects is rejected by gen too, before any draw
+        row = {"input": [1.0, 2.0], "output": [1.0]}
+        for bad in (True, 2.5):
+            with pytest.raises(InstanceError, match="'seed' must be an integer"):
+                gen_instance([2, 2, 1], 2, bad, materialize_weights=True)
+            with pytest.raises(InstanceError, match="'seed' must be an integer"):
+                instance_from_json({"widths": [2, 2, 1], "samples": [row], "seed": bad})
+
 
 class TestJson:
     def test_round_trip(self, tmp_path):
@@ -106,6 +121,18 @@ class TestJson:
             instance_from_json(
                 {"widths": [2, 1], "samples": [{"input": [1, 2], "output": [1]}], "weights": [1, -(10**400)]}
             )
+
+    def test_shape_rules_raise_instance_error(self):
+        # the widths, arity and weight-count rules are the shape's, raised as InstanceError
+        row = {"input": [1.0, 2.0], "output": [1.0]}
+        for widths in ([2], [2, 0], [2, True], [2.0, 1], ["2", "1"], "21", {"2": 1}):
+            with pytest.raises(InstanceError):
+                instance_from_json({"widths": widths, "samples": [row], "seed": 0})
+        for bad_row in ({"input": [1.0], "output": [1.0]}, {"input": [1.0, 2.0], "output": [1.0, 2.0]}):
+            with pytest.raises(InstanceError, match="sample 1"):
+                instance_from_json({"widths": [2, 1], "samples": [row, bad_row], "seed": 0})
+        with pytest.raises(InstanceError, match="length 3"):
+            instance_from_json({"widths": [2, 1], "samples": [row], "weights": [1.0, 2.0, 3.0]})
 
     def test_bad_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -248,6 +248,24 @@ class TestForward:
         assert as_fraction(big) == Fraction(2**62 + 1) and type(as_fraction(big)) is Fraction
         assert as_fraction(np.uint8(255)) == 255 and as_fraction(np.int32(-7)) == -7
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.longdouble])
+    def test_numpy_floats_convert_exactly(self, dtype):
+        s = NetworkShape([2, 2, 1])
+        sample = TrainingSample((1, 2), (1,))
+        exact = [Fraction(1, 2), Fraction(-5, 4), Fraction(2), Fraction(3, 8), Fraction(-3), Fraction(3, 2)]
+        w = np.array([float(v) for v in exact], dtype=dtype)  # dyadic, so exact at every width
+        want = loss(s, exact, [sample])
+        assert loss(s, w, [sample]) == want
+        assert loss(s, w, [TrainingSample(np.array([1, 2], dtype=dtype), np.array([1], dtype=dtype))]) == want
+        assert region_of(s, [sample], w) == region_of(s, [sample], exact)
+        tenth = dtype(0.1)  # the dyadic rational the rounded value denotes, not 1/10
+        assert as_fraction(tenth) == Fraction(*tenth.as_integer_ratio()) != Fraction(1, 10)
+        if dtype is not np.longdouble:  # widening to a double is exact
+            assert as_fraction(tenth) == Fraction(float(tenth))
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises((ValueError, OverflowError)):
+                as_fraction(dtype(bad))
+
     def test_make_loss_fn_rejects_bad_shapes(self):
         s = NetworkShape([2, 2, 1])
         fn = make_loss_fn(s, [TrainingSample((1, 2), (1,))])

@@ -8,6 +8,7 @@ pinned here too, and one short traced benchmark run checks them end to end.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -53,6 +54,36 @@ def test_every_export_has_a_user():
     files += DEMOS + sorted((ROOT / "bench").glob("*.py"))
     used = set().union(*map(_names_used, files))
     assert sorted(set(losscarto.__all__) - used) == []
+
+
+# public members only the tests read, kept as their reference constructors
+TEST_REFERENCES = {"Poly.normalized", "Poly.variable"}
+
+
+def test_every_public_member_has_a_reader():
+    # every public method, property and dataclass field of an exported class is
+    # read as an attribute by package code, a demo or the benchmark
+    files = [*(ROOT / "src" / "losscarto").glob("*.py"), *DEMOS, *sorted((ROOT / "bench").glob("*.py"))]
+    read = {
+        node.attr
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    members = set()
+    for name in losscarto.__all__:
+        cls = getattr(losscarto, name)
+        if not inspect.isclass(cls):
+            continue
+        public = {
+            attr for attr, value in vars(cls).items()
+            if inspect.isfunction(value) or isinstance(value, (staticmethod, classmethod, property))
+        }
+        if dataclasses.is_dataclass(cls):
+            public |= {f.name for f in dataclasses.fields(cls)}
+        members |= {f"{name}.{attr}" for attr in public if not attr.startswith("_")}
+    assert TEST_REFERENCES <= members
+    assert sorted(m for m in members - TEST_REFERENCES if m.split(".")[1] not in read) == []
 
 
 def test_every_module_constant_is_read():
@@ -175,13 +206,13 @@ def test_one_query_budget():
 
 def test_unsorted_constructor_callers():
     # Poly._presorted keeps the order of the terms it is given. Besides
-    # _canonical, which sorts them first, only code whose output order is
-    # canonical by construction calls it: the segment builder, the product of
-    # a factorization, normalized and negation. A new caller that would skip
-    # the sort fails here
+    # addition and multiplication, which sort them first (_sorted_terms), only
+    # code whose output order is canonical by construction calls it: the
+    # segment builder, the product of a factorization, normalized and
+    # negation. A new caller that would skip the sort fails here
     allowed = {
-        ("polyalg.py", "_canonical"), ("polyalg.py", "normalized"), ("polyalg.py", "__neg__"),
-        ("virtual.py", "_extend"), ("virtual.py", "product"),
+        ("polyalg.py", "__add__"), ("polyalg.py", "__mul__"), ("polyalg.py", "normalized"),
+        ("polyalg.py", "__neg__"), ("virtual.py", "_extend"), ("virtual.py", "product"),
     }
     found, outside = set(), []
     for path in sorted((ROOT / "src" / "losscarto").glob("*.py")):

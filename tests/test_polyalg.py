@@ -12,6 +12,7 @@ from losscarto import (
     Poly,
     layerwise_degree,
 )
+from losscarto.polyalg import _sorted_terms
 
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -127,7 +128,7 @@ class TestTrustedConstructor:
             acc[key] = acc.get(key, Fraction(0)) + c
             if data.draw(st.booleans()):
                 acc[key] -= c
-        assert Poly._canonical(acc).terms == Poly(acc).terms
+        assert Poly._presorted(_sorted_terms(acc)).terms == Poly(acc).terms
 
     @given(polys(), polys())
     def test_ring_results_are_canonical(self, p, q):

@@ -62,10 +62,10 @@ def toggled(P, node):
 
 
 def across(region, p, node):
-    """The formal neighbor of region across node's wall for sample p: same witness."""
+    """The formal neighbor of region across node's wall for sample p."""
     sets = list(region.activation_sets)
     sets[p] = toggled(sets[p], node)
-    return Region(tuple(sets), region.witness)
+    return Region(tuple(sets))
 
 
 class TestRegions:
@@ -281,11 +281,12 @@ class TestWalls:
         # nor a sheet for a sample list the regions do not describe
         s = NetworkShape([2, 2, 1])
         samples = sample_221() + [TrainingSample((F(-1), F(3)), (F(0),))]
-        r = self._region(s, samples, (F(1), F(1), F(1), F(1), F(1), F(1)))
+        w = (F(1), F(1), F(1), F(1), F(1), F(1))
+        r = self._region(s, samples, w)
         for p in (0, 1):
             with pytest.raises(ShapeError):
                 wall_between(s, samples[:1], r, across(r, p, (2, 2)))
-        one = self._region(s, samples[:1], r.witness)
+        one = self._region(s, samples[:1], w)
         with pytest.raises(ShapeError):
             wall_between(s, samples, one, across(one, 0, (1, 2)))
         assert wall_between(s, samples, r, across(r, 1, (2, 2))).sample_index == 1
@@ -307,9 +308,8 @@ class TestWalls:
         # cannot change the loss piece
         s = NetworkShape([2, 2, 2, 1])
         samples = [TrainingSample((F(1), F(2)), (F(3),))]
-        w = tuple(F(1) for _ in range(s.weight_count))
         act = ActivationSet.from_mapping(s, {(1, 3): False, (2, 3): False})
-        r1 = Region((act,), w)
+        r1 = Region((act,))
         r2 = across(r1, 0, (1, 2))
         sheet = wall_between(s, samples, r1, r2)
         assert not sheet.singular
@@ -320,7 +320,7 @@ class TestWalls:
         s = NetworkShape([2, 2, 2, 1])
         samples = [TrainingSample((F(1), F(2)), (F(3),))]
         act = ActivationSet.from_mapping(s, {(1, 2): False, (2, 2): False})
-        r1 = Region((act,), tuple(F(1) for _ in range(s.weight_count)))
+        r1 = Region((act,))
         with pytest.raises(AdjacencyError):
             wall_between(s, samples, r1, across(r1, 0, (1, 3)))
 
@@ -344,7 +344,7 @@ class TestWalls:
             ActivationSet.from_mapping(s, {node: rng.random() < 0.6 for node in s.hidden_nodes()})
             for _ in samples
         )
-        region = Region(sets, ())
+        region = Region(sets)
         for p, (i, k) in [(p, node) for p in range(2) for node in s.hidden_nodes()]:
             P = sets[p]
             try:
